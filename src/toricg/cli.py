@@ -10,16 +10,13 @@ enumerate  stream combinatorial objects one per line
 
 Exit codes: 0 success, 1 verification or route-agreement failure, 2 usage
 or parse error, 3 capacity exceeded.  Output is deterministic: repeated
-runs are byte-identical, and the TORICG_THREADS environment variable only
-bounds the worker count (all work is assembled in a fixed order before
-printing, so the value never changes the output).
+runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -30,19 +27,6 @@ from .errors import CapacityError, ToricgError
 _SCHEMA = "toricg/1"
 _TABLE_FAMILIES = ("associahedron", "cyclohedron", "permutahedron", "cube")
 _BS_FAMILIES = ("permutahedron", "stanley_pitman", "associahedron_intervals", "interpolation")
-
-
-def _thread_budget() -> int:
-    raw = os.environ.get("TORICG_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ToricgError(f"TORICG_THREADS must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ToricgError("TORICG_THREADS must be >= 1")
-    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -199,7 +183,6 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _thread_budget()
     report = verification.SUITES[args.suite](args.n_max, unsafe=args.unsafe_max)
     report = {"schema": _SCHEMA, "kind": "verify", **report}
     print(json.dumps(report, indent=2, sort_keys=True))
@@ -235,7 +218,10 @@ def _enumerate_stream(args):
 
 def _enumerate_building_set(args) -> nestohedra.BuildingSet:
     if args.building_set:
-        return _load_building_set(args.building_set)
+        bs = _load_building_set(args.building_set)
+        check_capacity("b_permutations", bs.ground_size - 1, args.unsafe_max)
+        nestohedra.validate(bs)
+        return bs
     if args.bs_family:
         return nestohedra.named_family(args.bs_family, args.n, args.r)
     raise ToricgError("b_perms needs --bs-family or --building-set")
@@ -255,7 +241,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _thread_budget()
         if args.command == "table":
             return _cmd_table(args)
         if args.command == "verify":

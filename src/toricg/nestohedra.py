@@ -9,8 +9,9 @@ connected chordal building set on [n+1] the h-polynomial of the associated
 nestohedron is the descent generating function of its B-permutations, the
 gamma-polynomial restricts that sum to permutations with no double
 descents and no final descent, and the toric g-polynomial follows from the
-gamma-vector.  Members are stored as bitmasks over a ground set of size at
-most 16.
+gamma-vector.  Both sums are counted by a dynamic program over prefixes of
+B-permutations, not by listing them.  Members are stored as bitmasks over a
+ground set of size at most 16.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import parking, perms
 from .config import check_capacity
-from .errors import BuildingSetError, ChordalityError, PreconditionError
+from .errors import BuildingSetError, ChordalityError, PreconditionError, StructuralError
 from .polyvec import IntPoly, toric_g_from_gamma
 
 _NAMED_KINDS = (
@@ -180,34 +181,25 @@ def components(bs: BuildingSet, T: Iterable[int]) -> tuple[tuple[int, ...], ...]
     return tuple(sorted(_unmask(m) for m in maximal))
 
 
-def _component_roots(bs: BuildingSet) -> list[list[int]]:
-    """roots[T][i-1] = smallest element of i's component in the T-restricted
-    family, for every subset mask T; elements outside T get 0."""
-    m = bs.ground_size
-    roots = []
-    for t in range(1 << m):
-        inside = [mem for mem in bs.masks if mem & ~t == 0]
-        parent = list(range(m + 1))
+def _component_table(bs: BuildingSet) -> list[int]:
+    """comp[S] = the largest member inside S that holds max(S), i.e. the
+    component of max(S) in the S-restricted family, for every mask S.
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for mem in inside:
-            first = (mem & -mem).bit_length()
-            rest = mem & (mem - 1)
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                a, b = find(first), find(bit.bit_length())
-                if a != b:
-                    if a > b:
-                        a, b = b, a
-                    parent[b] = a
-        roots.append([find(i) if t >> (i - 1) & 1 else 0 for i in range(1, m + 1)])
-    return roots
+    Members holding max(S) are closed under union, so when S is not a
+    member comp[S] is the union of comp[S - {y}] over y in S below max(S).
+    """
+    member = set(bs.masks)
+    comp = [0] * (1 << bs.ground_size)
+    for s in range(1, len(comp)):
+        if s in member:
+            comp[s] = s
+            continue
+        below = s ^ (1 << (s.bit_length() - 1))
+        while below:
+            bit = below & -below
+            below ^= bit
+            comp[s] |= comp[s ^ bit]
+    return comp
 
 
 def b_permutations(bs: BuildingSet, unsafe: bool = False) -> list[tuple[int, ...]]:
@@ -216,55 +208,80 @@ def b_permutations(bs: BuildingSet, unsafe: bool = False) -> list[tuple[int, ...
     for every prefix."""
     m = bs.ground_size
     check_capacity("b_permutations", m - 1, unsafe)
-    roots = _component_roots(bs)
+    comp = _component_table(bs)
     out = []
     for pi in itertools.permutations(range(1, m + 1)):
         t = 0
-        biggest = 0
         for v in pi:
-            t |= 1 << (v - 1)
-            if v > biggest:
-                biggest = v
-            r = roots[t]
-            if r[v - 1] != r[biggest - 1]:
+            bit = 1 << (v - 1)
+            t |= bit
+            if not comp[t] & bit:
                 break
         else:
             out.append(pi)
     return out
 
 
-def _require_chordal(bs: BuildingSet) -> ValidationReport:
+def _require_chordal(bs: BuildingSet, unsafe: bool) -> None:
+    """Refuse sets past the b_permutations cap, then those that are not
+    connected and chordal; the cap comes first as validate is O(|B|^2)."""
+    check_capacity("b_permutations", bs.ground_size - 1, unsafe)
     report = validate(bs)
     if not (report.connected and report.chordal):
         raise ChordalityError(
             "the h/gamma pipeline needs a connected chordal building set; "
             "h-vectors of non-chordal nestohedra (tree-based formula) are out of scope"
         )
-    return report
+
+
+def _descent_counts(bs: BuildingSet, gamma: bool) -> list[int]:
+    """Numbers of B-permutations by descent count, by a DP over prefixes.
+
+    v may follow a prefix T exactly when v lies in comp[T | v], so a state
+    is (prefix mask, last element, whether the last step fell) and holds the
+    descent histogram of its prefixes, packed one 64-bit slot per count (a
+    slot holds at most 16! < 2**64).  With ``gamma`` the steps making a
+    double descent and the permutations ending on a descent are dropped;
+    otherwise the flag stays False.
+    """
+    m = bs.ground_size
+    comp = _component_table(bs)
+    full = (1 << m) - 1
+    states = {(1 << v, v + 1, False): 1 for v in range(m)}
+    for _ in range(m - 1):
+        grown: dict[tuple[int, int, bool], int] = {}
+        for (t, last, fell), hist in states.items():
+            free = full ^ t
+            while free:
+                bit = free & -free
+                free ^= bit
+                u = t | bit
+                v = bit.bit_length()
+                down = v < last
+                if not comp[u] & bit or down and fell:
+                    continue
+                key = (u, v, gamma and down)
+                grown[key] = grown.get(key, 0) + (hist << 64 if down else hist)
+        states = grown
+    total = sum(hist for (_, _, fell), hist in states.items() if not fell)
+    return [total >> 64 * k & (1 << 64) - 1 for k in range(m)]
 
 
 def h_chordal(bs: BuildingSet, unsafe: bool = False) -> tuple[int, ...]:
     """Descent generating vector of the B-permutations; palindromic."""
-    _require_chordal(bs)
-    n = bs.ground_size - 1
-    hist = Counter(perms.des(pi) for pi in b_permutations(bs, unsafe))
-    hvec = tuple(hist.get(i, 0) for i in range(n + 1))
-    assert list(hvec) == list(reversed(hvec)), "chordal h-vector must be palindromic"
+    _require_chordal(bs, unsafe)
+    hvec = tuple(_descent_counts(bs, gamma=False))
+    if hvec != hvec[::-1]:
+        raise StructuralError(f"chordal h-vector {hvec} is not palindromic")
     return hvec
 
 
 def gamma_chordal(bs: BuildingSet, unsafe: bool = False) -> tuple[int, ...]:
     """Descent counts over B-permutations with no double descents and no
     final descent; equals h_to_gamma(h_chordal(bs))."""
-    _require_chordal(bs)
+    _require_chordal(bs, unsafe)
     n = bs.ground_size - 1
-    hist: Counter[int] = Counter()
-    for pi in b_permutations(bs, unsafe):
-        stats = perms.asc_des(pi)
-        if stats.double_descents or perms.has_final_descent(pi):
-            continue
-        hist[len(stats.des)] += 1
-    return tuple(hist.get(j, 0) for j in range(n // 2 + 1))
+    return tuple(_descent_counts(bs, gamma=True)[: n // 2 + 1])
 
 
 def toric_g_chordal(bs: BuildingSet, unsafe: bool = False) -> IntPoly:
@@ -285,7 +302,7 @@ def toric_g_direct(bs: BuildingSet, dfs_only: bool = False, unsafe: bool = False
     """
     n = bs.ground_size - 1
     check_capacity("direct_route", n, unsafe)
-    _require_chordal(bs)
+    _require_chordal(bs, unsafe)
     allowed = set(b_permutations(bs, unsafe))
     labels = tuple(range(1, n + 1))
     acc: Counter[int] = Counter()
@@ -305,10 +322,7 @@ def toric_g_direct(bs: BuildingSet, dfs_only: bool = False, unsafe: bool = False
                     f[e - 1] = v
             if parking.fn_is_123_avoiding(f):
                 acc[parking.fn_ascents(f)] += 1
-    out = [0] * (max(acc) + 1 if acc else 0)
-    for k, c in acc.items():
-        out[k] = c
-    return IntPoly(out)
+    return IntPoly([acc[k] for k in range(max(acc, default=-1) + 1)])
 
 
 def _scan_counts(tree, counts: dict[int, int]) -> None:
@@ -370,7 +384,4 @@ def ascent_polynomial(functions: Iterator[tuple[int, ...]]) -> IntPoly:
     acc: Counter[int] = Counter()
     for f in functions:
         acc[parking.fn_ascents(f)] += 1
-    out = [0] * (max(acc) + 1 if acc else 0)
-    for k, c in acc.items():
-        out[k] = c
-    return IntPoly(out)
+    return IntPoly([acc[k] for k in range(max(acc, default=-1) + 1)])

@@ -117,6 +117,19 @@ def test_building_set_file(tmp_path, capsys):
     assert code == 2
 
 
+def test_enumerate_b_perms_validates_the_file(tmp_path, capsys):
+    """A family missing the union of two intersecting members is not a
+    building set: b_perms refuses it instead of listing permutations."""
+    path = tmp_path / "open.json"
+    path.write_text(json.dumps({"ground_size": 3, "sets": [[1], [2], [3], [1, 2], [2, 3]]}))
+    code, out, err = run(capsys, "enumerate", "b_perms", "2", "--building-set", str(path))
+    assert code == 2 and out == "" and "union" in err
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"ground_size": 12, "sets": [[i] for i in range(1, 13)]}))
+    code, out, err = run(capsys, "enumerate", "b_perms", "11", "--building-set", str(big))
+    assert code == 3 and out == ""
+
+
 def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify", "series", "4")
     assert code == 0
@@ -145,12 +158,3 @@ def test_verify_conjectures_never_fail(capsys):
     assert payload["ok"] is True
     names = {c["name"] for c in payload["checks"]}
     assert "g_contrib_real_rooted" in names
-
-
-def test_thread_env_is_validated(capsys, monkeypatch):
-    monkeypatch.setenv("TORICG_THREADS", "2")
-    code, out, _ = run(capsys, "enumerate", "dyck", "2", "--count-only")
-    assert code == 0 and out == "2\n"
-    monkeypatch.setenv("TORICG_THREADS", "zero")
-    code, _, err = run(capsys, "enumerate", "dyck", "2", "--count-only")
-    assert code == 2 and "TORICG_THREADS" in err

@@ -1,4 +1,8 @@
 import itertools
+import os
+import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -216,8 +220,6 @@ def test_random_chordal_graphical_building_sets():
     """Random graphs on <= 6 vertices whose graphical building set happens
     to be connected and chordal must give palindromic h-vectors agreeing
     with the gamma route."""
-    import random
-
     rng = random.Random(20240817)
     tested = 0
     while tested < 12:
@@ -261,3 +263,117 @@ def test_json_round_trip():
         BuildingSet(2, [[1], [2], [3]])
     with pytest.raises(BuildingSetError):
         BuildingSet(2, [[1], [2], []])
+
+
+def enumerated_h_gamma(bs: BuildingSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """h and gamma as descent histograms over the listed B-permutations,
+    the gamma one over those with no double descent and no final descent."""
+    n = bs.ground_size - 1
+    h: Counter = Counter()
+    gamma: Counter = Counter()
+    for pi in nestohedra.b_permutations(bs):
+        stats = perms.asc_des(pi)
+        h[len(stats.des)] += 1
+        if not stats.double_descents and not perms.has_final_descent(pi):
+            gamma[len(stats.des)] += 1
+    return (
+        tuple(h.get(i, 0) for i in range(n + 1)),
+        tuple(gamma.get(j, 0) for j in range(n // 2 + 1)),
+    )
+
+
+def random_chordal_graphicals(seed: int, count: int, max_ground: int):
+    """Graphical building sets of random connected graphs in which
+    1, ..., m is a perfect elimination order: each vertex joins a random
+    later vertex p and a random part of p's later neighbours, so its later
+    neighbours form a clique."""
+    rng = random.Random(seed)
+    found = []
+    for _ in range(count):
+        m = rng.randint(2, max_ground)
+        later: dict[int, set[int]] = {m: set()}
+        edges = []
+        for i in range(m - 1, 0, -1):
+            p = rng.randint(i + 1, m)
+            later[i] = {p} | {q for q in later[p] if rng.random() < 0.5}
+            edges += [(i, q) for q in later[i]]
+        bs = nestohedra.graphical(m, edges)
+        assert nestohedra.validate(bs) == (True, True)
+        found.append(bs)
+    return found
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_descent_dp_matches_enumeration_on_named_families(n):
+    family_sets = [
+        nestohedra.named_family(kind, n)
+        for kind in ("permutahedron", "stanley_pitman", "associahedron_intervals")
+    ] + [nestohedra.named_family("interpolation", n, r) for r in range(1, n + 1)]
+    for bs in family_sets:
+        assert (nestohedra.h_chordal(bs), nestohedra.gamma_chordal(bs)) == enumerated_h_gamma(bs)
+
+
+def test_descent_dp_matches_enumeration_on_random_graphicals():
+    for bs in random_chordal_graphicals(seed=31, count=30, max_ground=7):
+        assert (nestohedra.h_chordal(bs), nestohedra.gamma_chordal(bs)) == enumerated_h_gamma(bs)
+
+
+def test_component_table_matches_components():
+    """comp[T] is the component of max(T) among components(bs, T)."""
+    small = [
+        nestohedra.named_family(kind, n)
+        for n in range(1, 4)
+        for kind in ("permutahedron", "stanley_pitman", "associahedron_intervals")
+    ] + [nestohedra.named_family("interpolation", 3, r) for r in (1, 2, 3)]
+    small += random_chordal_graphicals(seed=7, count=10, max_ground=5)
+    small.append(nestohedra.graphical(4, [(1, 2), (2, 3), (3, 4), (1, 4)]))
+    small.append(nestohedra.graphical(4, [(1, 3), (2, 4)]))
+    for bs in small:
+        comp = nestohedra._component_table(bs)
+        assert comp[0] == 0
+        for t in range(1, 1 << bs.ground_size):
+            members = nestohedra._unmask(t)
+            (holder,) = [c for c in nestohedra.components(bs, members) if max(members) in c]
+            assert comp[t] == nestohedra._mask(holder)
+
+
+def test_capacity_is_checked_before_validation(monkeypatch):
+    """Refusing an oversized building set must not first pay for the
+    O(|B|^2) axiom check."""
+    big = nestohedra.named_family("permutahedron", 12)
+
+    def no_validation(bs):
+        raise AssertionError("validate ran before the capacity check")
+
+    monkeypatch.setattr(nestohedra, "validate", no_validation)
+    for route in (
+        nestohedra.h_chordal,
+        nestohedra.gamma_chordal,
+        nestohedra.toric_g_chordal,
+        nestohedra.toric_g_direct,
+    ):
+        with pytest.raises(CapacityError):
+            route(big)
+
+
+def test_palindrome_check_survives_optimized_mode():
+    """The h-vector palindromicity check is not a bare assert: it still
+    fires under python -O."""
+    script = (
+        "from toricg import nestohedra\n"
+        "from toricg.errors import StructuralError\n"
+        "assert False, 'asserts are live'\n"
+        "nestohedra._descent_counts = lambda bs, gamma: [1, 2, 3]\n"
+        "try:\n"
+        "    nestohedra.h_chordal(nestohedra.named_family('permutahedron', 2))\n"
+        "except StructuralError:\n"
+        "    print('refused')\n"
+    )
+    src = os.path.join(os.path.dirname(nestohedra.__file__), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "refused\n"
