@@ -103,11 +103,7 @@ def _family_row(family: str, n: int, route: str, unsafe: bool) -> polyvec.IntPol
         return nestohedra.toric_g_direct(
             nestohedra.named_family("permutahedron", n), unsafe=unsafe
         )
-    hist: dict[int, int] = {}
-    for p in perms.enumerate_123_avoiding(n):
-        k = perms.asc(p)
-        hist[k] = hist.get(k, 0) + 1
-    return polyvec.IntPoly([hist.get(k, 0) for k in range(max(hist, default=0) + 1)])
+    return nestohedra.ascent_polynomial(perms.enumerate_123_avoiding(n))
 
 
 def _bs_row(bs: nestohedra.BuildingSet, route: str, unsafe: bool) -> polyvec.IntPoly:

@@ -14,7 +14,7 @@ import itertools
 from typing import Iterable, Iterator
 
 from .errors import PreconditionError, StructuralError
-from .words import (D, U, catalan, enumerate_words, is_dyck, is_sparse)
+from .words import D, U, enumerate_words, is_dyck, is_sparse
 
 
 def u_positions(w: str) -> list[int]:
@@ -183,7 +183,7 @@ class NoncrossingPartition:
         n = len(elements)
         if sorted(elements) != list(range(1, n + 1)):
             raise StructuralError(f"blocks do not partition [n]: {bs!r}")
-        if not _is_noncrossing(bs):
+        if not _crossing_free(bs):
             raise StructuralError(f"partition is crossing: {bs!r}")
         self.blocks = bs
         self.n = n
@@ -209,7 +209,7 @@ class NoncrossingPartition:
         return tuple(b for b in self.blocks if len(b) >= 2)
 
 
-def _is_noncrossing(blocks) -> bool:
+def _crossing_free(blocks) -> bool:
     owner = {}
     for idx, b in enumerate(blocks):
         for x in b:
@@ -224,14 +224,6 @@ def _is_noncrossing(blocks) -> bool:
             if changes >= 3:
                 return False
     return True
-
-
-def is_noncrossing(blocks: Iterable[Iterable[int]]) -> bool:
-    try:
-        NoncrossingPartition(blocks)
-        return True
-    except StructuralError:
-        return False
 
 
 def nc_from_text(text: str) -> NoncrossingPartition:

@@ -89,11 +89,21 @@ class BuildingSet:
 
     @classmethod
     def from_json(cls, data: dict) -> "BuildingSet":
+        """Read {"ground_size": int, "sets": [[int >= 1, ...], ...]}; any
+        other shape raises BuildingSetError."""
         try:
-            ground = int(data["ground_size"])
+            ground = data["ground_size"]
             sets = data["sets"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise BuildingSetError(f"malformed building-set JSON: {exc}") from exc
+        if type(ground) is not int:
+            raise BuildingSetError(f"malformed building-set JSON: ground_size {ground!r}")
+        if not isinstance(sets, list) or not all(
+            isinstance(s, list) and all(type(i) is int and i >= 1 for i in s) for s in sets
+        ):
+            raise BuildingSetError(
+                "malformed building-set JSON: sets must be lists of integers >= 1"
+            )
         return cls(ground, sets)
 
 
@@ -311,25 +321,15 @@ def toric_g_direct(bs: BuildingSet, dfs_only: bool = False, unsafe: bool = False
             continue
         if perms.fs_inorder(perms.plane_to_fs(tree)) not in allowed:
             continue
-        counts: dict[int, int] = {}
-        _scan_counts(tree, counts)
-        parents = [v for v in sorted(counts) if counts[v]]
-        sizes = [counts[v] for v in parents]
+        parents, sizes = parking._parent_sizes(tree)
         for groups in parking._ordered_groups(labels, sizes):
             f = [0] * n
             for v, group in zip(parents, groups):
                 for e in group:
                     f[e - 1] = v
-            if parking.fn_is_123_avoiding(f):
+            if perms.is_123_avoiding(f):
                 acc[parking.fn_ascents(f)] += 1
-    return IntPoly([acc[k] for k in range(max(acc, default=-1) + 1)])
-
-
-def _scan_counts(tree, counts: dict[int, int]) -> None:
-    v, kids = tree
-    counts[v] = len(kids)
-    for c in kids:
-        _scan_counts(c, counts)
+    return IntPoly.from_counts(acc)
 
 
 def _is_dfs_labeled(tree) -> bool:
@@ -381,7 +381,4 @@ def named_family(kind: str, n: int, r: int | None = None) -> BuildingSet:
 def ascent_polynomial(functions: Iterator[tuple[int, ...]]) -> IntPoly:
     """Generating polynomial of the weak ascent statistic over a stream of
     functions (plumbing for the brute-force routes)."""
-    acc: Counter[int] = Counter()
-    for f in functions:
-        acc[parking.fn_ascents(f)] += 1
-    return IntPoly([acc[k] for k in range(max(acc, default=-1) + 1)])
+    return IntPoly.from_counts(Counter(parking.fn_ascents(f) for f in functions))

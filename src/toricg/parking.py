@@ -22,7 +22,7 @@ from typing import Iterator, NamedTuple, Sequence
 from . import perms
 from .config import check_capacity
 from .errors import PreconditionError, StructuralError
-from .words import D, U
+from .words import D, U, u_runs
 
 
 def fn_from_text(text: str) -> tuple[int, ...]:
@@ -45,19 +45,6 @@ def is_parking(f) -> bool:
     return all(v <= k for k, v in enumerate(sorted(f), start=1))
 
 
-def fn_is_123_avoiding(f) -> bool:
-    """No i1 < i2 < i3 with f(i1) <= f(i2) <= f(i3) (weak inequalities)."""
-    m1 = m2 = None
-    for v in f:
-        if m2 is not None and m2 <= v:
-            return False
-        if m1 is not None and m1 <= v and (m2 is None or v < m2):
-            m2 = v
-        if m1 is None or v < m1:
-            m1 = v
-    return True
-
-
 def fn_ascent_set(f) -> tuple[int, ...]:
     """Positions i with f(i) <= f(i+1) (weak ascents)."""
     return tuple(i for i in range(1, len(f)) if f[i - 1] <= f[i])
@@ -78,26 +65,11 @@ class GHPair(NamedTuple):
 
 def is_compatible_pair(perm, word: str) -> bool:
     """Descents of ``perm`` must sit at fiber boundaries of ``word``."""
-    runs = _u_runs(word)
+    runs = u_runs(word)
     if runs is None or len(runs) != len(perm) or sum(runs) != len(perm):
         return False
     boundaries = set(itertools.accumulate(runs[:-1]))
     return set(perms.descent_set(perm)) <= boundaries
-
-
-def _u_runs(word: str) -> list[int] | None:
-    """Run lengths q_i of U^{q_1} D ... U^{q_n} D, or None if malformed."""
-    if any(ch not in "UD" for ch in word) or (word and word[-1] != D):
-        return None
-    runs = []
-    run = 0
-    for ch in word:
-        if ch == U:
-            run += 1
-        else:
-            runs.append(run)
-            run = 0
-    return runs
 
 
 def garsia_haiman(f) -> GHPair:
@@ -122,7 +94,7 @@ def garsia_haiman_inv(perm, word: str) -> tuple[int, ...]:
     perms.validate_perm(perm)
     if not is_compatible_pair(perm, word):
         raise PreconditionError(f"incompatible pair: {perm!r}, {word!r}")
-    runs = _u_runs(word)
+    runs = u_runs(word)
     f = [0] * len(perm)
     pos = 0
     for value, q in enumerate(runs, start=1):
@@ -244,14 +216,6 @@ def is_123_parking_tree(t: ParkingTree) -> bool:
     return small(t.root) and perms.is_123_avoiding(edge_perm(t))
 
 
-def _child_counts(f) -> tuple[int, ...]:
-    n = len(f)
-    counts = [0] * (n + 1)
-    for v in f:
-        counts[v - 1] += 1
-    return tuple(counts)
-
-
 def _attach_edges(children: Sequence[Sequence[int]], f) -> Node:
     """Build the tree given each vertex's child list; the edges at vertex v
     take the elements of f^{-1}(v) in increasing order."""
@@ -282,10 +246,11 @@ def _search_tree(f, bfs: bool) -> ParkingTree:
     if not is_parking(f):
         raise PreconditionError(f"not a parking function: {f!r}")
     n = len(f)
-    counts = _child_counts(f)
     children: list[list[int]] = [[] for _ in range(n + 1)]
     pending = deque([1])
-    remaining = list(counts)
+    remaining = [0] * (n + 1)
+    for v in f:
+        remaining[v - 1] += 1
     for label in range(2, n + 2):
         v = pending[0] if bfs else pending[-1]
         children[v - 1].append(label)
@@ -311,19 +276,7 @@ def enumerate_parking_trees(n: int, unsafe: bool = False) -> Iterator[ParkingTre
     check_capacity("parking_trees", n, unsafe)
     labels = tuple(range(1, n + 1))
     for shape in perms.increasing_plane_trees(n + 1):
-        counts: dict[int, int] = {}
-        kids: dict[int, tuple] = {}
-
-        def scan(node) -> None:
-            v, cs = node
-            counts[v] = len(cs)
-            kids[v] = cs
-            for c in cs:
-                scan(c)
-
-        scan(shape)
-        parents = [v for v in sorted(counts) if counts[v]]
-        sizes = [counts[v] for v in parents]
+        parents, sizes = _parent_sizes(shape)
         for groups in _ordered_groups(labels, sizes):
             fiber = dict(zip(parents, groups))
 
@@ -332,6 +285,14 @@ def enumerate_parking_trees(n: int, unsafe: bool = False) -> Iterator[ParkingTre
                 return (v, tuple(zip(fiber.get(v, ()), map(build, cs))))
 
             yield ParkingTree._unchecked(build(shape), n)
+
+
+def _parent_sizes(shape: perms.PlaneTree) -> tuple[list[int], list[int]]:
+    """The labels of the vertices with children, increasing, and their
+    numbers of children."""
+    counts = perms.child_counts(shape)
+    parents = [v for v, c in enumerate(counts, start=1) if c]
+    return parents, [c for c in counts if c]
 
 
 def _ordered_groups(labels: tuple[int, ...], sizes: Sequence[int]) -> Iterator[tuple]:
@@ -352,45 +313,28 @@ def sibling_type(tree012: perms.PlaneTree) -> tuple[int, ...]:
     by the identity rule (vertices in label order, left to right) and return
     the sparse set {b : edges b and b+1 share a parent}; its size is the
     number of forks."""
-    counts: dict[int, int] = {}
-
-    def scan(node) -> None:
-        v, cs = node
-        if len(cs) > 2:
-            raise StructuralError("vertex has more than two children")
-        counts[v] = len(cs)
-        for c in cs:
-            scan(c)
-
-    scan(tree012)
     out = []
     k = 0
-    for v in sorted(counts):
-        if counts[v] == 2:
+    for c in _counts_012(tree012):
+        if c == 2:
             out.append(k + 1)
-        k += counts[v]
+        k += c
     return tuple(out)
 
 
 def tree_motzkin_word(tree012: perms.PlaneTree) -> str:
     """Word x_1 ... x_n over {U,D,H}: vertex i maps to U if it is a fork,
     D if a leaf, H otherwise; the result encodes a Motzkin path."""
-    counts: dict[int, int] = {}
+    counts = _counts_012(tree012)[:-1]
+    return "".join(U if c == 2 else D if c == 0 else "H" for c in counts)
 
-    def scan(node) -> None:
-        v, cs = node
-        if len(cs) > 2:
-            raise StructuralError("vertex has more than two children")
-        counts[v] = len(cs)
-        for c in cs:
-            scan(c)
 
-    scan(tree012)
-    n = len(counts) - 1
-    return "".join(
-        U if counts[i] == 2 else D if counts[i] == 0 else "H"
-        for i in range(1, n + 1)
-    )
+def _counts_012(tree012: perms.PlaneTree) -> tuple[int, ...]:
+    """Child counts of a plane 0-1-2 tree; more than two children is an error."""
+    counts = perms.child_counts(tree012)
+    if max(counts) > 2:
+        raise StructuralError("vertex has more than two children")
+    return counts
 
 
 def parking_tree_to_text(t: ParkingTree) -> str:
@@ -457,26 +401,8 @@ def iter_parking_functions(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def iter_123_avoiding_functions(n: int, parking_only: bool = False) -> Iterator[tuple[int, ...]]:
-    """All 123-avoiding functions [n] -> [n], optionally only the parking
-    ones.  Prefixes containing a weak 123 pattern are pruned, so the sweep
-    stays far below n^n."""
-    if n == 0:
-        yield ()
-        return
-    prefix: list[int] = []
-    big = n + 1
-
-    def rec(m1: int, m2: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == n:
-            f = tuple(prefix)
-            if not parking_only or is_parking(f):
-                yield f
-            return
-        for v in range(1, n + 1):
-            if m2 <= v:
-                continue
-            prefix.append(v)
-            yield from rec(min(m1, v), min(m2, v) if m1 <= v else m2)
-            prefix.pop()
-
-    yield from rec(big, big)
+    """All 123-avoiding functions [n] -> [n] in lexicographic order,
+    optionally only the parking ones; see
+    :func:`toricg.perms.enumerate_123_avoiding`."""
+    functions = perms.enumerate_123_avoiding(n, distinct=False)
+    return (f for f in functions if not parking_only or is_parking(f))

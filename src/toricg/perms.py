@@ -91,32 +91,23 @@ def has_final_descent(p) -> bool:
     return len(p) >= 2 and p[-2] > p[-1]
 
 
-def is_123_avoiding(p) -> bool:
-    """True when no i1 < i2 < i3 has p(i1) < p(i2) < p(i3).
+def is_123_avoiding(seq) -> bool:
+    """True when no i1 < i2 < i3 has seq(i1) <= seq(i2) <= seq(i3).
 
-    Linear scan: m1 is the minimum so far, m2 the least value that already
-    tops a strictly increasing pair; any value above m2 completes a triple.
+    This is the weak pattern of functions; on a permutation, whose values
+    are distinct, it is the strict one.  Linear scan: m1 is the minimum so
+    far, m2 the least value that already tops a weakly increasing pair; any
+    value from m2 up completes a triple.
     """
     m1 = m2 = None
-    for v in p:
-        if m2 is not None and m2 < v:
+    for v in seq:
+        if m2 is not None and m2 <= v:
             return False
-        if m1 is not None and m1 < v and (m2 is None or v < m2):
+        if m1 is not None and m1 <= v:
             m2 = v
         if m1 is None or v < m1:
             m1 = v
     return True
-
-
-def is_123_avoiding_bruteforce(p) -> bool:
-    """Cubic reference implementation kept as an oracle for the fast scan."""
-    n = len(p)
-    return not any(
-        p[i] < p[j] < p[k]
-        for i in range(n)
-        for j in range(i + 1, n)
-        for k in range(j + 1, n)
-    )
 
 
 def left_to_right_minima(p) -> tuple[int, ...]:
@@ -173,28 +164,30 @@ def krattenthaler_inv(w: str) -> tuple[int, ...]:
     return tuple(v if v is not None else next(rest) for v in slots)
 
 
-def enumerate_123_avoiding(n: int) -> Iterator[tuple[int, ...]]:
-    """All 123-avoiding permutations of [n] in lexicographic order."""
+def enumerate_123_avoiding(n: int, distinct: bool = True) -> Iterator[tuple[int, ...]]:
+    """All 123-avoiding permutations of [n] in lexicographic order, or with
+    ``distinct=False`` all 123-avoiding functions [n] -> [n] (weak pattern,
+    see :func:`is_123_avoiding`).  Prefixes holding a pattern are pruned,
+    so the sweep stays far below n! or n^n."""
     if n < 0:
         raise PreconditionError("n must be >= 0")
     prefix: list[int] = []
     used = [False] * (n + 1)
-    big = n + 1
 
     def rec(m1: int, m2: int) -> Iterator[tuple[int, ...]]:
         if len(prefix) == n:
             yield tuple(prefix)
             return
-        for v in range(1, n + 1):
-            if used[v] or m2 < v:
+        for v in range(1, m2):
+            if used[v]:
                 continue
-            used[v] = True
+            used[v] = distinct  # a function may repeat v
             prefix.append(v)
-            yield from rec(min(m1, v), min(m2, v) if m1 < v else m2)
+            yield from rec(v, m2) if v < m1 else rec(m1, v)
             prefix.pop()
             used[v] = False
 
-    yield from rec(big, big)
+    yield from rec(n + 1, n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +421,21 @@ def increasing_plane_trees(count: int, max_children: int | None = None) -> Itera
     yield from rec(2)
 
 
+def child_counts(tree: PlaneTree) -> tuple[int, ...]:
+    """Number of children of each vertex, in increasing label order; for a
+    tree labeled 1..count entry v - 1 belongs to vertex v."""
+    counts: dict[int, int] = {}
+    stack = [tree]
+    while stack:
+        v, kids = stack.pop()
+        counts[v] = len(kids)
+        stack.extend(kids)
+    return tuple(counts[v] for v in sorted(counts))
+
+
 def count_forks(tree: PlaneTree) -> int:
     """Number of vertices with at least two children."""
-    label, kids = tree
-    return (len(kids) >= 2) + sum(count_forks(c) for c in kids)
+    return sum(c >= 2 for c in child_counts(tree))
 
 
 def enumerate_increasing_012(vertex_count: int) -> Iterator[tuple[PlaneTree, int]]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import PreconditionError, StructuralError
 from .words import catalan
@@ -52,6 +52,11 @@ class IntPoly:
     @classmethod
     def monomial(cls, power: int, coeff: int = 1) -> "IntPoly":
         return cls([0] * power + [coeff])
+
+    @classmethod
+    def from_counts(cls, counts: Mapping[int, int]) -> "IntPoly":
+        """sum_k counts[k] x^k, from a histogram of exponents."""
+        return cls([counts.get(k, 0) for k in range(max(counts, default=-1) + 1)])
 
     @classmethod
     def from_text(cls, text: str) -> "IntPoly":
@@ -476,13 +481,28 @@ def kk_pseudopower(m: int, k: int) -> int:
     while m > 0:
         if kk == 0:
             raise AssertionError("cascade representation did not terminate")
-        a = kk
-        while comb(a + 1, kk) <= m:
-            a += 1
+        a = _largest_top(m, kk)
         total += comb(a, kk + 1)
         m -= comb(a, kk)
         kk -= 1
     return total
+
+
+def _largest_top(m: int, k: int) -> int:
+    """The largest a >= k with comb(a, k) <= m, for m >= 1: the step
+    doubles until it overshoots, then the gap is bisected."""
+    lo, step = k, 1
+    while comb(lo + step, k) <= m:
+        lo += step
+        step *= 2
+    hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if comb(mid, k) <= m:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def kruskal_katona_ok(v: Sequence[int]) -> bool:

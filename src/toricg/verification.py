@@ -1,10 +1,11 @@
 """Named verification suites behind ``toricg verify``.
 
-Each suite runs a family of exhaustive checks up to a requested bound and
-returns a JSON-ready report.  Checks that would blow up past their desk
-scale carry their own cap; the effective bound appears in the report (pass
-``unsafe=True`` / ``--unsafe-max`` to lift the caps).  The ``conjectures``
-suite is informational: it reports outcomes and never fails.
+Each suite is a table of (name, cap, check) rows: check(bound) runs an
+exhaustive check up to ``bound`` = min(n_max, cap), raising on a mismatch
+and optionally returning a detail for the report.  The effective bound
+appears in the JSON-ready report (pass ``unsafe=True`` / ``--unsafe-max``
+to lift the caps).  The ``conjectures`` suite is informational: it reports
+outcomes and never fails.
 """
 
 from __future__ import annotations
@@ -14,21 +15,32 @@ from collections import Counter
 from math import comb
 
 from . import compat, nestohedra, parking, perms, polyvec, series, words
-from .errors import ToricgError
+from .errors import PreconditionError, ToricgError
+from .polyvec import IntPoly
+
+_FAMILIES = ("cube", "associahedron", "cyclohedron", "permutahedron")
 
 
-def _check(name: str, bound, fn) -> dict:
-    try:
-        detail = fn()
+def _run(suite: str, table, n_max: int, unsafe: bool) -> dict:
+    """Run every row of ``table`` at its bound and report.  A cap of None
+    marks an uncapped check whose bound is the series order max(n_max, 1)."""
+    if n_max < 0:
+        raise PreconditionError(f"n_max must be >= 0, got {n_max}")
+    checks = []
+    for name, cap, check in table:
+        if cap is None:
+            bound = max(n_max, 1)
+        else:
+            bound = n_max if unsafe else min(n_max, cap)
         out = {"name": name, "bound": bound, "ok": True}
-        if detail is not None:
-            out["detail"] = detail
-        return out
-    except (ToricgError, AssertionError) as exc:
-        return {"name": name, "bound": bound, "ok": False, "detail": str(exc)}
-
-
-def _report(suite: str, n_max: int, checks: list[dict]) -> dict:
+        try:
+            detail = check(bound)
+        except (ToricgError, AssertionError) as exc:
+            out.update(ok=False, detail=str(exc))
+        else:
+            if detail is not None:
+                out["detail"] = detail
+        checks.append(out)
     return {
         "suite": suite,
         "n_max": n_max,
@@ -37,94 +49,82 @@ def _report(suite: str, n_max: int, checks: list[dict]) -> dict:
     }
 
 
-def _ascent_hist(stream) -> Counter:
-    hist: Counter[int] = Counter()
-    for f in stream:
-        hist[parking.fn_ascents(f)] += 1
-    return hist
-
-
 # ---------------------------------------------------------------------------
 # bijections
 # ---------------------------------------------------------------------------
 
 
+def _krattenthaler(b: int) -> None:
+    for n in range(b + 1):
+        for p in perms.enumerate_123_avoiding(n):
+            w = perms.krattenthaler(p)
+            assert perms.krattenthaler_inv(w) == p, (p, w)
+            assert perms.asc(perms.inverse(p)) == words.factor_count(w, "UUD")
+            assert perms.asc(p) == words.factor_count(w, "UDD")
+
+
+def _fs_roundtrip(b: int) -> None:
+    for n in range(1, b + 1):
+        for p in itertools.permutations(range(1, n + 1)):
+            assert perms.fs_inorder(perms.fs_tree(p)) == p
+
+
+def _lukasiewicz(b: int) -> None:
+    for n in range(b + 1):
+        for w in words.enumerate_words(n, "dyck"):
+            lw = words.dyck_to_lukasiewicz(w)
+            assert words.is_lukasiewicz(lw)
+            assert words.lukasiewicz_to_dyck(lw) == w
+
+
+def _motzkin(b: int) -> None:
+    for n in range(b + 1):
+        for w in words.enumerate_words(n, "dyck"):
+            if words.factor_count(w, "UUU"):
+                continue
+            mw = words.dyck_to_motzkin(w)
+            assert words.is_motzkin(mw)
+            assert words.motzkin_to_dyck(mw) == w
+            assert words.factor_count(w, "UU") == mw.count("U")
+
+
+def _garsia_haiman(b: int) -> None:
+    for n in range(1, b + 1):
+        for f in parking.iter_functions(n):
+            pair = parking.garsia_haiman(f)
+            assert parking.garsia_haiman_inv(*pair) == f
+            assert parking.is_parking(f) == words.is_dyck(pair.word)
+            assert perms.is_123_avoiding(f) == perms.is_123_avoiding(pair.perm)
+
+
+def _search_trees(b: int) -> None:
+    for n in range(1, b + 1):
+        for f in parking.iter_parking_functions(n):
+            for build in (parking.dfs_tree, parking.bfs_tree):
+                t = build(f)
+                assert parking.tree_to_function(t) == f
+                assert parking.edge_perm(t) == parking.garsia_haiman(f).perm
+
+
+def _nc_roundtrip(b: int) -> None:
+    for n in range(b + 1):
+        for w in words.enumerate_words(n, "dyck"):
+            assert compat.nc_to_dyck(compat.dyck_to_nc(w)) == w
+
+
+_BIJECTIONS = (
+    ("krattenthaler_roundtrip", 8, _krattenthaler),
+    ("fs_tree_roundtrip", 8, _fs_roundtrip),
+    ("lukasiewicz_roundtrip", 8, _lukasiewicz),
+    ("motzkin_roundtrip", 8, _motzkin),
+    ("garsia_haiman_roundtrip", 6, _garsia_haiman),
+    ("search_tree_roundtrip", 6, _search_trees),
+    ("noncrossing_roundtrip", 8, _nc_roundtrip),
+)
+
+
 def suite_bijections(n_max: int, unsafe: bool = False) -> dict:
-    checks = []
-
-    def cap(k: int) -> int:
-        return n_max if unsafe else min(n_max, k)
-
-    b = cap(8)
-
-    def krattenthaler() -> None:
-        for n in range(b + 1):
-            for p in perms.enumerate_123_avoiding(n):
-                w = perms.krattenthaler(p)
-                assert perms.krattenthaler_inv(w) == p, (p, w)
-                assert perms.asc(perms.inverse(p)) == words.factor_count(w, "UUD")
-                assert perms.asc(p) == words.factor_count(w, "UDD")
-
-    checks.append(_check("krattenthaler_roundtrip", b, krattenthaler))
-
-    def fs_roundtrip() -> None:
-        for n in range(1, b + 1):
-            for p in itertools.permutations(range(1, n + 1)):
-                assert perms.fs_inorder(perms.fs_tree(p)) == p
-
-    checks.append(_check("fs_tree_roundtrip", cap(8), fs_roundtrip))
-
-    def lukasiewicz() -> None:
-        for n in range(b + 1):
-            for w in words.enumerate_words(n, "dyck"):
-                lw = words.dyck_to_lukasiewicz(w)
-                assert words.is_lukasiewicz(lw)
-                assert words.lukasiewicz_to_dyck(lw) == w
-
-    checks.append(_check("lukasiewicz_roundtrip", b, lukasiewicz))
-
-    def motzkin() -> None:
-        for n in range(b + 1):
-            for w in words.enumerate_words(n, "dyck"):
-                if words.factor_count(w, "UUU"):
-                    continue
-                mw = words.dyck_to_motzkin(w)
-                assert words.is_motzkin(mw)
-                assert words.motzkin_to_dyck(mw) == w
-                assert words.factor_count(w, "UU") == mw.count("U")
-
-    checks.append(_check("motzkin_roundtrip", b, motzkin))
-
-    bf = cap(6)
-
-    def garsia_haiman() -> None:
-        for n in range(1, bf + 1):
-            for f in parking.iter_functions(n):
-                pair = parking.garsia_haiman(f)
-                assert parking.garsia_haiman_inv(*pair) == f
-                assert parking.is_parking(f) == words.is_dyck(pair.word)
-                assert parking.fn_is_123_avoiding(f) == perms.is_123_avoiding(pair.perm)
-
-    checks.append(_check("garsia_haiman_roundtrip", bf, garsia_haiman))
-
-    def search_trees() -> None:
-        for n in range(1, bf + 1):
-            for f in parking.iter_parking_functions(n):
-                for build in (parking.dfs_tree, parking.bfs_tree):
-                    t = build(f)
-                    assert parking.tree_to_function(t) == f
-                    assert parking.edge_perm(t) == parking.garsia_haiman(f).perm
-
-    checks.append(_check("search_tree_roundtrip", bf, search_trees))
-
-    def nc_roundtrip() -> None:
-        for n in range(b + 1):
-            for w in words.enumerate_words(n, "dyck"):
-                assert compat.nc_to_dyck(compat.dyck_to_nc(w)) == w
-
-    checks.append(_check("noncrossing_roundtrip", b, nc_roundtrip))
-
-    return _report("bijections", n_max, checks)
+    return _run("bijections", _BIJECTIONS, n_max, unsafe)
 
 
 # ---------------------------------------------------------------------------
@@ -132,109 +132,93 @@ def suite_bijections(n_max: int, unsafe: bool = False) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _count_dyck(b: int) -> None:
+    for n in range(1, b + 1):
+        for A, B in compat.sparse_pairs(n):
+            got = compat.count_compatible(n, A, B, "dyck")
+            assert got == words.catalan(n - len(A) - len(B)), (n, A, B, got)
+
+
+def _count_balanced(b: int) -> None:
+    for n in range(1, b + 1):
+        for A, B in compat.sparse_pairs(n):
+            got = compat.count_compatible(n, A, B, "balanced")
+            k = n - len(A) - len(B)
+            assert got == comb(2 * k, k), (n, A, B, got)
+
+
+def _compress_roundtrips(b: int) -> None:
+    for n in range(1, b + 1):
+        all_words = list(words.enumerate_words(n, "dyck"))
+        for A, B in compat.sparse_pairs(n):
+            k = n - len(A) - len(B)
+            images = set()
+            for w in all_words:
+                if compat.is_compatible(w, A, B):
+                    small = compat.compress(w, A, B)
+                    assert compat.expand(small, n, A, B) == w, (w, A, B)
+                    images.add(small)
+            assert images == set(words.enumerate_words(k, "dyck")), (n, A, B)
+
+
+def _cube_statistics(b: int) -> None:
+    for n in range(b + 1):
+        g0 = polyvec.g_contrib(n, 0)
+        nonsing: Counter[int] = Counter()
+        fill: Counter[int] = Counter()
+        for w in words.enumerate_words(n, "dyck"):
+            nc = compat.dyck_to_nc(w)
+            blocks = nc.nonsingleton_blocks()
+            fl = compat.fillers(nc)
+            assert len(blocks) == words.factor_count(w, "UUD")
+            assert len(fl) == words.factor_count(w, "UDD")
+            assert words.is_sparse(fl)
+            nonsing[len(blocks)] += 1
+            fill[len(fl)] += 1
+        by_asc = nestohedra.ascent_polynomial(perms.enumerate_123_avoiding(n))
+        assert by_asc == g0, ("ascents", n)
+        assert IntPoly.from_counts(nonsing) == g0, ("nonsingleton", n)
+        assert IntPoly.from_counts(fill) == g0, ("fillers", n)
+        faces = IntPoly(compat.nc_complex_faces(n, k) for k in range(g0.degree + 1))
+        assert faces == g0, ("faces", n)
+
+
+def _fillers_extension(b: int) -> None:
+    for n in range(1, b + 1):
+        partitions = list(compat.enumerate_nc(n))
+        for J in words.sparse_subsets(n):
+            if any(x < 2 for x in J):
+                continue
+            hist = Counter(
+                len(p.nonsingleton_blocks())
+                for p in partitions
+                if set(J) <= set(compat.fillers(p))
+            )
+            assert IntPoly.from_counts(hist) == polyvec.g_contrib(n, len(J)), (n, J)
+
+
+def _g_vs_compatible(b: int) -> None:
+    for n in range(1, b + 1):
+        all_words = list(words.enumerate_words(n, "dyck"))
+        for B in words.sparse_subsets(n - 1):
+            hist = Counter(
+                words.factor_count(w, "UUD") for w in all_words if compat.is_compatible(w, (), B)
+            )
+            assert IntPoly.from_counts(hist) == polyvec.g_contrib(n, len(B)), (n, B)
+
+
+_COMPAT = (
+    ("count_compatible_dyck", 7, _count_dyck),
+    ("count_compatible_balanced", 6, _count_balanced),
+    ("compress_expand_roundtrip", 7, _compress_roundtrips),
+    ("cube_statistics", 8, _cube_statistics),
+    ("fillers_extension", 7, _fillers_extension),
+    ("g_contrib_vs_compatible", 7, _g_vs_compatible),
+)
+
+
 def suite_compat(n_max: int, unsafe: bool = False) -> dict:
-    checks = []
-
-    def cap(k: int) -> int:
-        return n_max if unsafe else min(n_max, k)
-
-    b = cap(7)
-
-    def count_dyck() -> None:
-        for n in range(1, b + 1):
-            for A, B in compat.sparse_pairs(n):
-                got = compat.count_compatible(n, A, B, "dyck")
-                assert got == words.catalan(n - len(A) - len(B)), (n, A, B, got)
-
-    checks.append(_check("count_compatible_dyck", b, count_dyck))
-
-    bb = cap(6)
-
-    def count_balanced() -> None:
-        for n in range(1, bb + 1):
-            for A, B in compat.sparse_pairs(n):
-                got = compat.count_compatible(n, A, B, "balanced")
-                k = n - len(A) - len(B)
-                assert got == comb(2 * k, k), (n, A, B, got)
-
-    checks.append(_check("count_compatible_balanced", bb, count_balanced))
-
-    def roundtrips() -> None:
-        for n in range(1, b + 1):
-            all_words = list(words.enumerate_words(n, "dyck"))
-            for A, B in compat.sparse_pairs(n):
-                k = n - len(A) - len(B)
-                images = set()
-                for w in all_words:
-                    if compat.is_compatible(w, A, B):
-                        small = compat.compress(w, A, B)
-                        assert compat.expand(small, n, A, B) == w, (w, A, B)
-                        images.add(small)
-                assert images == set(words.enumerate_words(k, "dyck")), (n, A, B)
-
-    checks.append(_check("compress_expand_roundtrip", b, roundtrips))
-
-    bs = cap(8)
-
-    def statistics() -> None:
-        for n in range(bs + 1):
-            g0 = polyvec.g_contrib(n, 0)
-            by_asc: Counter[int] = Counter()
-            for p in perms.enumerate_123_avoiding(n):
-                by_asc[perms.asc(p)] += 1
-            nonsing: Counter[int] = Counter()
-            fill: Counter[int] = Counter()
-            for w in words.enumerate_words(n, "dyck"):
-                nc = compat.dyck_to_nc(w)
-                blocks = nc.nonsingleton_blocks()
-                fl = compat.fillers(nc)
-                assert len(blocks) == words.factor_count(w, "UUD")
-                assert len(fl) == words.factor_count(w, "UDD")
-                assert words.is_sparse(fl)
-                nonsing[len(blocks)] += 1
-                fill[len(fl)] += 1
-            for k in range(g0.degree + 1):
-                c = g0.coeff(k)
-                assert by_asc.get(k, 0) == c, ("ascents", n, k)
-                assert nonsing.get(k, 0) == c, ("nonsingleton", n, k)
-                assert fill.get(k, 0) == c, ("fillers", n, k)
-                assert compat.nc_complex_faces(n, k) == c, ("faces", n, k)
-
-    checks.append(_check("cube_statistics", bs, statistics))
-
-    bj = cap(7)
-
-    def fillers_prop() -> None:
-        for n in range(1, bj + 1):
-            partitions = list(compat.enumerate_nc(n))
-            for J in words.sparse_subsets(n):
-                if any(x < 2 for x in J):
-                    continue
-                g = polyvec.g_contrib(n, len(J))
-                hist: Counter[int] = Counter()
-                for p in partitions:
-                    if set(J) <= set(compat.fillers(p)):
-                        hist[len(p.nonsingleton_blocks())] += 1
-                for k in range(max(g.degree, max(hist, default=0)) + 1):
-                    assert hist.get(k, 0) == g.coeff(k), (n, J, k)
-
-    checks.append(_check("fillers_extension", bj, fillers_prop))
-
-    def g_vs_compatible() -> None:
-        for n in range(1, bj + 1):
-            all_words = list(words.enumerate_words(n, "dyck"))
-            for B in words.sparse_subsets(n - 1):
-                g = polyvec.g_contrib(n, len(B))
-                hist: Counter[int] = Counter()
-                for w in all_words:
-                    if compat.is_compatible(w, (), B):
-                        hist[words.factor_count(w, "UUD")] += 1
-                for k in range(max(g.degree, max(hist, default=0)) + 1):
-                    assert hist.get(k, 0) == g.coeff(k), (n, B, k)
-
-    checks.append(_check("g_contrib_vs_compatible", bj, g_vs_compatible))
-
-    return _report("compat", n_max, checks)
+    return _run("compat", _COMPAT, n_max, unsafe)
 
 
 # ---------------------------------------------------------------------------
@@ -242,46 +226,39 @@ def suite_compat(n_max: int, unsafe: bool = False) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def peak_poly_oracle(n: int, m: int) -> polyvec.IntPoly:
+def peak_poly_oracle(n: int, m: int) -> IntPoly:
     """Brute-force peak weight: enumerate the Dyck words and count UD
     factors lying inside the length-m prefix."""
-    hist: Counter[int] = Counter()
-    for w in words.enumerate_words(n, "dyck"):
-        hist[words.factor_count(w[:m], "UD")] += 1
-    out = [0] * (max(hist) + 1)
-    for k, c in hist.items():
-        out[k] = c
-    return polyvec.IntPoly(out)
+    return IntPoly.from_counts(
+        Counter(words.factor_count(w[:m], "UD") for w in words.enumerate_words(n, "dyck"))
+    )
+
+
+def _series_identities(order: int) -> dict:
+    return {c["name"]: c["cases"] for c in series.verify_series(order)["checks"]}
+
+
+def _peak_vs_oracle(b: int) -> None:
+    for n in range(b + 1):
+        for m in range(2 * n + 1):
+            assert polyvec.peak_poly(n, m) == peak_poly_oracle(n, m), (n, m)
+
+
+def _g_equals_peak(b: int) -> None:
+    for n in range(b + 1):
+        for j in range(n // 2 + 1):
+            assert polyvec.peak_poly(n - j, n) == polyvec.g_contrib(n, j), (n, j)
+
+
+_SERIES = (
+    ("series_identities", None, _series_identities),
+    ("peak_poly_oracle", 8, _peak_vs_oracle),
+    ("g_contrib_equals_peak_poly", 10, _g_equals_peak),
+)
 
 
 def suite_series(n_max: int, unsafe: bool = False) -> dict:
-    checks = []
-    order = max(n_max, 1)
-
-    def identities() -> dict:
-        return {c["name"]: c["cases"] for c in series.verify_series(order)["checks"]}
-
-    checks.append(_check("series_identities", order, identities))
-
-    b = n_max if unsafe else min(n_max, 8)
-
-    def peak_vs_oracle() -> None:
-        for n in range(b + 1):
-            for m in range(2 * n + 1):
-                assert polyvec.peak_poly(n, m) == peak_poly_oracle(n, m), (n, m)
-
-    checks.append(_check("peak_poly_oracle", b, peak_vs_oracle))
-
-    bg = n_max if unsafe else min(n_max, 10)
-
-    def g_equals_peak() -> None:
-        for n in range(bg + 1):
-            for j in range(n // 2 + 1):
-                assert polyvec.peak_poly(n - j, n) == polyvec.g_contrib(n, j), (n, j)
-
-    checks.append(_check("g_contrib_equals_peak_poly", bg, g_equals_peak))
-
-    return _report("series", n_max, checks)
+    return _run("series", _SERIES, n_max, unsafe)
 
 
 # ---------------------------------------------------------------------------
@@ -298,122 +275,101 @@ def eulerian_hvec(n: int) -> tuple[int, ...]:
     return tuple(hist.get(i, 0) for i in range(n + 1))
 
 
+def _lemma_dyck(b: int) -> None:
+    for n in range(b + 1):
+        hist: Counter[int] = Counter()
+        for w in words.enumerate_words(n, "dyck"):
+            if not words.factor_count(w, "UUU"):
+                hist[words.factor_count(w, "UU")] += 1
+        for j in range(n // 2 + 2):
+            assert hist.get(j, 0) == comb(n, 2 * j) * words.catalan(j), (n, j)
+        assert sum(hist.values()) == words.motzkin(n)
+
+
+def _lemma_balanced(b: int) -> None:
+    for n in range(1, b + 1):
+        hist: Counter[int] = Counter()
+        for w in words.enumerate_words(n, "balanced"):
+            if w.endswith("D") and not words.factor_count(w, "UUU"):
+                hist[words.factor_count(w, "UU")] += 1
+        for j in range(n // 2 + 2):
+            assert hist.get(j, 0) == comb(n, 2 * j) * comb(2 * j, j), (n, j)
+
+
+def _cnix_oracle(b: int) -> None:
+    for n in range(1, b + 1):
+        for i in range(n // 2 + 1):
+            hist = Counter(
+                words.factor_count(w, "UD")
+                for w in words.enumerate_words(n, "nonneg_to_height", height=n - 2 * i)
+            )
+            assert IntPoly.from_counts(hist) == polyvec.cnix(n, i), (n, i)
+            assert sum(hist.values()) == words.catalan_triangle(n, i)
+
+
+def _g_peaks(b: int) -> None:
+    for n in range(b + 1):
+        for j in range(n // 2 + 1):
+            assert peak_poly_oracle(n - j, n) == polyvec.g_contrib(n, j), (n, j)
+
+
+def _permutahedron_gamma(b: int) -> None:
+    for n in range(1, b + 1):
+        h = eulerian_hvec(n)
+        assert polyvec.gamma_to_h(polyvec.gamma_family("permutahedron", n), n) == h, n
+        assert polyvec.h_to_gamma(h) == polyvec.gamma_family("permutahedron", n), n
+
+
+def _tree_gamma(b: int) -> None:
+    for n in range(1, b + 1):
+        hist: Counter[int] = Counter()
+        for _, forks in perms.enumerate_increasing_012(n + 1):
+            hist[forks] += 1
+        gamma = polyvec.gamma_family("permutahedron", n)
+        assert tuple(hist.get(j, 0) for j in range(n // 2 + 1)) == gamma, n
+        by_des: Counter[int] = Counter()
+        for p in itertools.permutations(range(1, n + 2)):
+            stats = perms.asc_des(p)
+            if not stats.double_descents and not perms.has_final_descent(p):
+                by_des[len(stats.des)] += 1
+        assert by_des == hist, n
+
+
+def _h_diff(b: int) -> None:
+    for family in _FAMILIES:
+        for n in range(1, b + 1):
+            gamma = polyvec.gamma_family(family, n)
+            h = polyvec.gamma_to_h(gamma, n)
+            for i in range(1, n // 2 + 1):
+                expected = sum(
+                    words.catalan_triangle(n - 2 * j, i - j) * gamma[j]
+                    for j in range(i + 1)
+                    if j < len(gamma)
+                )
+                assert h[i] - h[i - 1] == expected, (family, n, i)
+
+
+def _normalization(b: int) -> None:
+    for n in range(b + 1):
+        g0 = polyvec.g_contrib(n, 0)
+        assert g0(1) == words.catalan(n), n
+        assert g0(0) == 1, n
+
+
+_GAMMA = (
+    ("uuu_avoiding_by_uu_factors", 8, _lemma_dyck),
+    ("balanced_by_uu_factors", 7, _lemma_balanced),
+    ("cnix_path_oracle", 10, _cnix_oracle),
+    ("g_contrib_peak_oracle", 9, _g_peaks),
+    ("permutahedron_gamma_vs_eulerian", 8, _permutahedron_gamma),
+    ("increasing_012_fork_counts", 7, _tree_gamma),
+    ("h_difference_identity", 8, _h_diff),
+    ("g_n0_normalization", 12, _normalization),
+)
+
+
 def suite_gamma(n_max: int, unsafe: bool = False) -> dict:
-    checks = []
-
-    def cap(k: int) -> int:
-        return n_max if unsafe else min(n_max, k)
-
-    b = cap(8)
-
-    def lemma_dyck() -> None:
-        for n in range(b + 1):
-            hist: Counter[int] = Counter()
-            for w in words.enumerate_words(n, "dyck"):
-                if not words.factor_count(w, "UUU"):
-                    hist[words.factor_count(w, "UU")] += 1
-            for j in range(n // 2 + 2):
-                assert hist.get(j, 0) == comb(n, 2 * j) * words.catalan(j), (n, j)
-            assert sum(hist.values()) == words.motzkin(n)
-
-    checks.append(_check("uuu_avoiding_by_uu_factors", b, lemma_dyck))
-
-    bw = cap(7)
-
-    def lemma_balanced() -> None:
-        for n in range(1, bw + 1):
-            hist: Counter[int] = Counter()
-            for w in words.enumerate_words(n, "balanced"):
-                if w.endswith("D") and not words.factor_count(w, "UUU"):
-                    hist[words.factor_count(w, "UU")] += 1
-            for j in range(n // 2 + 2):
-                assert hist.get(j, 0) == comb(n, 2 * j) * comb(2 * j, j), (n, j)
-
-    checks.append(_check("balanced_by_uu_factors", bw, lemma_balanced))
-
-    bc = cap(10)
-
-    def cnix_oracle() -> None:
-        for n in range(1, bc + 1):
-            for i in range(n // 2 + 1):
-                hist: Counter[int] = Counter()
-                for w in words.enumerate_words(n, "nonneg_to_height", height=n - 2 * i):
-                    hist[words.factor_count(w, "UD")] += 1
-                poly = polyvec.cnix(n, i)
-                for k in range(max(poly.degree, max(hist, default=0)) + 1):
-                    assert hist.get(k, 0) == poly.coeff(k), (n, i, k)
-                assert sum(hist.values()) == words.catalan_triangle(n, i)
-
-    checks.append(_check("cnix_path_oracle", bc, cnix_oracle))
-
-    bp = cap(9)
-
-    def g_peaks() -> None:
-        for n in range(bp + 1):
-            for j in range(n // 2 + 1):
-                hist: Counter[int] = Counter()
-                for w in words.enumerate_words(n - j, "dyck"):
-                    hist[words.factor_count(w[:n], "UD")] += 1
-                poly = polyvec.g_contrib(n, j)
-                for k in range(max(poly.degree, max(hist, default=0)) + 1):
-                    assert hist.get(k, 0) == poly.coeff(k), (n, j, k)
-
-    checks.append(_check("g_contrib_peak_oracle", bp, g_peaks))
-
-    be = cap(8)
-
-    def permutahedron_gamma() -> None:
-        for n in range(1, be + 1):
-            h = eulerian_hvec(n)
-            assert polyvec.gamma_to_h(polyvec.gamma_family("permutahedron", n), n) == h, n
-            assert polyvec.h_to_gamma(h) == polyvec.gamma_family("permutahedron", n), n
-
-    checks.append(_check("permutahedron_gamma_vs_eulerian", be, permutahedron_gamma))
-
-    bt = cap(7)
-
-    def tree_gamma() -> None:
-        for n in range(1, bt + 1):
-            hist: Counter[int] = Counter()
-            for _, forks in perms.enumerate_increasing_012(n + 1):
-                hist[forks] += 1
-            gamma = polyvec.gamma_family("permutahedron", n)
-            assert tuple(hist.get(j, 0) for j in range(n // 2 + 1)) == gamma, n
-            by_des: Counter[int] = Counter()
-            for p in itertools.permutations(range(1, n + 2)):
-                stats = perms.asc_des(p)
-                if not stats.double_descents and not perms.has_final_descent(p):
-                    by_des[len(stats.des)] += 1
-            assert by_des == hist, n
-
-    checks.append(_check("increasing_012_fork_counts", bt, tree_gamma))
-
-    def h_diff() -> None:
-        for family in ("cube", "associahedron", "cyclohedron", "permutahedron"):
-            for n in range(1, be + 1):
-                gamma = polyvec.gamma_family(family, n)
-                h = polyvec.gamma_to_h(gamma, n)
-                for i in range(1, n // 2 + 1):
-                    expected = sum(
-                        words.catalan_triangle(n - 2 * j, i - j) * gamma[j]
-                        for j in range(i + 1)
-                        if j < len(gamma)
-                    )
-                    assert h[i] - h[i - 1] == expected, (family, n, i)
-
-    checks.append(_check("h_difference_identity", be, h_diff))
-
-    bn = cap(12)
-
-    def normalization() -> None:
-        for n in range(bn + 1):
-            g0 = polyvec.g_contrib(n, 0)
-            assert g0(1) == words.catalan(n), n
-            assert g0(0) == 1, n
-
-    checks.append(_check("g_n0_normalization", bn, normalization))
-
-    return _report("gamma", n_max, checks)
+    return _run("gamma", _GAMMA, n_max, unsafe)
 
 
 # ---------------------------------------------------------------------------
@@ -438,138 +394,129 @@ def _is_unimodal(p) -> bool:
     )
 
 
-def suite_nestohedra(n_max: int, unsafe: bool = False) -> dict:
-    checks = []
+def _families_valid(b: int) -> None:
+    for n in range(1, b + 1):
+        sets = [
+            nestohedra.named_family("permutahedron", n),
+            nestohedra.named_family("stanley_pitman", n),
+            nestohedra.named_family("associahedron_intervals", n),
+        ]
+        sets += [nestohedra.named_family("interpolation", n, r) for r in range(1, n + 1)]
+        for bs in sets:
+            report = nestohedra.validate(bs)
+            assert report.connected and report.chordal
+        assert nestohedra.named_family("interpolation", n, 1) == nestohedra.named_family("permutahedron", n)
 
-    def cap(k: int) -> int:
-        return n_max if unsafe else min(n_max, k)
 
-    b = cap(6)
+def _b_perm_shapes(b: int) -> None:
+    for n in range(1, b + 1):
+        m = n + 1
+        everyone = list(itertools.permutations(range(1, m + 1)))
+        assert nestohedra.b_permutations(nestohedra.named_family("permutahedron", n)) == everyone
+        interval = nestohedra.b_permutations(
+            nestohedra.named_family("associahedron_intervals", n)
+        )
+        assert interval == [p for p in everyone if _is_312_avoiding(p)], n
+        sp = nestohedra.b_permutations(nestohedra.named_family("stanley_pitman", n))
+        assert sp == [p for p in everyone if _is_unimodal(p)], n
 
-    def families_valid() -> None:
-        for n in range(1, b + 1):
-            sets = [
-                nestohedra.named_family("permutahedron", n),
-                nestohedra.named_family("stanley_pitman", n),
-                nestohedra.named_family("associahedron_intervals", n),
-            ]
-            sets += [nestohedra.named_family("interpolation", n, r) for r in range(1, n + 1)]
-            for bs in sets:
-                report = nestohedra.validate(bs)
-                assert report.connected and report.chordal
-            assert nestohedra.named_family("interpolation", n, 1) == nestohedra.named_family("permutahedron", n)
 
-    checks.append(_check("named_families_validate", b, families_valid))
+def _pipeline(b: int) -> None:
+    for n in range(1, b + 1):
+        family_sets = [
+            ("permutahedron", nestohedra.named_family("permutahedron", n)),
+            ("stanley_pitman", nestohedra.named_family("stanley_pitman", n)),
+            ("intervals", nestohedra.named_family("associahedron_intervals", n)),
+        ] + [
+            (f"interpolation[{r}]", nestohedra.named_family("interpolation", n, r))
+            for r in range(1, n + 1)
+        ]
+        for label, bs in family_sets:
+            h = nestohedra.h_chordal(bs)
+            assert polyvec.is_palindromic(h), (label, n)
+            gamma = nestohedra.gamma_chordal(bs)
+            assert polyvec.h_to_gamma(h) == gamma, (label, n)
+            assert nestohedra.toric_g_chordal(bs) == polyvec.toric_g_from_h(n, h), (label, n)
+        assert nestohedra.toric_g_chordal(
+            nestohedra.named_family("stanley_pitman", n)
+        ) == polyvec.g_contrib(n, 0), n
+        assert nestohedra.gamma_chordal(
+            nestohedra.named_family("associahedron_intervals", n)
+        ) == polyvec.gamma_family("associahedron", n), n
+        assert nestohedra.gamma_chordal(
+            nestohedra.named_family("permutahedron", n)
+        ) == polyvec.gamma_family("permutahedron", n), n
 
-    def b_perm_shapes() -> None:
-        for n in range(1, b + 1):
-            m = n + 1
-            everyone = list(itertools.permutations(range(1, m + 1)))
-            assert nestohedra.b_permutations(nestohedra.named_family("permutahedron", n)) == everyone
-            interval = nestohedra.b_permutations(
-                nestohedra.named_family("associahedron_intervals", n)
-            )
-            assert interval == [p for p in everyone if _is_312_avoiding(p)], n
-            sp = nestohedra.b_permutations(nestohedra.named_family("stanley_pitman", n))
-            assert sp == [p for p in everyone if _is_unimodal(p)], n
 
-    checks.append(_check("b_permutation_characterizations", b, b_perm_shapes))
-
-    def pipeline() -> None:
-        for n in range(1, b + 1):
-            family_sets = [
-                ("permutahedron", nestohedra.named_family("permutahedron", n)),
-                ("stanley_pitman", nestohedra.named_family("stanley_pitman", n)),
-                ("intervals", nestohedra.named_family("associahedron_intervals", n)),
-            ] + [
-                (f"interpolation[{r}]", nestohedra.named_family("interpolation", n, r))
-                for r in range(1, n + 1)
-            ]
-            for label, bs in family_sets:
-                h = nestohedra.h_chordal(bs)
-                assert polyvec.is_palindromic(h), (label, n)
-                gamma = nestohedra.gamma_chordal(bs)
-                assert polyvec.h_to_gamma(h) == gamma, (label, n)
-                assert nestohedra.toric_g_chordal(bs) == polyvec.toric_g_from_h(n, h), (label, n)
-            assert nestohedra.toric_g_chordal(
-                nestohedra.named_family("stanley_pitman", n)
-            ) == polyvec.g_contrib(n, 0), n
-            assert nestohedra.gamma_chordal(
-                nestohedra.named_family("associahedron_intervals", n)
-            ) == polyvec.gamma_family("associahedron", n), n
-            assert nestohedra.gamma_chordal(
-                nestohedra.named_family("permutahedron", n)
-            ) == polyvec.gamma_family("permutahedron", n), n
-
-    checks.append(_check("h_gamma_pipeline", b, pipeline))
-
-    def gamma_trees() -> None:
-        for n in range(1, b + 1):
-            for kind in ("permutahedron", "stanley_pitman", "associahedron_intervals"):
-                bs = nestohedra.named_family(kind, n)
-                allowed = set(nestohedra.b_permutations(bs))
-                hist: Counter[int] = Counter()
-                for tree, forks in perms.enumerate_increasing_012(n + 1):
-                    if perms.fs_inorder(perms.plane_to_fs(tree)) in allowed:
-                        hist[forks] += 1
-                gamma = nestohedra.gamma_chordal(bs)
-                assert tuple(hist.get(j, 0) for j in range(n // 2 + 1)) == gamma, (kind, n)
-
-    checks.append(_check("gamma_by_tree_forks", b, gamma_trees))
-
-    bd = cap(5)
-
-    def direct_routes() -> None:
-        for n in range(1, bd + 1):
-            for kind in ("permutahedron", "stanley_pitman", "associahedron_intervals"):
-                bs = nestohedra.named_family(kind, n)
-                assert nestohedra.toric_g_direct(bs) == nestohedra.toric_g_chordal(bs), (kind, n)
-
-    checks.append(_check("direct_route_agreement", bd, direct_routes))
-
-    def dfs_specialization() -> None:
-        for n in range(1, b + 1):
-            bs = nestohedra.named_family("associahedron_intervals", n)
-            expected = polyvec.toric_g_from_gamma(n, polyvec.gamma_family("associahedron", n))
-            assert nestohedra.toric_g_direct(bs, dfs_only=True) == expected, n
-
-    checks.append(_check("dfs_tree_specialization", b, dfs_specialization))
-
-    def assoc_parking() -> None:
-        for n in range(1, b + 1):
-            expected = polyvec.toric_g_from_gamma(n, polyvec.gamma_family("associahedron", n))
-            got = nestohedra.ascent_polynomial(
-                parking.iter_123_avoiding_functions(n, parking_only=True)
-            )
-            assert got == expected, n
-
-    checks.append(_check("associahedron_parking_functions", b, assoc_parking))
-
-    def perm_parking_trees() -> None:
-        for n in range(1, bd + 1):
-            expected = polyvec.toric_g_from_gamma(n, polyvec.gamma_family("permutahedron", n))
+def _gamma_trees(b: int) -> None:
+    for n in range(1, b + 1):
+        for kind in ("permutahedron", "stanley_pitman", "associahedron_intervals"):
+            bs = nestohedra.named_family(kind, n)
+            allowed = set(nestohedra.b_permutations(bs))
             hist: Counter[int] = Counter()
-            for t in parking.enumerate_parking_trees(n):
-                if parking.is_123_parking_tree(t):
-                    hist[parking.fn_ascents(parking.tree_to_function(t))] += 1
-            got = polyvec.IntPoly(
-                [hist.get(k, 0) for k in range(max(hist, default=0) + 1)]
-            )
-            assert got == expected, n
+            for tree, forks in perms.enumerate_increasing_012(n + 1):
+                if perms.fs_inorder(perms.plane_to_fs(tree)) in allowed:
+                    hist[forks] += 1
+            gamma = nestohedra.gamma_chordal(bs)
+            assert tuple(hist.get(j, 0) for j in range(n // 2 + 1)) == gamma, (kind, n)
 
-    checks.append(_check("permutahedron_parking_trees", bd, perm_parking_trees))
 
-    bc = cap(6)
+def _direct_routes(b: int) -> None:
+    for n in range(1, b + 1):
+        for kind in ("permutahedron", "stanley_pitman", "associahedron_intervals"):
+            bs = nestohedra.named_family(kind, n)
+            assert nestohedra.toric_g_direct(bs) == nestohedra.toric_g_chordal(bs), (kind, n)
 
-    def cyclohedron_functions() -> None:
-        for n in range(1, bc + 1):
-            expected = polyvec.toric_g_from_gamma(n, polyvec.gamma_family("cyclohedron", n))
-            got = nestohedra.ascent_polynomial(parking.iter_123_avoiding_functions(n))
-            assert got == expected, n
 
-    checks.append(_check("cyclohedron_functions", bc, cyclohedron_functions))
+def _dfs_specialization(b: int) -> None:
+    for n in range(1, b + 1):
+        bs = nestohedra.named_family("associahedron_intervals", n)
+        expected = polyvec.toric_g_from_gamma(n, polyvec.gamma_family("associahedron", n))
+        assert nestohedra.toric_g_direct(bs, dfs_only=True) == expected, n
 
-    return _report("nestohedra", n_max, checks)
+
+def _assoc_parking(b: int) -> None:
+    for n in range(1, b + 1):
+        expected = polyvec.toric_g_from_gamma(n, polyvec.gamma_family("associahedron", n))
+        got = nestohedra.ascent_polynomial(
+            parking.iter_123_avoiding_functions(n, parking_only=True)
+        )
+        assert got == expected, n
+
+
+def _perm_parking_trees(b: int) -> None:
+    for n in range(1, b + 1):
+        expected = polyvec.toric_g_from_gamma(n, polyvec.gamma_family("permutahedron", n))
+        got = nestohedra.ascent_polynomial(
+            parking.tree_to_function(t)
+            for t in parking.enumerate_parking_trees(n)
+            if parking.is_123_parking_tree(t)
+        )
+        assert got == expected, n
+
+
+def _cyclohedron_functions(b: int) -> None:
+    for n in range(1, b + 1):
+        expected = polyvec.toric_g_from_gamma(n, polyvec.gamma_family("cyclohedron", n))
+        got = nestohedra.ascent_polynomial(parking.iter_123_avoiding_functions(n))
+        assert got == expected, n
+
+
+_NESTOHEDRA = (
+    ("named_families_validate", 6, _families_valid),
+    ("b_permutation_characterizations", 6, _b_perm_shapes),
+    ("h_gamma_pipeline", 6, _pipeline),
+    ("gamma_by_tree_forks", 6, _gamma_trees),
+    ("direct_route_agreement", 5, _direct_routes),
+    ("dfs_tree_specialization", 6, _dfs_specialization),
+    ("associahedron_parking_functions", 6, _assoc_parking),
+    ("permutahedron_parking_trees", 5, _perm_parking_trees),
+    ("cyclohedron_functions", 6, _cyclohedron_functions),
+)
+
+
+def suite_nestohedra(n_max: int, unsafe: bool = False) -> dict:
+    return _run("nestohedra", _NESTOHEDRA, n_max, unsafe)
 
 
 # ---------------------------------------------------------------------------
@@ -577,71 +524,38 @@ def suite_nestohedra(n_max: int, unsafe: bool = False) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _toric_g_rows(families, b: int):
+    return [
+        (n, polyvec.toric_g_from_gamma(n, polyvec.gamma_family(family, n)))
+        for family in families
+        for n in range(1, b + 1)
+    ]
+
+
+def _real_rooted(polys) -> dict:
+    outcomes = [polyvec.sturm_real_rooted(p) for p in polys]
+    return {"all_real_rooted": all(outcomes), "cases": len(outcomes)}
+
+
+def _kruskal_katona(b: int) -> dict:
+    outcomes = [
+        polyvec.kruskal_katona_ok([g.coeff(k) for k in range(n // 2 + 1)])
+        for n, g in _toric_g_rows(_FAMILIES[1:], b)
+    ]
+    return {"all_pass": all(outcomes), "cases": len(outcomes)}
+
+
+_CONJECTURES = (
+    ("g_contrib_real_rooted", 12, lambda b: _real_rooted(
+        polyvec.g_contrib(n, j) for n in range(1, b + 1) for j in range(n // 2 + 1)
+    )),
+    ("toric_g_real_rooted", 8, lambda b: _real_rooted(g for _, g in _toric_g_rows(_FAMILIES, b))),
+    ("table_vectors_kruskal_katona", 8, _kruskal_katona),
+)
+
+
 def suite_conjectures(n_max: int, unsafe: bool = False) -> dict:
-    checks = []
-    bn = n_max if unsafe else min(n_max, 12)
-    outcomes = []
-    for n in range(1, bn + 1):
-        for j in range(n // 2 + 1):
-            poly = polyvec.g_contrib(n, j)
-            outcomes.append(
-                {"polynomial": f"g_contrib({n},{j})",
-                 "real_rooted": polyvec.sturm_real_rooted(poly)}
-            )
-    checks.append(
-        {
-            "name": "g_contrib_real_rooted",
-            "bound": bn,
-            "ok": True,
-            "detail": {
-                "all_real_rooted": all(o["real_rooted"] for o in outcomes),
-                "cases": len(outcomes),
-            },
-        }
-    )
-
-    bf = n_max if unsafe else min(n_max, 8)
-    family_outcomes = []
-    for family in ("cube", "associahedron", "cyclohedron", "permutahedron"):
-        for n in range(1, bf + 1):
-            g = polyvec.toric_g_from_gamma(n, polyvec.gamma_family(family, n))
-            family_outcomes.append(
-                {"polynomial": f"toric_g({family},{n})",
-                 "real_rooted": polyvec.sturm_real_rooted(g)}
-            )
-    checks.append(
-        {
-            "name": "toric_g_real_rooted",
-            "bound": bf,
-            "ok": True,
-            "detail": {
-                "all_real_rooted": all(o["real_rooted"] for o in family_outcomes),
-                "cases": len(family_outcomes),
-            },
-        }
-    )
-
-    kk_outcomes = []
-    for family in ("associahedron", "cyclohedron", "permutahedron"):
-        for n in range(1, bf + 1):
-            g = polyvec.toric_g_from_gamma(n, polyvec.gamma_family(family, n))
-            vec = [g.coeff(k) for k in range(n // 2 + 1)]
-            kk_outcomes.append(
-                {"vector": f"{family}[n={n}]",
-                 "kruskal_katona": polyvec.kruskal_katona_ok(vec)}
-            )
-    checks.append(
-        {
-            "name": "table_vectors_kruskal_katona",
-            "bound": bf,
-            "ok": True,
-            "detail": {
-                "all_pass": all(o["kruskal_katona"] for o in kk_outcomes),
-                "cases": len(kk_outcomes),
-            },
-        }
-    )
-    return _report("conjectures", n_max, checks)
+    return _run("conjectures", _CONJECTURES, n_max, unsafe)
 
 
 SUITES = {

@@ -83,11 +83,6 @@ def run_length_text(w: str) -> str:
     return " ".join(parts)
 
 
-def _check_ud(w: str) -> None:
-    if any(ch not in "UD" for ch in w):
-        raise StructuralError(f"expected a word over {{U,D}}, got {w!r}")
-
-
 def is_balanced(w: str) -> bool:
     """True when w uses only U/D with equally many of each."""
     return all(ch in "UD" for ch in w) and 2 * w.count(U) == len(w)
@@ -189,16 +184,15 @@ def dyck_to_lukasiewicz(w: str) -> tuple[int, ...]:
     """
     if not is_dyck(w):
         raise StructuralError(f"not a Dyck word: {w!r}")
-    out = []
-    run = 0
-    for ch in w:
-        if ch == U:
-            run += 1
-        else:
-            out.append(run)
-            run = 0
-    out.append(0)
-    return tuple(out)
+    return tuple(u_runs(w)) + (0,)
+
+
+def u_runs(w: str) -> list[int] | None:
+    """Run lengths q_i of w = U^{q_1} D ... U^{q_n} D, or None when w has a
+    letter other than U, D or ends inside a U run."""
+    if any(ch not in "UD" for ch in w) or w.endswith(U):
+        return None
+    return [len(run) for run in w.split(D)[:-1]]
 
 
 def lukasiewicz_to_dyck(word: Sequence[int]) -> str:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import comb
 
 
 def all_ud_words(length: int):
@@ -86,3 +87,17 @@ def nonneg_paths_to_height(steps: int, height: int):
                 break
         if ok and h == height:
             yield w
+
+
+def kk_pseudopower_linear(m: int, k: int) -> int:
+    """Kruskal-Katona pseudopower by the plain cascade: each top a is found
+    by stepping up one at a time while comb(a + 1, k) still fits."""
+    total = 0
+    while m > 0:
+        a = k
+        while comb(a + 1, k) <= m:
+            a += 1
+        total += comb(a, k + 1)
+        m -= comb(a, k)
+        k -= 1
+    return total

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from toricg import cli
+from toricg import cli, verification
 
 TABLE_1 = """\
 n,g0,g1,g2,g3,g4
@@ -158,3 +158,32 @@ def test_verify_conjectures_never_fail(capsys):
     assert payload["ok"] is True
     names = {c["name"] for c in payload["checks"]}
     assert "g_contrib_real_rooted" in names
+
+
+MALFORMED = {
+    "ground-bool": {"ground_size": True, "sets": [[1]]},
+    "ground-string": {"ground_size": "2", "sets": [[1], [2], [1, 2]]},
+    "sets-int": {"ground_size": 2, "sets": 5},
+    "member-int": {"ground_size": 2, "sets": [1, 2]},
+    "member-string": {"ground_size": 2, "sets": [["a"]]},
+    "member-float": {"ground_size": 2, "sets": [[1.5]]},
+    "member-zero": {"ground_size": 2, "sets": [[0]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_building_set_exits_2(name, tmp_path, capsys):
+    """Each document is refused with exit 2 and a message; an exception
+    escaping main would fail the test instead."""
+    path = tmp_path / "bs.json"
+    path.write_text(json.dumps(MALFORMED[name]))
+    code, out, err = run(capsys, "table", "--building-set", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("toricg: error: malformed building-set JSON")
+
+
+@pytest.mark.parametrize("suite", sorted(verification.SUITES))
+def test_verify_negative_n_exits_2(suite, capsys):
+    code, out, err = run(capsys, "verify", suite, "-3")
+    assert (code, out) == (2, "")
+    assert "n_max" in err

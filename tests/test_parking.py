@@ -34,14 +34,14 @@ def test_is_parking_matches_simulation(n):
 
 
 def test_fn_statistics():
-    assert parking.fn_is_123_avoiding((3, 2, 1))
+    assert perms.is_123_avoiding((3, 2, 1))
     assert parking.fn_ascents((3, 2, 1)) == 0
-    assert parking.fn_is_123_avoiding((1, 1))
+    assert perms.is_123_avoiding((1, 1))
     assert parking.fn_ascents((1, 1)) == 1
-    assert parking.fn_is_123_avoiding(FIG_FN)
+    assert perms.is_123_avoiding(FIG_FN)
     for n in range(1, 6):
         for f in parking.iter_functions(n):
-            assert parking.fn_is_123_avoiding(f) == (not contains_pattern_123(f, weak=True))
+            assert perms.is_123_avoiding(f) == (not contains_pattern_123(f, weak=True))
 
 
 def test_garsia_haiman_examples():
@@ -64,7 +64,7 @@ def test_garsia_haiman_round_trip(n):
         assert parking.is_compatible_pair(*pair)
         assert parking.garsia_haiman_inv(*pair) == f
         assert parking.is_parking(f) == words.is_dyck(pair.word)
-        assert parking.fn_is_123_avoiding(f) == perms.is_123_avoiding(pair.perm)
+        assert perms.is_123_avoiding(f) == perms.is_123_avoiding(pair.perm)
 
 
 def test_search_trees_figure():
@@ -140,7 +140,7 @@ def test_is_123_parking_tree():
     )
     assert not parking.is_123_parking_tree(wide)
     for f in parking.iter_parking_functions(4):
-        assert parking.is_123_parking_tree(parking.dfs_tree(f)) == parking.fn_is_123_avoiding(f)
+        assert parking.is_123_parking_tree(parking.dfs_tree(f)) == perms.is_123_avoiding(f)
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -211,6 +211,17 @@ def test_iter_123_avoiding_functions():
         expected_parking = {f for f in expected if parks_by_simulation(f)}
         assert set(parking.iter_123_avoiding_functions(n, parking_only=True)) == expected_parking
     assert sum(1 for _ in parking.iter_123_avoiding_functions(3, parking_only=True)) == 11
+
+
+def test_123_enumerators_reject_negative_n():
+    for stream in (
+        perms.enumerate_123_avoiding(-1),
+        perms.enumerate_123_avoiding(-1, distinct=False),
+        parking.iter_123_avoiding_functions(-1),
+        parking.iter_123_avoiding_functions(-1, parking_only=True),
+    ):
+        with pytest.raises(PreconditionError):
+            next(stream)
 
 
 def test_fn_text():

@@ -36,7 +36,6 @@ def test_avoidance_matches_bruteforce(n):
     for p in itertools.permutations(range(1, n + 1)):
         expected = not contains_pattern_123(p, weak=False)
         assert perms.is_123_avoiding(p) == expected
-        assert perms.is_123_avoiding_bruteforce(p) == expected
 
 
 def test_krattenthaler_examples():
@@ -70,6 +69,19 @@ def test_enumerate_123_avoiding():
     assert len(threes) == 5 and (1, 2, 3) not in threes
     assert threes == sorted(threes)
     assert sum(1 for _ in perms.enumerate_123_avoiding(6)) == 132
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_enumerate_123_avoiding_matches_filter(n):
+    """Both modes list exactly the pattern-free sequences, in lexicographic
+    order: strict patterns over permutations, weak ones over functions."""
+    values = range(1, n + 1)
+    expected = [p for p in itertools.permutations(values) if not contains_pattern_123(p, weak=False)]
+    assert list(perms.enumerate_123_avoiding(n)) == expected
+    expected = [
+        f for f in itertools.product(values, repeat=n) if not contains_pattern_123(f, weak=True)
+    ]
+    assert list(perms.enumerate_123_avoiding(n, distinct=False)) == expected
 
 
 def test_fs_tree_figure():
@@ -171,14 +183,17 @@ def test_plane_trees_are_increasing():
         trees = list(perms.increasing_plane_trees(count))
         assert len(trees) == len(set(trees))
 
-        def check(node, parent_label):
+        def check(node, parent_label, counts):
             label, kids = node
             assert label > parent_label
+            counts[label - 1] = len(kids)
             for c in kids:
-                check(c, label)
+                check(c, label, counts)
 
         for t in trees:
-            check(t, 0)
+            counts = [None] * count
+            check(t, 0, counts)
+            assert perms.child_counts(t) == tuple(counts)
 
 
 def test_text_formats():

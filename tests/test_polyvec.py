@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -7,7 +8,7 @@ from toricg import polyvec, words
 from toricg.errors import PreconditionError, StructuralError
 from toricg.polyvec import IntPoly
 
-from helpers import naive_peaks_in_prefix, nonneg_paths_to_height
+from helpers import kk_pseudopower_linear, naive_peaks_in_prefix, nonneg_paths_to_height
 
 
 def test_intpoly_basics():
@@ -247,3 +248,29 @@ def test_kk_pseudopower():
     assert polyvec.kk_pseudopower(0, 3) == 0
     # m = binom(5,2) + binom(3,1): bound binom(5,3) + binom(3,2)
     assert polyvec.kk_pseudopower(13, 2) == 13
+
+
+def test_kk_pseudopower_matches_linear_walk():
+    rng = random.Random(4)
+    for _ in range(300):
+        m, k = rng.randint(0, 10 ** rng.randint(0, 4)), rng.randint(1, 8)
+        assert polyvec.kk_pseudopower(m, k) == kk_pseudopower_linear(m, k), (m, k)
+
+
+def test_kk_pseudopower_on_the_permutahedron_row():
+    """The n = 10 row of the conjectures probe, whose first entry is about
+    4 * 10**7: the linear walk takes seconds, the bisection microseconds."""
+    n = 10
+    g = polyvec.toric_g_from_gamma(n, polyvec.gamma_family("permutahedron", n))
+    vec = [g.coeff(k) for k in range(n // 2 + 1)]
+    bounds = [kk_pseudopower_linear(vec[k], k) for k in range(1, len(vec) - 1)]
+    assert [polyvec.kk_pseudopower(vec[k], k) for k in range(1, len(vec) - 1)] == bounds
+    expected = all(vec[k + 1] <= bound for k, bound in enumerate(bounds, start=1))
+    assert polyvec.kruskal_katona_ok(vec) == expected
+
+
+def test_from_counts():
+    assert IntPoly.from_counts(Counter()) == IntPoly()
+    assert IntPoly.from_counts(Counter({0: 1, 2: 3, 4: 0})) == IntPoly([1, 0, 3])
+    assert IntPoly.from_counts({3: 0}).is_zero()
+    assert IntPoly.from_counts({1: 2}).coeffs == (0, 2)
