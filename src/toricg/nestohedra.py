@@ -6,12 +6,13 @@ singleton and is closed under unions of intersecting members.  It is
 connected when [m] itself belongs to it, and chordal when every member
 {i_1 < ... < i_r} contains all of its suffixes {i_s, ..., i_r}.  For a
 connected chordal building set on [n+1] the h-polynomial of the associated
-nestohedron is the descent generating function of its B-permutations, the
-gamma-polynomial restricts that sum to permutations with no double
-descents and no final descent, and the toric g-polynomial follows from the
-gamma-vector.  Both sums are counted by a dynamic program over prefixes of
-B-permutations, not by listing them.  Members are stored as bitmasks over a
-ground set of size at most 16.
+nestohedron is the descent generating function of its B-permutations,
+counted by a dynamic program over prefixes of B-permutations, not by
+listing them.  The gamma-vector is read off the h-vector; it restricts the
+same sum to permutations with no double descents and no final descent
+(which the verification suite checks against the listed permutations), and
+the toric g-polynomial follows from it.  Members are stored as bitmasks
+over a ground set of size at most 16.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from . import parking, perms
 from .config import check_capacity
 from .errors import BuildingSetError, ChordalityError, PreconditionError, StructuralError
-from .polyvec import IntPoly, toric_g_from_gamma
+from .polyvec import IntPoly, h_to_gamma, toric_g_from_gamma
 
 _NAMED_KINDS = (
     "permutahedron", "stanley_pitman", "associahedron_intervals", "interpolation",
@@ -47,11 +48,16 @@ class BuildingSet:
     __slots__ = ("ground_size", "masks")
 
     def __init__(self, ground_size: int, sets: Iterable[Iterable[int]]):
+        if type(ground_size) is not int:
+            raise BuildingSetError(f"ground_size must be an int, got {ground_size!r}")
         if not (1 <= ground_size <= 16):
             raise PreconditionError("ground size must be between 1 and 16")
         masks = set()
         full = (1 << ground_size) - 1
         for s in sets:
+            s = tuple(s)
+            if not all(type(i) is int and i >= 1 for i in s):
+                raise BuildingSetError(f"members must hold ints >= 1, got {list(s)!r}")
             m = _mask(s)
             if m == 0:
                 raise BuildingSetError("members must be nonempty", witness=())
@@ -96,15 +102,14 @@ class BuildingSet:
             sets = data["sets"]
         except (KeyError, TypeError) as exc:
             raise BuildingSetError(f"malformed building-set JSON: {exc}") from exc
-        if type(ground) is not int:
-            raise BuildingSetError(f"malformed building-set JSON: ground_size {ground!r}")
-        if not isinstance(sets, list) or not all(
-            isinstance(s, list) and all(type(i) is int and i >= 1 for i in s) for s in sets
-        ):
+        if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
+            raise BuildingSetError("malformed building-set JSON: sets must be lists")
+        try:
+            return cls(ground, sets)
+        except BuildingSetError as exc:
             raise BuildingSetError(
-                "malformed building-set JSON: sets must be lists of integers >= 1"
-            )
-        return cls(ground, sets)
+                f"malformed building-set JSON: {exc}", witness=exc.witness
+            ) from exc
 
 
 class ValidationReport(NamedTuple):
@@ -244,54 +249,49 @@ def _require_chordal(bs: BuildingSet, unsafe: bool) -> None:
         )
 
 
-def _descent_counts(bs: BuildingSet, gamma: bool) -> list[int]:
+def _descent_counts(bs: BuildingSet) -> list[int]:
     """Numbers of B-permutations by descent count, by a DP over prefixes.
 
     v may follow a prefix T exactly when v lies in comp[T | v], so a state
-    is (prefix mask, last element, whether the last step fell) and holds the
-    descent histogram of its prefixes, packed one 64-bit slot per count (a
-    slot holds at most 16! < 2**64).  With ``gamma`` the steps making a
-    double descent and the permutations ending on a descent are dropped;
-    otherwise the flag stays False.
+    is (prefix mask, last element) and holds the descent histogram of its
+    prefixes, packed one 64-bit slot per count (a slot holds at most
+    16! < 2**64).
     """
     m = bs.ground_size
     comp = _component_table(bs)
     full = (1 << m) - 1
-    states = {(1 << v, v + 1, False): 1 for v in range(m)}
+    states = {(1 << v, v + 1): 1 for v in range(m)}
     for _ in range(m - 1):
-        grown: dict[tuple[int, int, bool], int] = {}
-        for (t, last, fell), hist in states.items():
+        grown: dict[tuple[int, int], int] = {}
+        for (t, last), hist in states.items():
             free = full ^ t
             while free:
                 bit = free & -free
                 free ^= bit
                 u = t | bit
-                v = bit.bit_length()
-                down = v < last
-                if not comp[u] & bit or down and fell:
+                if not comp[u] & bit:
                     continue
-                key = (u, v, gamma and down)
-                grown[key] = grown.get(key, 0) + (hist << 64 if down else hist)
+                v = bit.bit_length()
+                key = (u, v)
+                grown[key] = grown.get(key, 0) + (hist << 64 if v < last else hist)
         states = grown
-    total = sum(hist for (_, _, fell), hist in states.items() if not fell)
+    total = sum(states.values())
     return [total >> 64 * k & (1 << 64) - 1 for k in range(m)]
 
 
 def h_chordal(bs: BuildingSet, unsafe: bool = False) -> tuple[int, ...]:
     """Descent generating vector of the B-permutations; palindromic."""
     _require_chordal(bs, unsafe)
-    hvec = tuple(_descent_counts(bs, gamma=False))
+    hvec = tuple(_descent_counts(bs))
     if hvec != hvec[::-1]:
         raise StructuralError(f"chordal h-vector {hvec} is not palindromic")
     return hvec
 
 
 def gamma_chordal(bs: BuildingSet, unsafe: bool = False) -> tuple[int, ...]:
-    """Descent counts over B-permutations with no double descents and no
-    final descent; equals h_to_gamma(h_chordal(bs))."""
-    _require_chordal(bs, unsafe)
-    n = bs.ground_size - 1
-    return tuple(_descent_counts(bs, gamma=True)[: n // 2 + 1])
+    """Gamma-vector of the h-vector; it counts the B-permutations with no
+    double descents and no final descent by their descents."""
+    return h_to_gamma(h_chordal(bs, unsafe))
 
 
 def toric_g_chordal(bs: BuildingSet, unsafe: bool = False) -> IntPoly:

@@ -15,11 +15,15 @@ polynomial also comes out of the h-vector route
     h_0 + sum_i (h_i - h_{i-1}) * cnix(n, i),
 
 and both routes are exposed so they can be checked against each other.
+
+Every f/h/gamma/toric-g conversion works on plain int coefficient lists:
+the changes of variable x -> x - 1 and x -> x + 1 go through the one
+Horner routine ``_shift``, and the gamma basis x^j (1+x)^{n-2j} through
+its binomial coefficients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -35,13 +39,16 @@ class IntPoly:
     """Univariate polynomial with int coefficients, low degree first.
 
     Immutable; trailing zeros are trimmed and the zero polynomial has an
-    empty coefficient tuple.
+    empty coefficient tuple.  Every coefficient must be an int (not a bool).
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
+        for c in cs:
+            if type(c) is not int:
+                raise PreconditionError(f"IntPoly coefficients must be ints, got {c!r}")
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -174,7 +181,6 @@ class IntPoly:
 
 X = IntPoly((0, 1))
 X_MINUS_1 = IntPoly((-1, 1))
-X_PLUS_1 = IntPoly((1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -182,26 +188,25 @@ X_PLUS_1 = IntPoly((1, 1))
 # ---------------------------------------------------------------------------
 
 
+def _shift(coeffs: Sequence[int], a: int) -> list[int]:
+    """Coefficients of sum_i coeffs[i] (x+a)^i, as many as given, by
+    Horner's rule: out <- out * (x+a) + c from the top coefficient down."""
+    out = [0] * len(coeffs)
+    for c in reversed(coeffs):
+        for k in range(len(out) - 1, 0, -1):
+            out[k] = out[k - 1] + a * out[k]
+        out[0] = a * out[0] + c
+    return out
+
+
 def f_to_h(fvec: Sequence[int]) -> tuple[int, ...]:
     """h-vector from the face-count vector: sum h_i x^i = sum f_i (x-1)^i."""
-    poly = IntPoly()
-    for i, f in enumerate(fvec):
-        poly = poly + X_MINUS_1 ** i * f
-    return _padded(poly, len(fvec))
+    return tuple(_shift(fvec, -1))
 
 
 def h_to_f(hvec: Sequence[int]) -> tuple[int, ...]:
     """Inverse of f_to_h: substitute x -> x + 1."""
-    poly = IntPoly()
-    for i, h in enumerate(hvec):
-        poly = poly + X_PLUS_1 ** i * h
-    return _padded(poly, len(hvec))
-
-
-def _padded(poly: IntPoly, length: int) -> tuple[int, ...]:
-    if len(poly.coeffs) > length:
-        raise StructuralError("vector longer than its stated dimension")
-    return tuple(poly.coeff(i) for i in range(length))
+    return tuple(_shift(hvec, 1))
 
 
 def is_palindromic(vec: Sequence[int]) -> bool:
@@ -210,58 +215,35 @@ def is_palindromic(vec: Sequence[int]) -> bool:
 
 def h_to_gamma(hvec: Sequence[int]) -> tuple[int, ...]:
     """Coordinates of a palindromic h-polynomial in the basis
-    x^j (1+x)^{n-2j}; triangular, hence unique."""
+    x^j (1+x)^{n-2j}, whose x^i coefficient is binom(n-2j, i-j);
+    triangular, hence unique."""
     if not hvec:
         raise PreconditionError("empty h-vector")
     if not is_palindromic(hvec):
         raise StructuralError(f"h-vector is not palindromic: {list(hvec)!r}")
     n = len(hvec) - 1
-    residual = IntPoly(hvec)
+    residual = list(hvec)
     gamma = []
     for j in range(n // 2 + 1):
-        g = residual.coeff(j)
+        g = residual[j]
         gamma.append(g)
-        if g:
-            residual = residual - IntPoly.monomial(j, g) * X_PLUS_1 ** (n - 2 * j)
-    if residual:
+        for i in range(j, n - j + 1):
+            residual[i] -= g * comb(n - 2 * j, i - j)
+    if any(residual):
         raise StructuralError(f"h-vector is not palindromic: {list(hvec)!r}")
     return tuple(gamma)
 
 
 def gamma_to_h(gamma: Sequence[int], n: int) -> tuple[int, ...]:
-    """h-vector of dimension n with the given gamma coordinates."""
+    """h-vector of dimension n with the given gamma coordinates:
+    h_i = sum_j gamma_j binom(n-2j, i-j)."""
     if len(gamma) > n // 2 + 1 and any(gamma[n // 2 + 1 :]):
         raise PreconditionError(f"gamma has entries beyond index {n // 2}")
-    poly = IntPoly()
+    hvec = [0] * (n + 1)
     for j, g in enumerate(gamma[: n // 2 + 1]):
-        if g:
-            poly = poly + IntPoly.monomial(j, g) * X_PLUS_1 ** (n - 2 * j)
-    return _padded(poly, n + 1)
-
-
-@dataclass(frozen=True)
-class FHGVectors:
-    """Consistent bundle of the face-count, h- and gamma-vectors of an
-    n-dimensional simple polytope."""
-
-    n: int
-    fvec: tuple[int, ...]
-    hvec: tuple[int, ...]
-    gamma: tuple[int, ...]
-
-    @classmethod
-    def from_f(cls, fvec: Sequence[int]) -> "FHGVectors":
-        h = f_to_h(fvec)
-        return cls(len(fvec) - 1, tuple(fvec), h, h_to_gamma(h))
-
-    @classmethod
-    def from_h(cls, hvec: Sequence[int]) -> "FHGVectors":
-        return cls(len(hvec) - 1, h_to_f(hvec), tuple(hvec), h_to_gamma(hvec))
-
-    @classmethod
-    def from_gamma(cls, gamma: Sequence[int], n: int) -> "FHGVectors":
-        h = gamma_to_h(gamma, n)
-        return cls(n, h_to_f(h), h, tuple(gamma) + (0,) * (n // 2 + 1 - len(gamma)))
+        for i in range(j, n - j + 1):
+            hvec[i] += g * comb(n - 2 * j, i - j)
+    return tuple(hvec)
 
 
 # ---------------------------------------------------------------------------
@@ -293,21 +275,25 @@ def g_contrib(n: int, j: int) -> IntPoly:
         raise PreconditionError("g_contrib needs n >= 0 and j >= 0")
     if j > n:
         return IntPoly()
-    out = IntPoly()
-    for k in range(min(n // 2, n - j) + 1):
-        out = out + X_MINUS_1 ** k * (catalan(n - k - j) * comb(n - k, k))
-    return out
+    return IntPoly(_shift(_g_by_power(n, j), -1))
+
+
+def _g_by_power(n: int, j: int) -> list[int]:
+    """The (x-1)-coefficients C_{n-k-j} binom(n-k, k) of g_contrib(n, j)."""
+    return [catalan(n - k - j) * comb(n - k, k) for k in range(min(n // 2, n - j) + 1)]
 
 
 def toric_g_from_gamma(n: int, gamma: Sequence[int]) -> IntPoly:
-    """sum_j gamma_j * g_contrib(n, j); gamma may be zero padded."""
+    """sum_j gamma_j * g_contrib(n, j), summed in the (x-1) basis and
+    shifted once; gamma may be zero padded."""
     if len(gamma) > n // 2 + 1 and any(gamma[n // 2 + 1 :]):
         raise PreconditionError(f"gamma has entries beyond index {n // 2}")
-    out = IntPoly()
+    by_power = [0] * (n // 2 + 1)
     for j, g in enumerate(gamma[: n // 2 + 1]):
         if g:
-            out = out + g_contrib(n, j) * g
-    return out
+            for k, c in enumerate(_g_by_power(n, j)):
+                by_power[k] += g * c
+    return IntPoly(_shift(by_power, -1))
 
 
 def toric_g_from_h(n: int, hvec: Sequence[int]) -> IntPoly:

@@ -434,8 +434,12 @@ def _pipeline(b: int) -> None:
         for label, bs in family_sets:
             h = nestohedra.h_chordal(bs)
             assert polyvec.is_palindromic(h), (label, n)
+            by_des: Counter[int] = Counter()
+            for p in nestohedra.b_permutations(bs):
+                if not perms.asc_des(p).double_descents and not perms.has_final_descent(p):
+                    by_des[perms.des(p)] += 1
             gamma = nestohedra.gamma_chordal(bs)
-            assert polyvec.h_to_gamma(h) == gamma, (label, n)
+            assert IntPoly.from_counts(by_des) == IntPoly(gamma), (label, n)
             assert nestohedra.toric_g_chordal(bs) == polyvec.toric_g_from_h(n, h), (label, n)
         assert nestohedra.toric_g_chordal(
             nestohedra.named_family("stanley_pitman", n)

@@ -10,6 +10,8 @@ import itertools
 from functools import lru_cache
 from math import comb
 
+from toricg.polyvec import IntPoly
+
 
 def all_ud_words(length: int):
     """Every {U,D}-string of the given length, by raw product."""
@@ -101,3 +103,19 @@ def kk_pseudopower_linear(m: int, k: int) -> int:
         m -= comb(a, k)
         k -= 1
     return total
+
+
+def power_sum(coeffs, a: int) -> IntPoly:
+    """sum_i coeffs[i] (x+a)^i, one IntPoly power at a time."""
+    out = IntPoly()
+    for i, c in enumerate(coeffs):
+        out = out + IntPoly((a, 1)) ** i * c
+    return out
+
+
+def gamma_basis_sum(gamma, n: int) -> IntPoly:
+    """sum_j gamma_j x^j (x+1)^(n-2j), one IntPoly power at a time."""
+    out = IntPoly()
+    for j, g in enumerate(gamma):
+        out = out + IntPoly.monomial(j, g) * IntPoly((1, 1)) ** (n - 2 * j)
+    return out

@@ -40,6 +40,16 @@ GOLDEN = [
      "a37842ba1c5c52166a78415d5570b322e1a8dc1f568e5fe17ec3231192719ba4"),
     ("table --building-set bs4.json --route hetyei", 0,
      "59342b444a1f65c89a5f19bcb99c669a10265fd142155e490364a7cf6e12b891"),
+    ("table --family associahedron --max 60 --unsafe-max", 0,
+     "54a4a23d8c4e4f119a49b897f5adc9a6685296e4f55203f0d1aa745d1a7f5176"),
+    ("table --family cyclohedron --max 60 --unsafe-max", 0,
+     "128516c8ecf7096587736b194d9844702645449ce712f824cfb38704972a4b8b"),
+    ("table --family permutahedron --max 60 --unsafe-max", 0,
+     "b84ae5fc911e6e4fb736f8271ff483a57048cef04631a788e51be67c0fa22faa"),
+    ("table --family cube --max 60 --unsafe-max", 0,
+     "b71b04d938b2a6b01f49c9aabc33e58c756d67cac345c3a1d2a393b632e062d1"),
+    ("table --family permutahedron --max 60 --unsafe-max --route hetyei --format json", 0,
+     "055232aa83a433402d8db290e83aa0268c0703afbcfbb6aaa89125b5a1c41644"),
     ("table --family associahedron --max 13", 3,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("verify bijections 4", 0,

@@ -265,6 +265,16 @@ def test_json_round_trip():
         BuildingSet(2, [[1], [2], []])
 
 
+@pytest.mark.parametrize("ground,sets", [
+    (2, [[0]]), (2, [["a"]]), (2, [[1.5]]), (2, [[True]]), (True, [[1]]),
+])
+def test_constructor_rejects_malformed_members(ground, sets):
+    """The constructor itself refuses what from_json refuses, with
+    BuildingSetError rather than a raw ValueError or TypeError."""
+    with pytest.raises(BuildingSetError):
+        BuildingSet(ground, sets)
+
+
 def enumerated_h_gamma(bs: BuildingSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """h and gamma as descent histograms over the listed B-permutations,
     the gamma one over those with no double descent and no final descent."""
@@ -363,7 +373,7 @@ def test_palindrome_check_survives_optimized_mode():
         "from toricg import nestohedra\n"
         "from toricg.errors import StructuralError\n"
         "assert False, 'asserts are live'\n"
-        "nestohedra._descent_counts = lambda bs, gamma: [1, 2, 3]\n"
+        "nestohedra._descent_counts = lambda bs: [1, 2, 3]\n"
         "try:\n"
         "    nestohedra.h_chordal(nestohedra.named_family('permutahedron', 2))\n"
         "except StructuralError:\n"

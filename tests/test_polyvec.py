@@ -1,5 +1,7 @@
 import random
 from collections import Counter
+from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +10,14 @@ from toricg import polyvec, words
 from toricg.errors import PreconditionError, StructuralError
 from toricg.polyvec import IntPoly
 
-from helpers import kk_pseudopower_linear, naive_peaks_in_prefix, nonneg_paths_to_height
+from helpers import (
+    gamma_basis_sum,
+    kk_pseudopower_linear,
+    naive_catalan,
+    naive_peaks_in_prefix,
+    nonneg_paths_to_height,
+    power_sum,
+)
 
 
 def test_intpoly_basics():
@@ -25,10 +34,17 @@ def test_intpoly_basics():
     assert str(IntPoly([1, 0, 2])) == "1 + 2*x^2"
 
 
+@pytest.mark.parametrize("bad", [1.5, Fraction(1, 2), True])
+def test_intpoly_rejects_non_int_coefficients(bad):
+    with pytest.raises(PreconditionError):
+        IntPoly([1, bad])
+
+
 def test_f_to_h_examples():
     assert polyvec.f_to_h((4, 4, 1)) == (1, 2, 1)
     assert polyvec.f_to_h((4, 6, 4, 1)) == (1, 1, 1, 1)
     assert polyvec.h_to_f((1, 2, 1)) == (4, 4, 1)
+    assert polyvec.h_to_f(polyvec.gamma_to_h((1, 2), 2)) == (6, 6, 1)
 
 
 @given(st.lists(st.integers(-50, 50), min_size=1, max_size=8))
@@ -42,6 +58,8 @@ def test_h_to_gamma_examples():
     assert polyvec.h_to_gamma((1, 1)) == (1,)
     assert polyvec.h_to_gamma((1, 4, 1)) == (1, 2)
     assert polyvec.h_to_gamma((1, 11, 11, 1)) == (1, 8)
+    assert polyvec.h_to_gamma(polyvec.f_to_h((4, 4, 1))) == (1, 0)
+    assert polyvec.gamma_to_h((1, 2), 2) == (1, 4, 1)
     with pytest.raises(StructuralError):
         polyvec.h_to_gamma((1, 2, 3))
 
@@ -54,6 +72,39 @@ def test_gamma_h_round_trip(n, data):
     h = polyvec.gamma_to_h(gamma, n)
     assert polyvec.is_palindromic(h)
     assert polyvec.h_to_gamma(h) == gamma
+
+
+def _padded(poly: IntPoly, length: int) -> tuple[int, ...]:
+    assert poly.degree < length
+    return tuple(poly.coeff(i) for i in range(length))
+
+
+@pytest.mark.parametrize("n", range(31))
+def test_conversions_match_power_sums(n):
+    """Each conversion against its definition as a sum of IntPoly powers."""
+    rng = random.Random(n)
+    v = [rng.randint(-10**6, 10**6) for _ in range(n + 1)]
+    assert polyvec.f_to_h(v) == _padded(power_sum(v, -1), n + 1)
+    assert polyvec.h_to_f(v) == _padded(power_sum(v, 1), n + 1)
+    for j in range(n + 2):
+        expected = power_sum(
+            [naive_catalan(n - k - j) * comb(n - k, k) for k in range(min(n // 2, n - j) + 1)],
+            -1,
+        )
+        assert polyvec.g_contrib(n, j) == expected
+    gamma = tuple(rng.randint(-10**6, 10**6) for _ in range(n // 2 + 1))
+    h = _padded(gamma_basis_sum(gamma, n), n + 1)
+    assert polyvec.gamma_to_h(gamma, n) == h
+    assert polyvec.h_to_gamma(h) == gamma
+
+
+@given(st.integers(0, 40), st.data())
+def test_toric_g_from_gamma_is_the_g_contrib_sum(n, data):
+    gamma = data.draw(st.lists(st.integers(-1000, 1000), max_size=n // 2 + 1))
+    expected = IntPoly()
+    for j, g in enumerate(gamma):
+        expected = expected + polyvec.g_contrib(n, j) * g
+    assert polyvec.toric_g_from_gamma(n, gamma) == expected
 
 
 def test_cnix_examples():
@@ -155,14 +206,6 @@ def test_cube_toric_g_is_g_contrib():
     for n in range(1, 9):
         gamma = polyvec.gamma_family("cube", n)
         assert polyvec.toric_g_from_gamma(n, gamma) == polyvec.g_contrib(n, 0)
-
-
-def test_fhg_bundle():
-    cube = polyvec.FHGVectors.from_f((4, 4, 1))
-    assert cube.n == 2 and cube.hvec == (1, 2, 1) and cube.gamma == (1, 0)
-    again = polyvec.FHGVectors.from_gamma((1, 2), 2)
-    assert again.hvec == (1, 4, 1) and again.fvec == (6, 6, 1)
-    assert polyvec.FHGVectors.from_h((1, 4, 1)) == again
 
 
 def test_narayana():
