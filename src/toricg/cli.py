@@ -4,7 +4,7 @@ Subcommands
 -----------
 table      print toric g-vector tables (csv or json) for a named family or
            a building-set JSON file, by any of the routes gamma / hetyei
-           (h-vector) / direct (object enumeration) / all
+           (h-vector) / direct (object counts) / all
 verify     run a named verification suite and emit a JSON report
 enumerate  stream combinatorial objects one per line
 

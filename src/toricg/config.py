@@ -9,9 +9,11 @@ hardware:
 key                 default  what it bounds (n = dimension / semilength)
 ==================  =======  ==================================================
 parking_trees       7        enumerate_parking_trees: (n!)^2 trees (25.4M at 7)
-b_permutations      7        b_permutations: filters (n+1)! permutations;
-                             h/gamma_chordal: 2^(n+1)*(n+1)^2 prefix DP
-direct_route        6        toric_g_direct: parking-tree route for one polytope
+b_permutations      7        b_permutations: lists up to (n+1)! permutations
+                             by prefix extension; h/gamma_chordal:
+                             2^(n+1)*(n+1)^2 prefix DP
+direct_route        6        toric_g_direct: counts parking trees over the
+                             B-permutations and the 123-avoiding functions
 functions_route     7        123-avoiding (parking) function sweeps: n^n inputs
 table               12       closed-form table rows (gamma / h routes)
 ==================  =======  ==================================================

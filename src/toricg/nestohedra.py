@@ -11,8 +11,16 @@ counted by a dynamic program over prefixes of B-permutations, not by
 listing them.  The gamma-vector is read off the h-vector; it restricts the
 same sum to permutations with no double descents and no final descent
 (which the verification suite checks against the listed permutations), and
-the toric g-polynomial follows from it.  Members are stored as bitmasks
-over a ground set of size at most 16.
+the toric g-polynomial follows from it.
+
+The direct route certifies the toric g-polynomial as the weak-ascent count
+of 123-avoiding parking trees over B-permutations.  Such a tree is a pair
+(pi, f): pi a B-permutation with no double descent and no final descent,
+f : [n] -> [n] a function whose fiber over v has c_v(pi) elements, the
+number of neighbours of v in pi larger than v.  Avoidance and ascents read
+f alone, so the route sums, over pi, one table of 123-avoiding functions
+by fiber sizes.  B-permutations are listed by extending valid prefixes.
+Members are stored as bitmasks over a ground set of size at most 16.
 """
 
 from __future__ import annotations
@@ -52,10 +60,13 @@ class BuildingSet:
             raise BuildingSetError(f"ground_size must be an int, got {ground_size!r}")
         if not (1 <= ground_size <= 16):
             raise PreconditionError("ground size must be between 1 and 16")
+        try:
+            members = [tuple(s) for s in sets]
+        except TypeError as exc:
+            raise BuildingSetError(f"sets must be iterables of ints, got {sets!r}") from exc
         masks = set()
         full = (1 << ground_size) - 1
-        for s in sets:
-            s = tuple(s)
+        for s in members:
             if not all(type(i) is int and i >= 1 for i in s):
                 raise BuildingSetError(f"members must hold ints >= 1, got {list(s)!r}")
             m = _mask(s)
@@ -220,20 +231,41 @@ def _component_table(bs: BuildingSet) -> list[int]:
 def b_permutations(bs: BuildingSet, unsafe: bool = False) -> list[tuple[int, ...]]:
     """All permutations pi of the ground set such that pi(i) and
     max(pi(1..i)) share a component of the restriction to {pi(1..i)},
-    for every prefix."""
+    for every prefix, in lexicographic order.
+
+    Valid prefixes are extended one element at a time (v may follow T iff
+    v lies in comp[T | v]) and the last element, the complement, is checked
+    against comp[full].  One first element at a time keeps the order
+    lexicographic and holds only that element's prefixes in memory.
+    """
     m = bs.ground_size
     check_capacity("b_permutations", m - 1, unsafe)
     comp = _component_table(bs)
+    full = (1 << m) - 1
+    if m == 1:
+        return [(1,)] if comp[1] else []
     out = []
-    for pi in itertools.permutations(range(1, m + 1)):
-        t = 0
-        for v in pi:
-            bit = 1 << (v - 1)
-            t |= bit
-            if not comp[t] & bit:
-                break
-        else:
-            out.append(pi)
+    for first in range(1, m + 1):
+        bit = 1 << (first - 1)
+        if not comp[bit] & bit:
+            continue
+        masks, prefixes = [bit], [(first,)]
+        for _ in range(m - 2):
+            grown_masks: list[int] = []
+            grown: list[tuple[int, ...]] = []
+            for t, p in zip(masks, prefixes):
+                free = full ^ t
+                while free:
+                    bit = free & -free
+                    free ^= bit
+                    if comp[t | bit] & bit:
+                        grown_masks.append(t | bit)
+                        grown.append(p + (bit.bit_length(),))
+            masks, prefixes = grown_masks, grown
+        for t, p in zip(masks, prefixes):
+            last = full ^ t
+            if comp[full] & last:
+                out.append(p + (last.bit_length(),))
     return out
 
 
@@ -301,7 +333,7 @@ def toric_g_chordal(bs: BuildingSet, unsafe: bool = False) -> IntPoly:
 
 
 def toric_g_direct(bs: BuildingSet, dfs_only: bool = False, unsafe: bool = False) -> IntPoly:
-    """Toric g-polynomial by direct enumeration of parking trees.
+    """Toric g-polynomial by counting parking trees.
 
     Counts, by their number of weak ascents, the 123-avoiding parking
     functions on [n] whose parking tree (a plane 0-1-2 tree with increasing
@@ -309,38 +341,52 @@ def toric_g_direct(bs: BuildingSet, dfs_only: bool = False, unsafe: bool = False
     a B-permutation once edge labels are dropped and only children are
     pushed to the right slot.  With ``dfs_only`` the vertex labeling must
     additionally follow the depth-first search order of the shape.
+
+    Each such tree is a pair (pi, f).  pi is a B-permutation whose tree is
+    right-adjusted (no double descent, no final descent); f : [n] -> [n]
+    sends each edge to its parent vertex, so |f^-1(v)| = c_v(pi), the number
+    of neighbours of v in pi that exceed it.  Avoidance and ascents depend
+    on f alone, so the polynomial is the sum over pi of A[c(pi)], where A
+    holds the ascent histogram of the 123-avoiding functions by fiber
+    sizes, built in one pass per call.
     """
     n = bs.ground_size - 1
     check_capacity("direct_route", n, unsafe)
     _require_chordal(bs, unsafe)
-    allowed = set(b_permutations(bs, unsafe))
-    labels = tuple(range(1, n + 1))
+    by_fibers: dict[tuple[int, ...], Counter[int]] = {}
+    for f in perms.enumerate_123_avoiding(n, distinct=False):
+        sizes = [0] * n
+        for v in f:
+            sizes[v - 1] += 1
+        by_fibers.setdefault(tuple(sizes), Counter())[parking.fn_ascents(f)] += 1
+    shapes: Counter[tuple[int, ...]] = Counter()
+    preorder = tuple(range(1, n + 2))
+    for pi in b_permutations(bs, unsafe):
+        sizes = _fiber_sizes(pi)
+        if sizes is None or dfs_only and perms.fs_preorder(perms.fs_tree(pi)) != preorder:
+            continue
+        shapes[sizes] += 1
     acc: Counter[int] = Counter()
-    for tree in perms.increasing_plane_trees(n + 1, max_children=2):
-        if dfs_only and not _is_dfs_labeled(tree):
-            continue
-        if perms.fs_inorder(perms.plane_to_fs(tree)) not in allowed:
-            continue
-        parents, sizes = parking._parent_sizes(tree)
-        for groups in parking._ordered_groups(labels, sizes):
-            f = [0] * n
-            for v, group in zip(parents, groups):
-                for e in group:
-                    f[e - 1] = v
-            if perms.is_123_avoiding(f):
-                acc[parking.fn_ascents(f)] += 1
+    for sizes, times in shapes.items():
+        for k, count in by_fibers[sizes].items():
+            acc[k] += times * count
     return IntPoly.from_counts(acc)
 
 
-def _is_dfs_labeled(tree) -> bool:
-    """True when the labels read 1, 2, 3, ... in preorder."""
-    expected = itertools.count(1)
-
-    def walk(node) -> bool:
-        v, kids = node
-        return v == next(expected) and all(walk(c) for c in kids)
-
-    return walk(tree)
+def _fiber_sizes(pi: tuple[int, ...]) -> tuple[int, ...] | None:
+    """c_v(pi) for v = 1..len(pi) - 1: the number of children of v in the
+    min-rooted tree of pi, which is |f^-1(v)| for the functions f of its
+    parking trees; None when some vertex has only a left child (pi has a
+    double or final descent)."""
+    m = len(pi)
+    counts = [0] * m
+    for i, v in enumerate(pi):
+        left = i > 0 and pi[i - 1] > v
+        right = i < m - 1 and pi[i + 1] > v
+        if left and not right:
+            return None
+        counts[v - 1] = left + right
+    return tuple(counts[:-1])
 
 
 def named_family(kind: str, n: int, r: int | None = None) -> BuildingSet:

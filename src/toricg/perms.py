@@ -259,6 +259,13 @@ def fs_inorder(t: FSTree) -> tuple[int, ...]:
     return tuple(out)
 
 
+def fs_preorder(t: FSTree | None) -> tuple[int, ...]:
+    """Root, left subtree, right subtree."""
+    if t is None:
+        return ()
+    return (t.label,) + fs_preorder(t.left) + fs_preorder(t.right)
+
+
 def _rebuild(node: FSTree | None, x: int, swap_if) -> tuple[FSTree | None, bool]:
     if node is None:
         return None, False

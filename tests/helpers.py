@@ -7,9 +7,11 @@ paths it is used to check.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import lru_cache
 from math import comb
 
+from toricg import parking, perms
 from toricg.polyvec import IntPoly
 
 
@@ -119,3 +121,67 @@ def gamma_basis_sum(gamma, n: int) -> IntPoly:
     for j, g in enumerate(gamma):
         out = out + IntPoly.monomial(j, g) * IntPoly((1, 1)) ** (n - 2 * j)
     return out
+
+
+def b_permutations_filter(bs) -> list[tuple[int, ...]]:
+    """Every permutation of the ground set, in lexicographic order, kept
+    when each prefix T puts its newest element in the union of the members
+    inside T that hold max(T).  On a building set that union is the
+    component of max(T); on any other family it is what the library reads."""
+    hull: dict[int, int] = {}
+
+    def hull_of(t: int) -> int:
+        if t not in hull:
+            top = 1 << (t.bit_length() - 1)
+            hull[t] = 0
+            for member in bs.masks:
+                if member & ~t == 0 and member & top:
+                    hull[t] |= member
+        return hull[t]
+
+    out = []
+    for pi in itertools.permutations(range(1, bs.ground_size + 1)):
+        t = 0
+        for v in pi:
+            t |= 1 << (v - 1)
+            if not hull_of(t) >> (v - 1) & 1:
+                break
+        else:
+            out.append(pi)
+    return out
+
+
+def is_dfs_labeled(tree) -> bool:
+    """True when the labels of a plane tree read 1, 2, 3, ... in preorder."""
+    expected = itertools.count(1)
+
+    def walk(node) -> bool:
+        v, kids = node
+        return v == next(expected) and all(walk(c) for c in kids)
+
+    return walk(tree)
+
+
+def toric_g_by_parking_trees(bs, dfs_only: bool = False) -> IntPoly:
+    """Toric g by listing parking trees: every increasing plane 0-1-2 tree
+    whose right-adjusted min-rooted tree reads a B-permutation in order,
+    times every edge labeling, kept when its function avoids 123 and
+    counted by weak ascents."""
+    n = bs.ground_size - 1
+    allowed = set(b_permutations_filter(bs))
+    labels = tuple(range(1, n + 1))
+    acc: Counter = Counter()
+    for tree in perms.increasing_plane_trees(n + 1, max_children=2):
+        if dfs_only and not is_dfs_labeled(tree):
+            continue
+        if perms.fs_inorder(perms.plane_to_fs(tree)) not in allowed:
+            continue
+        parents, sizes = parking._parent_sizes(tree)
+        for groups in parking._ordered_groups(labels, sizes):
+            f = [0] * n
+            for v, group in zip(parents, groups):
+                for e in group:
+                    f[e - 1] = v
+            if perms.is_123_avoiding(f):
+                acc[parking.fn_ascents(f)] += 1
+    return IntPoly.from_counts(acc)

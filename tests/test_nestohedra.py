@@ -6,6 +6,7 @@ import sys
 from collections import Counter
 
 import pytest
+from helpers import b_permutations_filter, toric_g_by_parking_trees
 
 from toricg import nestohedra, parking, perms, polyvec, words
 from toricg.errors import (
@@ -22,6 +23,13 @@ def powerset_building_set(m: int) -> BuildingSet:
         s for k in range(1, m + 1) for s in itertools.combinations(range(1, m + 1), k)
     ]
     return BuildingSet(m, sets)
+
+
+def named_and_interpolation_sets(n: int) -> list[BuildingSet]:
+    return [
+        nestohedra.named_family(kind, n)
+        for kind in ("permutahedron", "stanley_pitman", "associahedron_intervals")
+    ] + [nestohedra.named_family("interpolation", n, r) for r in range(1, n + 1)]
 
 
 def test_validate_examples():
@@ -119,12 +127,7 @@ def test_non_chordal_is_rejected():
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_pipeline_consistency(n):
-    family_sets = [
-        nestohedra.named_family("permutahedron", n),
-        nestohedra.named_family("stanley_pitman", n),
-        nestohedra.named_family("associahedron_intervals", n),
-    ] + [nestohedra.named_family("interpolation", n, r) for r in range(1, n + 1)]
-    for bs in family_sets:
+    for bs in named_and_interpolation_sets(n):
         h = nestohedra.h_chordal(bs)
         assert polyvec.is_palindromic(h)
         gamma = nestohedra.gamma_chordal(bs)
@@ -267,6 +270,7 @@ def test_json_round_trip():
 
 @pytest.mark.parametrize("ground,sets", [
     (2, [[0]]), (2, [["a"]]), (2, [[1.5]]), (2, [[True]]), (True, [[1]]),
+    (2, [1, 2]), (2, 5),
 ])
 def test_constructor_rejects_malformed_members(ground, sets):
     """The constructor itself refuses what from_json refuses, with
@@ -315,11 +319,7 @@ def random_chordal_graphicals(seed: int, count: int, max_ground: int):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_descent_dp_matches_enumeration_on_named_families(n):
-    family_sets = [
-        nestohedra.named_family(kind, n)
-        for kind in ("permutahedron", "stanley_pitman", "associahedron_intervals")
-    ] + [nestohedra.named_family("interpolation", n, r) for r in range(1, n + 1)]
-    for bs in family_sets:
+    for bs in named_and_interpolation_sets(n):
         assert (nestohedra.h_chordal(bs), nestohedra.gamma_chordal(bs)) == enumerated_h_gamma(bs)
 
 
@@ -387,3 +387,53 @@ def test_palindrome_check_survives_optimized_mode():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "refused\n"
+
+
+@pytest.mark.parametrize("dfs_only", [False, True])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_direct_count_matches_parking_tree_listing_on_named_families(n, dfs_only):
+    for bs in named_and_interpolation_sets(n):
+        assert nestohedra.toric_g_direct(bs, dfs_only) == toric_g_by_parking_trees(bs, dfs_only)
+
+
+@pytest.mark.parametrize("dfs_only", [False, True])
+def test_direct_count_matches_parking_tree_listing_on_random_graphicals(dfs_only):
+    for bs in random_chordal_graphicals(seed=43, count=30, max_ground=6):
+        assert nestohedra.toric_g_direct(bs, dfs_only) == toric_g_by_parking_trees(bs, dfs_only)
+
+
+def test_permutahedron_direct_n7_past_the_cap():
+    bs = nestohedra.named_family("permutahedron", 7)
+    assert nestohedra.toric_g_direct(bs, unsafe=True) == nestohedra.toric_g_chordal(bs)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_b_permutations_match_filter_on_named_families(n):
+    for bs in named_and_interpolation_sets(n):
+        assert nestohedra.b_permutations(bs) == b_permutations_filter(bs)
+
+
+def test_b_permutations_match_filter_on_random_graphicals():
+    for bs in random_chordal_graphicals(seed=59, count=30, max_ground=7):
+        assert nestohedra.b_permutations(bs) == b_permutations_filter(bs)
+
+
+def test_b_permutations_match_filter_on_arbitrary_families():
+    """b_permutations does not validate, so it must read any family as the
+    filter does, including families missing a singleton or not closed under
+    unions."""
+    rng = random.Random(71)
+    missing_singleton = 0
+    for _ in range(200):
+        m = rng.randint(1, 6)
+        masks = [s for s in range(1, 1 << m) if rng.random() < 0.4]
+        missing_singleton += any(1 << i not in masks for i in range(m))
+        bs = BuildingSet(m, [nestohedra._unmask(s) for s in masks])
+        assert nestohedra.b_permutations(bs) == b_permutations_filter(bs)
+    assert missing_singleton > 50
+    for bs in (
+        BuildingSet(1, []),
+        BuildingSet(3, [[1, 2, 3]]),
+        BuildingSet(3, [[2], [3], [1, 2, 3]]),
+    ):
+        assert nestohedra.b_permutations(bs) == b_permutations_filter(bs)

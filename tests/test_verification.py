@@ -1,6 +1,10 @@
 """Run every CLI verification suite at its spec-scale bound and make sure
 the reports come back green with the expected structure."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from toricg import verification
@@ -49,3 +53,25 @@ def test_eulerian_by_enumeration_matches_gamma_route():
     names = [c["name"] for c in report["checks"]]
     assert "permutahedron_gamma_vs_eulerian" in names
     assert report["ok"]
+
+
+def test_checks_survive_optimized_mode():
+    """The suites' checks are not bare asserts: under python -O a wrong
+    direct route still fails the nestohedra suite."""
+    script = (
+        "from toricg import nestohedra, verification\n"
+        "from toricg.polyvec import IntPoly\n"
+        "assert False, 'asserts are live'\n"
+        "nestohedra.toric_g_direct = lambda bs, dfs_only=False, unsafe=False: IntPoly((1, 99))\n"
+        "report = verification.suite_nestohedra(3)\n"
+        "ok = {c['name']: c['ok'] for c in report['checks']}\n"
+        "print(report['ok'], ok['direct_route_agreement'], ok['dfs_tree_specialization'])\n"
+    )
+    src = os.path.join(os.path.dirname(verification.__file__), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False False False\n"
