@@ -6,6 +6,13 @@ indexed 1..n left to right.  Labels are positional and always recomputed
 from the word, never stored.  For sparse sets A, B of [n-1] a word is
 (A,B)-compatible when U_a U_{a+1} D is a factor for each a in A and
 U D_b D_{b+1} is a factor for each b in B.
+
+Both conditions are read off two bitmasks per word (:func:`factor_masks`):
+the word is (A,B)-compatible iff A lies in its U-mask and B in its
+D-mask.  :func:`compatible_counts` therefore scans the words of a
+semilength once and answers every sparse pair by superset sums, instead of
+rescanning the words per pair; :func:`is_compatible` is the per-pair
+oracle of the masks.
 """
 
 from __future__ import annotations
@@ -155,16 +162,73 @@ def _expand(w: str, A: list[int], B: list[int]) -> str:
     return _expand(w[:pos] + "UUDD" + w[pos:], A[1:], B[1:])
 
 
+def set_mask(S: Iterable[int]) -> int:
+    """Bit x-1 for each x in S, the encoding of :func:`factor_masks`."""
+    out = 0
+    for x in S:
+        out |= 1 << (x - 1)
+    return out
+
+
+def factor_masks(w: str) -> tuple[int, int]:
+    """The masks (alpha, beta) of a balanced word: bit a-1 of alpha is set
+    when U_a U_{a+1} D is a factor and bit b-1 of beta when U D_b D_{b+1}
+    is.  The word is (A,B)-compatible iff set_mask(A) lies in alpha and
+    set_mask(B) in beta, so one scan of the word serves every pair."""
+    if 2 * w.count(U) != len(w) or 2 * w.count(D) != len(w):
+        raise StructuralError(f"not a balanced word: {w!r}")
+    alpha = beta = 0
+    p = w.find("UUD")
+    while p >= 0:
+        alpha |= 1 << w.count(U, 0, p)  # U_a sits at p after a-1 U's
+        p = w.find("UUD", p + 1)
+    q = w.find("UDD")
+    while q >= 0:
+        beta |= 1 << w.count(D, 0, q + 1)  # D_b sits at q+1 after b-1 D's
+        q = w.find("UDD", q + 1)
+    return alpha, beta
+
+
+def compatible_counts(
+    n: int, kind: str = "dyck"
+) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
+    """The number of (A,B)-compatible words of semilength n for every pair
+    of sparse subsets of [n-1], keyed by (A, B) in :func:`sparse_pairs`
+    order.
+
+    One pass tallies the words by their concatenated :func:`factor_masks`
+    alpha | beta << (n-1); superset sums then count, for each (A, B), the
+    words whose masks contain both.  The masks are sparse, and so is every
+    mask between a pair and a word's masks, so the sums run over the sparse
+    pairs alone.  The table lives for this call only.
+    """
+    if kind not in ("dyck", "balanced"):
+        raise PreconditionError(f"unknown kind {kind!r}")
+    width = max(n - 1, 0)
+    pairs = list(sparse_pairs(n))
+    keys = [set_mask(A) | set_mask(B) << width for A, B in pairs]
+    table = dict.fromkeys(keys, 0)
+    for w in enumerate_words(n, kind):
+        alpha, beta = factor_masks(w)
+        table[alpha | beta << width] += 1
+    for i in range(2 * width):
+        bit = 1 << i
+        for m in keys:
+            if not m & bit and m | bit in table:
+                table[m] += table[m | bit]
+    return {pair: table[key] for pair, key in zip(pairs, keys)}
+
+
 def count_compatible(n: int, A: Iterable[int], B: Iterable[int], kind: str = "dyck") -> int:
-    """Brute-force count of (A,B)-compatible words of semilength n.
+    """Number of (A,B)-compatible words of semilength n, read from
+    :func:`compatible_counts` (tests/helpers.py keeps the per-word
+    brute-force count as its oracle).
 
     Equals catalan(n - |A| - |B|) for kind="dyck" and the central binomial
     coefficient binom(2(n-|A|-|B|), n-|A|-|B|) for kind="balanced".
     """
-    if kind not in ("dyck", "balanced"):
-        raise PreconditionError(f"unknown kind {kind!r}")
     A, B = _check_sparse_subsets(n, A, B)
-    return sum(1 for w in enumerate_words(n, kind) if is_compatible(w, A, B))
+    return compatible_counts(n, kind)[(A, B)]
 
 
 # ---------------------------------------------------------------------------

@@ -65,19 +65,19 @@ class BuildingSet:
         except TypeError as exc:
             raise BuildingSetError(f"sets must be iterables of ints, got {sets!r}") from exc
         masks = set()
-        full = (1 << ground_size) - 1
         for s in members:
             if not all(type(i) is int and i >= 1 for i in s):
                 raise BuildingSetError(f"members must hold ints >= 1, got {list(s)!r}")
-            m = _mask(s)
-            if m == 0:
+            if not s:
                 raise BuildingSetError("members must be nonempty", witness=())
-            if m & ~full:
+            if max(s) > ground_size:
+                # checked before masking: 1 << (i - 1) costs memory linear in i
+                member = tuple(sorted(set(s)))
                 raise BuildingSetError(
-                    f"member {_unmask(m)} leaves the ground set [{ground_size}]",
-                    witness=_unmask(m),
+                    f"member {member} leaves the ground set [{ground_size}]",
+                    witness=member,
                 )
-            masks.add(m)
+            masks.add(_mask(s))
         self.ground_size = ground_size
         self.masks = tuple(sorted(masks))
 

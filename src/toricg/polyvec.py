@@ -35,11 +35,20 @@ from .words import catalan
 _FAMILIES = ("cube", "associahedron", "cyclohedron", "permutahedron")
 
 
+def _trimmed(cs: list[int]) -> tuple[int, ...]:
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
 class IntPoly:
     """Univariate polynomial with int coefficients, low degree first.
 
     Immutable; trailing zeros are trimmed and the zero polynomial has an
-    empty coefficient tuple.  Every coefficient must be an int (not a bool).
+    empty coefficient tuple.  Every coefficient must be an int (not a bool):
+    the constructor checks it, while sums, differences and products, whose
+    coefficients are ints by construction, skip the check through
+    ``_trusted``.
     """
 
     __slots__ = ("coeffs",)
@@ -49,9 +58,14 @@ class IntPoly:
         for c in cs:
             if type(c) is not int:
                 raise PreconditionError(f"IntPoly coefficients must be ints, got {c!r}")
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", _trimmed(cs))
+
+    @classmethod
+    def _trusted(cls, cs: list[int]) -> "IntPoly":
+        """An IntPoly from a list of ints, without the type check."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coeffs", _trimmed(cs))
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")
@@ -105,14 +119,12 @@ class IntPoly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        return IntPoly(
-            [x + y for x, y in zip(a, b)] + list(a[len(b):])
-        )
+        return IntPoly._trusted([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return IntPoly([-c for c in self.coeffs])
+        return IntPoly._trusted([-c for c in self.coeffs])
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -126,17 +138,17 @@ class IntPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntPoly([other * c for c in self.coeffs])
+            return IntPoly._trusted([other * c for c in self.coeffs])
         if not isinstance(other, IntPoly):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
-            return IntPoly()
+            return IntPoly._trusted([])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return IntPoly(out)
+        return IntPoly._trusted(out)
 
     __rmul__ = __mul__
 

@@ -7,11 +7,20 @@ check vacuously) and optionally returning a detail for the report.  The
 effective bound appears in the JSON-ready report (pass ``unsafe=True`` /
 ``--unsafe-max`` to lift the caps).  The ``conjectures`` suite is informational: it reports
 outcomes and never fails.
+
+Checks that ask one question of many parameters walk their objects once
+per size and keep only the state the statistic needs: the compatible-word
+checks scan each word's factor masks once and answer every sparse pair
+from them (``compat.compatible_counts``), the peak oracle tallies the UD
+factors of every prefix length in one sweep (``peak_poly_oracles``), and
+the permutations with no double descent and no final descent are built by
+prefix extension instead of filtered from all of them (``descent_census``).
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import Counter
 from math import comb
 
@@ -146,27 +155,26 @@ def suite_bijections(n_max: int, unsafe: bool = False) -> dict:
 
 def _count_dyck(b: int) -> None:
     for n in range(1, b + 1):
-        for A, B in compat.sparse_pairs(n):
-            got = compat.count_compatible(n, A, B, "dyck")
+        for (A, B), got in compat.compatible_counts(n, "dyck").items():
             _expect(got == words.catalan(n - len(A) - len(B)), (n, A, B, got))
 
 
 def _count_balanced(b: int) -> None:
     for n in range(1, b + 1):
-        for A, B in compat.sparse_pairs(n):
-            got = compat.count_compatible(n, A, B, "balanced")
+        for (A, B), got in compat.compatible_counts(n, "balanced").items():
             k = n - len(A) - len(B)
             _expect(got == comb(2 * k, k), (n, A, B, got))
 
 
 def _compress_roundtrips(b: int) -> None:
     for n in range(1, b + 1):
-        all_words = list(words.enumerate_words(n, "dyck"))
+        masked = [(w, *compat.factor_masks(w)) for w in words.enumerate_words(n, "dyck")]
         for A, B in compat.sparse_pairs(n):
             k = n - len(A) - len(B)
+            a_mask, b_mask = compat.set_mask(A), compat.set_mask(B)
             images = set()
-            for w in all_words:
-                if compat.is_compatible(w, A, B):
+            for w, alpha, beta in masked:
+                if alpha & a_mask == a_mask and beta & b_mask == b_mask:
                     small = compat.compress(w, A, B)
                     _expect(compat.expand(small, n, A, B) == w, (w, A, B))
                     images.add(small)
@@ -211,11 +219,13 @@ def _fillers_extension(b: int) -> None:
 
 def _g_vs_compatible(b: int) -> None:
     for n in range(1, b + 1):
-        all_words = list(words.enumerate_words(n, "dyck"))
+        scanned = [
+            (compat.factor_masks(w)[1], words.factor_count(w, "UUD"))
+            for w in words.enumerate_words(n, "dyck")
+        ]
         for B in words.sparse_subsets(n - 1):
-            hist = Counter(
-                words.factor_count(w, "UUD") for w in all_words if compat.is_compatible(w, (), B)
-            )
+            b_mask = compat.set_mask(B)
+            hist = Counter(uud for beta, uud in scanned if beta & b_mask == b_mask)
             _expect(IntPoly.from_counts(hist) == polyvec.g_contrib(n, len(B)), (n, B))
 
 
@@ -238,12 +248,30 @@ def suite_compat(n_max: int, unsafe: bool = False) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def peak_poly_oracle(n: int, m: int) -> IntPoly:
-    """Brute-force peak weight: enumerate the Dyck words and count UD
-    factors lying inside the length-m prefix."""
-    return IntPoly.from_counts(
-        Counter(words.factor_count(w[:m], "UD") for w in words.enumerate_words(n, "dyck"))
-    )
+def peak_poly_oracles(n: int) -> list[IntPoly]:
+    """Brute-force peak weights of every prefix length: entry m sums, over
+    the Dyck words of semilength n, x to the number of UD factors inside
+    the length-m prefix (m = 0..2n).
+
+    One sweep over the words serves every m.  A word whose i-th UD factor
+    (from 0) ends at e_i has i factors in the prefixes of length e_{i-1}
+    (e_{-1} = 0) up to e_i - 1, so it adds one range per factor to a
+    difference row over m.
+    """
+    length = 2 * n
+    diff = [[0] * (length + 2) for _ in range(n + 1)]  # diff[i][m]: by factor count i
+    for w in words.enumerate_words(n, "dyck"):
+        i = start = 0
+        p = w.find("UD")
+        while p >= 0:
+            diff[i][start] += 1
+            diff[i][p + 2] -= 1
+            i, start = i + 1, p + 2
+            p = w.find("UD", start)
+        diff[i][start] += 1
+        diff[i][length + 1] -= 1
+    rows = [list(itertools.accumulate(row)) for row in diff]
+    return [IntPoly([row[m] for row in rows]) for m in range(length + 1)]
 
 
 def _series_identities(order: int) -> dict:
@@ -252,8 +280,8 @@ def _series_identities(order: int) -> dict:
 
 def _peak_vs_oracle(b: int) -> None:
     for n in range(b + 1):
-        for m in range(2 * n + 1):
-            _expect(polyvec.peak_poly(n, m) == peak_poly_oracle(n, m), (n, m))
+        for m, oracle in enumerate(peak_poly_oracles(n)):
+            _expect(polyvec.peak_poly(n, m) == oracle, (n, m))
 
 
 def _g_equals_peak(b: int) -> None:
@@ -285,6 +313,34 @@ def eulerian_hvec(n: int) -> tuple[int, ...]:
         for p in itertools.permutations(range(n + 1))
     )
     return tuple(hist.get(i, 0) for i in range(n + 1))
+
+
+def descent_census(m: int) -> Counter[int]:
+    """Descent-number histogram of the permutations of [m] with no double
+    descent and no final descent.
+
+    They are listed by prefix extension: a value below the last one is
+    appended only right after an ascent or as the second value, and never
+    as the final value, so exactly these permutations are built and no
+    other permutation of [m] is.
+    """
+    hist: Counter[int] = Counter()
+
+    def extend(rest: tuple[int, ...], last: int, fell: bool, des: int) -> None:
+        if not rest:
+            hist[des] += 1
+            return
+        below = bisect_left(rest, last)
+        if not fell and len(rest) > 1:
+            for k in range(below):
+                extend(rest[:k] + rest[k + 1:], rest[k], True, des + 1)
+        for k in range(below, len(rest)):
+            extend(rest[:k] + rest[k + 1:], rest[k], False, des)
+
+    values = tuple(range(1, m + 1))
+    for k, first in enumerate(values):
+        extend(values[:k] + values[k + 1:], first, False, 0)
+    return hist
 
 
 def _lemma_dyck(b: int) -> None:
@@ -320,9 +376,10 @@ def _cnix_oracle(b: int) -> None:
 
 
 def _g_peaks(b: int) -> None:
+    oracles = [peak_poly_oracles(k) for k in range(b + 1)]
     for n in range(b + 1):
         for j in range(n // 2 + 1):
-            _expect(peak_poly_oracle(n - j, n) == polyvec.g_contrib(n, j), (n, j))
+            _expect(oracles[n - j][n] == polyvec.g_contrib(n, j), (n, j))
 
 
 def _permutahedron_gamma(b: int) -> None:
@@ -339,12 +396,7 @@ def _tree_gamma(b: int) -> None:
             hist[forks] += 1
         gamma = polyvec.gamma_family("permutahedron", n)
         _expect(tuple(hist.get(j, 0) for j in range(n // 2 + 1)) == gamma, n)
-        by_des: Counter[int] = Counter()
-        for p in itertools.permutations(range(1, n + 2)):
-            stats = perms.asc_des(p)
-            if not stats.double_descents and not perms.has_final_descent(p):
-                by_des[len(stats.des)] += 1
-        _expect(by_des == hist, n)
+        _expect(descent_census(n + 1) == hist, n)
 
 
 def _h_diff(b: int) -> None:

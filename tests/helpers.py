@@ -11,7 +11,7 @@ from collections import Counter
 from functools import lru_cache
 from math import comb
 
-from toricg import parking, perms
+from toricg import compat, parking, perms, words
 from toricg.polyvec import IntPoly
 
 
@@ -77,6 +77,12 @@ def parks_by_simulation(f) -> bool:
 
 def naive_peaks_in_prefix(w: str, m: int) -> int:
     return sum(1 for i in range(min(m, len(w)) - 1) if w[i : i + 2] == "UD")
+
+
+def count_compatible_brute(n: int, A, B, kind: str = "dyck") -> int:
+    """(A,B)-compatible words of semilength n, one is_compatible call per
+    word: the oracle of compat.count_compatible and its table."""
+    return sum(1 for w in words.enumerate_words(n, kind) if compat.is_compatible(w, A, B))
 
 
 def nonneg_paths_to_height(steps: int, height: int):

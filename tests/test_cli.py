@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toricg import cli, verification
 
@@ -168,6 +173,7 @@ MALFORMED = {
     "member-string": {"ground_size": 2, "sets": [["a"]]},
     "member-float": {"ground_size": 2, "sets": [[1.5]]},
     "member-zero": {"ground_size": 2, "sets": [[0]]},
+    "member-huge": {"ground_size": 2, "sets": [[1], [2**70]]},
 }
 
 
@@ -187,3 +193,89 @@ def test_verify_negative_n_exits_2(suite, capsys):
     code, out, err = run(capsys, "verify", suite, "-3")
     assert (code, out) == (2, "")
     assert "n_max" in err
+
+
+# Building-set documents: mostly the right shape with wrong or right
+# values, sometimes any JSON value at all.  Ground sizes stay small so a
+# valid document is cheap even under --unsafe-max.
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 9)
+                 | st.just(2**70) | st.floats(allow_nan=False) | st.text(max_size=3))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=12,
+)
+_MEMBER_VALUES = st.integers(1, 6) | st.integers(-1, 8) | st.just(2**70) | _JSON_SCALARS
+_DOCUMENTS = st.one_of(
+    st.fixed_dictionaries({
+        "ground_size": st.integers(1, 6) | _JSON_SCALARS,
+        "sets": st.lists(st.lists(_MEMBER_VALUES, max_size=3), max_size=6) | _JSON_VALUES,
+    }),
+    _JSON_VALUES,
+)
+_SMALL_N = st.integers(-3, 4).map(str) | st.sampled_from(["x", "1.5"])
+
+
+def _option(flag, values):
+    """[] or [flag, value]; the value is sometimes missing or a stray word."""
+    return st.just([]) | st.tuples(st.just(flag), values | st.just("--bogus")).map(list)
+
+
+def _flag(flag):
+    return st.sampled_from([[], [flag]])
+
+
+def _command(*parts):
+    return st.tuples(*parts).map(lambda ps: [arg for part in ps for arg in part])
+
+
+_ARGV = st.one_of(
+    _command(
+        st.just(["table"]),
+        st.sampled_from([["--building-set", "@bs"], ["--family", "cube"],
+                         ["--family", "megahedron"],
+                         ["--family", "associahedron", "--building-set", "@bs"], []]),
+        _option("--max", _SMALL_N),
+        _option("--route", st.sampled_from(["gamma", "hetyei", "direct", "all"])),
+        _option("--format", st.sampled_from(["csv", "json", "xml"])), _flag("--unsafe-max"),
+    ),
+    _command(
+        st.just(["verify"]),
+        st.lists(st.sampled_from(sorted(verification.SUITES) + ["nosuch"]), max_size=1),
+        st.lists(_SMALL_N, max_size=2), _flag("--unsafe-max"),
+    ),
+    _command(
+        st.just(["enumerate"]),
+        st.lists(st.sampled_from(["dyck", "parking_functions_123", "parking_trees", "b_perms",
+                                  "nosuch"]), max_size=1),
+        st.lists(_SMALL_N, max_size=1), st.sampled_from([["--building-set", "@bs"], []]),
+        _option("--bs-family", st.sampled_from(["interpolation", "stanley_pitman", "cube"])),
+        _option("--r", _SMALL_N), _flag("--count-only"), _flag("--unsafe-max"),
+    ),
+    _command(st.lists(st.sampled_from(["nosuch", "--help"]), max_size=1),
+             st.lists(_SMALL_N, max_size=2)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(document=_DOCUMENTS, truncated=st.booleans(), argv=_ARGV)
+def test_exit_code_property(document, truncated, argv):
+    """Whatever the building-set file and the arguments, the exit code is
+    one of 0-3 and no exception escapes (a command-line run would print a
+    traceback); "@bs" stands for the file's path, and a file cut short by
+    one character is mostly not JSON at all."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bs.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            text = json.dumps(document)
+            handle.write(text[:-1] if truncated else text)
+        argv = [path if arg == "@bs" else arg for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse: usage errors and --help
+                code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

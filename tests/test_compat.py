@@ -5,6 +5,8 @@ import pytest
 from toricg import compat, perms, polyvec, words
 from toricg.errors import PreconditionError, StructuralError
 
+from helpers import count_compatible_brute
+
 
 def test_is_compatible_examples():
     for w in words.enumerate_words(3, "dyck"):
@@ -67,6 +69,45 @@ def test_count_compatible(n):
         assert compat.count_compatible(n, A, B, "balanced") == math.comb(2 * k, k)
     assert compat.count_compatible(3, {1}, (), "dyck") == 2
     assert compat.count_compatible(2, (), (), "balanced") == 6
+
+
+def test_factor_masks_examples():
+    assert compat.factor_masks("") == (0, 0)
+    assert compat.factor_masks("UD") == (0, 0)
+    assert compat.factor_masks("UUDD") == (0b1, 0b1)
+    assert compat.factor_masks("UUDUDD") == (0b1, 0b10)
+    assert compat.factor_masks("DUUDDU") == (0b1, 0b10)  # balanced, not Dyck
+    assert compat.set_mask(()) == 0
+    assert compat.set_mask((1, 3)) == 0b101
+    for bad in ("UDU", "UUDX", "DDUX"):
+        with pytest.raises(StructuralError):
+            compat.factor_masks(bad)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_factor_masks_match_is_compatible(n):
+    """A balanced word is (A,B)-compatible iff A lies in its U-mask and B
+    in its D-mask: every balanced word against every sparse pair."""
+    pairs = [(A, B, compat.set_mask(A), compat.set_mask(B)) for A, B in compat.sparse_pairs(n)]
+    for w in words.enumerate_words(n, "balanced"):
+        alpha, beta = compat.factor_masks(w)
+        assert alpha < 1 << max(n - 1, 0) and beta < 1 << max(n - 1, 0)
+        for A, B, a_mask, b_mask in pairs:
+            by_masks = alpha & a_mask == a_mask and beta & b_mask == b_mask
+            assert by_masks == compat.is_compatible(w, A, B), (w, A, B)
+
+
+@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("kind", ["dyck", "balanced"])
+def test_compatible_counts_match_brute_force(n, kind):
+    table = compat.compatible_counts(n, kind)
+    assert list(table) == list(compat.sparse_pairs(n))
+    for (A, B), got in table.items():
+        assert got == count_compatible_brute(n, A, B, kind), (A, B)
+    A, B = list(table)[-1]
+    assert compat.count_compatible(n, set(A), list(B), kind) == table[(A, B)]
+    with pytest.raises(PreconditionError):
+        compat.compatible_counts(n, "motzkin")
 
 
 def test_nc_examples():

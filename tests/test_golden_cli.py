@@ -62,6 +62,12 @@ GOLDEN = [
      "e8f69a360b2f6b882cb8ae9f12f5531e0f19bdda3a83b01c5c174c7aab2fed5f"),
     ("verify gamma 5", 0,
      "0ed2ddd454952ddc3d0af3e70d30846aa16d6f9b7db9d37bb96fcda561490e9e"),
+    ("verify compat 7", 0,
+     "03174b0cf9c02332885fa64656cbf380bc9d5ddca9414eb72f650f9ee6cf7d55"),
+    ("verify series 9", 0,
+     "cbcdbd4ee77150138ab4fb5735b037b52234104523949a11b981df848497196d"),
+    ("verify gamma 8", 0,
+     "566a433c94b880ec770641eedd3534b7583fa0ce0ba776570c079699699f8687"),
     ("verify nestohedra 3", 0,
      "ccbeceaeb3be8ca8f0a900bb5948de453a6d3a4368c80a733d9d3e0c7dd079d5"),
     ("verify conjectures 6", 0,
