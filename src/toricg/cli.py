@@ -38,9 +38,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_table = sub.add_parser("table", help="print a toric g-vector table")
-    p_table.add_argument("--family", choices=_TABLE_FAMILIES)
-    p_table.add_argument("--building-set", metavar="PATH",
-                         help="building-set JSON file (one row)")
+    source = p_table.add_mutually_exclusive_group()
+    source.add_argument("--family", choices=_TABLE_FAMILIES)
+    source.add_argument("--building-set", metavar="PATH",
+                        help="building-set JSON file (one row)")
     p_table.add_argument("--max", type=int, default=8, dest="max_n",
                          help="largest dimension (default 8)")
     p_table.add_argument("--route", choices=("gamma", "hetyei", "direct", "all"),

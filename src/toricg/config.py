@@ -8,7 +8,9 @@ hardware:
 ==================  =======  ==================================================
 key                 default  what it bounds (n = dimension / semilength)
 ==================  =======  ==================================================
-parking_trees       7        enumerate_parking_trees: (n!)^2 trees (25.4M at 7)
+parking_trees       7        enumerate_parking_trees: (n!)^2 trees (25.4M at 7);
+                             enumerate_123_parking_trees: the walk pruned
+                             on 123-containment (216,685 trees at 7)
 b_permutations      7        b_permutations: lists up to (n+1)! permutations
                              by prefix extension; h/gamma_chordal:
                              2^(n+1)*(n+1)^2 prefix DP

@@ -275,9 +275,41 @@ def enumerate_parking_trees(n: int, unsafe: bool = False) -> Iterator[ParkingTre
         raise PreconditionError("n must be >= 0")
     check_capacity("parking_trees", n, unsafe)
     labels = tuple(range(1, n + 1))
-    for shape in perms.increasing_plane_trees(n + 1):
+    yield from _label_edges(
+        n, perms.increasing_plane_trees(n + 1), lambda sizes: _ordered_groups(labels, sizes)
+    )
+
+
+def enumerate_123_parking_trees(n: int, unsafe: bool = False) -> Iterator[ParkingTree]:
+    """The parking trees of the 123-avoiding parking functions on [n]: those
+    of :func:`enumerate_parking_trees` that :func:`is_123_parking_tree`
+    keeps, in the same order, without listing the others.
+
+    Shapes come with at most two children per vertex, and the edge-label
+    groups are handed to the parents in increasing label order while the
+    strict 123-scan of the edge permutation runs along (m1 the least label
+    so far, m2 the least top of a 12): a group that would complete a 123,
+    or leave a label that never can be placed, is not extended.
+    """
+    if n < 0:
+        raise PreconditionError("n must be >= 0")
+    check_capacity("parking_trees", n, unsafe)
+    labels = tuple(range(1, n + 1))
+    yield from _label_edges(
+        n,
+        perms.increasing_plane_trees(n + 1, max_children=2),
+        lambda sizes: _avoiding_groups(labels, sizes, n + 1, n + 1),
+    )
+
+
+def _label_edges(n: int, shapes, splits) -> Iterator[ParkingTree]:
+    """The parking trees on ``shapes`` (vertex-labeled plane trees on n+1
+    vertices): ``splits(sizes)`` yields the ways to hand the parents, in
+    increasing label order, sorted groups of edge labels of the given sizes,
+    and each group is laid out left to right."""
+    for shape in shapes:
         parents, sizes = _parent_sizes(shape)
-        for groups in _ordered_groups(labels, sizes):
+        for groups in splits(sizes):
             fiber = dict(zip(parents, groups))
 
             def build(node) -> Node:
@@ -305,6 +337,30 @@ def _ordered_groups(labels: tuple[int, ...], sizes: Sequence[int]) -> Iterator[t
         chosen = set(combo)
         rest = tuple(x for x in labels if x not in chosen)
         for tail in _ordered_groups(rest, sizes[1:]):
+            yield (combo,) + tail
+
+
+def _avoiding_groups(labels: tuple[int, ...], sizes: Sequence[int], m1: int, m2: int) -> Iterator[tuple]:
+    """The splits of :func:`_ordered_groups` (sizes 1 or 2) whose
+    concatenation, read after a prefix with 123-scan state (m1, m2), avoids
+    123, in the same order.  Every label left must stay below m2, since it
+    would complete a 123 wherever it went; a pair a < b is itself a 12, so
+    it needs a < m1 and leaves the state (a, b)."""
+    if not sizes:
+        yield ()
+        return
+    for combo in itertools.combinations(labels, sizes[0]):
+        if len(combo) == 1:
+            x = combo[0]
+            m1_next, m2_next = (x, m2) if x < m1 else (m1, x)
+        elif combo[0] < m1:
+            m1_next, m2_next = combo
+        else:
+            continue
+        rest = tuple(x for x in labels if x not in combo)
+        if rest and rest[-1] >= m2_next:
+            continue
+        for tail in _avoiding_groups(rest, sizes[1:], m1_next, m2_next):
             yield (combo,) + tail
 
 

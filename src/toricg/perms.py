@@ -395,37 +395,49 @@ def fs_tree_from_text(text: str) -> FSTree:
 
 def increasing_plane_trees(count: int, max_children: int | None = None) -> Iterator[PlaneTree]:
     """All plane trees on ``count`` vertices labeled 1..count with labels
-    increasing away from the root.
+    increasing away from the root, optionally with at most ``max_children``
+    children per vertex.
 
     Built by inserting vertex k as a new child of any existing vertex in any
     position; attachment slots are tried in (parent label, slot) order, so
-    the stream is deterministic.
+    the stream is deterministic, and a bound on the children only skips the
+    full parents, so the bounded stream is a subsequence of the unbounded one.
     """
+    return (tree for tree, _ in _insertion_walk(count, max_children))
+
+
+def _insertion_walk(count: int, max_children: int | None) -> Iterator[tuple[PlaneTree, int]]:
+    """The trees of :func:`increasing_plane_trees`, each with its fork count
+    (vertices with at least two children) kept as the vertices are inserted:
+    inserting under a parent that has exactly one child makes a new fork."""
     if count < 0:
         raise PreconditionError("count must be >= 0")
     if count == 0:
         return
-    children: dict[int, list[int]] = {1: []}
+    children: list[list[int]] = [[] for _ in range(count + 1)]
+    nodes: list = [None] * (count + 1)
 
-    def freeze(v: int) -> PlaneTree:
-        return (v, tuple(freeze(c) for c in children[v]))
+    def freeze() -> PlaneTree:
+        # children carry larger labels, so build from the last vertex up
+        for v in range(count, 0, -1):
+            nodes[v] = (v, tuple([nodes[c] for c in children[v]]))
+        return nodes[1]
 
-    def rec(next_label: int) -> Iterator[PlaneTree]:
+    def rec(next_label: int, forks: int) -> Iterator[tuple[PlaneTree, int]]:
         if next_label > count:
-            yield freeze(1)
+            yield freeze(), forks
             return
         for parent in range(1, next_label):
             cs = children[parent]
             if max_children is not None and len(cs) >= max_children:
                 continue
+            more = forks + (len(cs) == 1)
             for slot in range(len(cs) + 1):
                 cs.insert(slot, next_label)
-                children[next_label] = []
-                yield from rec(next_label + 1)
-                del children[next_label]
+                yield from rec(next_label + 1, more)
                 cs.pop(slot)
 
-    yield from rec(2)
+    yield from rec(2, 0)
 
 
 def child_counts(tree: PlaneTree) -> tuple[int, ...]:
@@ -447,9 +459,11 @@ def count_forks(tree: PlaneTree) -> int:
 
 def enumerate_increasing_012(vertex_count: int) -> Iterator[tuple[PlaneTree, int]]:
     """All increasing plane trees on ``vertex_count`` vertices in which every
-    vertex has at most two children, tagged with their fork count."""
-    for tree in increasing_plane_trees(vertex_count, max_children=2):
-        yield tree, count_forks(tree)
+    vertex has at most two children, in the order of
+    :func:`increasing_plane_trees`, tagged with their fork count.  The count
+    is kept during the insertion walk, not recomputed per tree, so
+    :func:`count_forks` stays its independent oracle."""
+    return _insertion_walk(vertex_count, 2)
 
 
 def plane_to_fs(tree: PlaneTree) -> FSTree:

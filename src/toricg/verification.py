@@ -15,6 +15,9 @@ from them (``compat.compatible_counts``), the peak oracle tallies the UD
 factors of every prefix length in one sweep (``peak_poly_oracles``), and
 the permutations with no double descent and no final descent are built by
 prefix extension instead of filtered from all of them (``descent_census``).
+The parking trees behind the permutahedron theorem come from a walk that
+prunes on 123-containment as it labels the edges
+(``parking.enumerate_123_parking_trees``), not from the (n!)^2 listing.
 """
 
 from __future__ import annotations
@@ -559,9 +562,7 @@ def _perm_parking_trees(b: int) -> None:
     for n in range(1, b + 1):
         expected = polyvec.toric_g_from_gamma(n, polyvec.gamma_family("permutahedron", n))
         got = nestohedra.ascent_polynomial(
-            parking.tree_to_function(t)
-            for t in parking.enumerate_parking_trees(n)
-            if parking.is_123_parking_tree(t)
+            parking.tree_to_function(t) for t in parking.enumerate_123_parking_trees(n)
         )
         _expect(got == expected, n)
 

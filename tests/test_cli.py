@@ -77,6 +77,19 @@ def test_exit_codes(capsys):
     assert code == 3
 
 
+def test_table_family_and_building_set_exclude_each_other(tmp_path, capsys):
+    """Given both, table used to print the building-set row under a JSON
+    "family" it never computed; now argparse refuses the pair."""
+    path = tmp_path / "bs.json"
+    path.write_text(json.dumps({"ground_size": 2, "sets": [[1], [2], [1, 2]]}))
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "table", "--family", "cube", "--building-set", str(path),
+            "--format", "json")
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "not allowed with argument" in err
+
+
 def test_unsafe_max_override(capsys):
     code, out, _ = run(capsys, "table", "--family", "associahedron", "--max", "13",
                        "--unsafe-max")

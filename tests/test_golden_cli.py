@@ -70,6 +70,10 @@ GOLDEN = [
      "566a433c94b880ec770641eedd3534b7583fa0ce0ba776570c079699699f8687"),
     ("verify nestohedra 3", 0,
      "ccbeceaeb3be8ca8f0a900bb5948de453a6d3a4368c80a733d9d3e0c7dd079d5"),
+    ("verify nestohedra 5", 0,
+     "2bc33ee6a5489457e5e4eee550f9b7c5fba79de9b73159549a65332d28598ca0"),
+    ("verify gamma 7", 0,
+     "17f349a63e23152defaa58c7bbb605199df45298c837590671827d3578acb13b"),
     ("verify conjectures 6", 0,
      "f317298820d8ca6306227aef09782c48b3e2784ff7d2fc11e6035e7f0930d9d4"),
     ("verify bijections 2 --unsafe-max", 0,

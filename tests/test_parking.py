@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from toricg import compat, parking, perms, words
+from toricg import compat, parking, perms, polyvec, words
 from toricg.errors import CapacityError, PreconditionError, StructuralError
 
 from helpers import contains_pattern_123, parks_by_simulation
@@ -158,6 +158,38 @@ def test_parking_tree_counts(n):
 def test_parking_tree_capacity():
     with pytest.raises(CapacityError):
         next(parking.enumerate_parking_trees(8))
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_123_parking_tree_walk_matches_filtered_listing(n):
+    """The pruned walk lists exactly the trees the filter keeps, in order."""
+    expected = [t for t in parking.enumerate_parking_trees(n) if parking.is_123_parking_tree(t)]
+    assert list(parking.enumerate_123_parking_trees(n)) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_123_parking_tree_counts_are_toric_g_at_one(n):
+    """One tree per unit of the permutahedron's toric g-vector (the main
+    theorem at x = 1); past the oracle's sizes every tree is still valid,
+    kept by the filter and new."""
+    trees = list(parking.enumerate_123_parking_trees(n))
+    toric_g = polyvec.toric_g_from_gamma(n, polyvec.gamma_family("permutahedron", n))
+    assert len(trees) == toric_g(1)
+    assert len(set(trees)) == len(trees)
+    for t in trees:
+        assert parking.ParkingTree(t.root) == t
+        assert parking.is_123_parking_tree(t)
+
+
+def test_123_parking_tree_walk_refuses_before_any_work(monkeypatch):
+    def no_shapes(*args, **kwargs):
+        raise AssertionError("shapes were listed")
+
+    monkeypatch.setattr(perms, "increasing_plane_trees", no_shapes)
+    with pytest.raises(PreconditionError):
+        next(parking.enumerate_123_parking_trees(-1))
+    with pytest.raises(CapacityError):
+        next(parking.enumerate_123_parking_trees(8))
 
 
 def test_every_parking_function_has_trees():

@@ -178,6 +178,16 @@ def test_increasing_012_examples():
     assert (hist4.get(0, 0), hist4.get(1, 0)) == gam
 
 
+@pytest.mark.parametrize("m", range(9))
+def test_increasing_012_fork_tags_match_count_forks(m):
+    """The fork count kept during the insertion walk is the one read off the
+    finished tree, and the trees are the bounded plane trees in order."""
+    tagged = list(perms.enumerate_increasing_012(m))
+    assert [t for t, _ in tagged] == list(perms.increasing_plane_trees(m, max_children=2))
+    for tree, forks in tagged:
+        assert forks == perms.count_forks(tree)
+
+
 def test_plane_trees_are_increasing():
     for count in range(1, 6):
         trees = list(perms.increasing_plane_trees(count))

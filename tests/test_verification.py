@@ -35,11 +35,23 @@ def test_suites_pass(suite, n_max):
         assert check["bound"] <= max(n_max, 1) or suite == "series"
 
 
-def test_caps_are_applied():
+def test_caps_are_applied(monkeypatch):
+    """Each check runs at min(n_max, cap); the checks are stubbed to record
+    their bound, so the suite's real sweeps at the caps do not run."""
+    seen = {}
+
+    def recorder(name):
+        def check(bound):
+            seen[name] = bound
+        return check
+
+    table = tuple((name, cap, recorder(name)) for name, cap, _ in verification._BIJECTIONS)
+    monkeypatch.setattr(verification, "_BIJECTIONS", table)
     report = verification.SUITES["bijections"](50)
     bounds = {c["name"]: c["bound"] for c in report["checks"]}
     assert bounds["garsia_haiman_roundtrip"] == 6
     assert bounds["krattenthaler_roundtrip"] == 8
+    assert bounds == seen == {name: min(50, cap) for name, cap, _ in table}
 
 
 def test_conjecture_outcomes_reported():
@@ -102,6 +114,33 @@ MUTANTS = {
         ("count_compatible_dyck", "count_compatible_balanced",
          "compress_expand_roundtrip", "g_contrib_vs_compatible"),
     ),
+    # one tree dropped at every size
+    "parking_walk_drops": (
+        "import itertools\n"
+        "from toricg import parking\n"
+        "right = parking.enumerate_123_parking_trees\n"
+        "parking.enumerate_123_parking_trees = lambda n: itertools.islice(right(n), 1, None)\n"
+        "report = verification.suite_nestohedra(3)\n",
+        ("permutahedron_parking_trees",),
+    ),
+    # the first tree yielded twice at every size
+    "parking_walk_repeats": (
+        "import itertools\n"
+        "from toricg import parking\n"
+        "right = parking.enumerate_123_parking_trees\n"
+        "parking.enumerate_123_parking_trees = lambda n: itertools.chain("
+        "itertools.islice(right(n), 1), right(n))\n"
+        "report = verification.suite_nestohedra(3)\n",
+        ("permutahedron_parking_trees",),
+    ),
+    # every fork tag one too high
+    "fork_tags": (
+        "from toricg import perms\n"
+        "right = perms.enumerate_increasing_012\n"
+        "perms.enumerate_increasing_012 = lambda m: ((t, f + 1) for t, f in right(m))\n"
+        "report = verification.suite_gamma(3)\n",
+        ("increasing_012_fork_counts",),
+    ),
     # one permutation too many at every size
     "descent_census": (
         "from collections import Counter\n"
@@ -115,8 +154,9 @@ MUTANTS = {
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_wrong_fast_paths_fail_under_optimized_mode(mutant):
-    """A stubbed factor_masks fails the compat suite and a wrong descent
-    census the gamma suite, also under python -O."""
+    """A stubbed factor_masks fails the compat suite, a wrong descent census
+    or fork tag the gamma suite and a parking-tree walk that drops or
+    repeats a tree the nestohedra suite, also under python -O."""
     body, failing = MUTANTS[mutant]
     script = (
         "from toricg import verification\n" + body
