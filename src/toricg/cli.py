@@ -62,11 +62,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_enum.add_argument("n", type=int)
     p_enum.add_argument("--count-only", action="store_true")
-    p_enum.add_argument("--bs-family", choices=_BS_FAMILIES,
-                        help="building-set family for b_perms")
+    bs_source = p_enum.add_mutually_exclusive_group()
+    bs_source.add_argument("--bs-family", choices=_BS_FAMILIES,
+                           help="building-set family for b_perms")
     p_enum.add_argument("--r", type=int, default=None,
                         help="parameter of the interpolation family")
-    p_enum.add_argument("--building-set", metavar="PATH")
+    bs_source.add_argument("--building-set", metavar="PATH",
+                           help="building-set JSON file on [n+1] for b_perms")
     p_enum.add_argument("--unsafe-max", action="store_true")
     return parser
 
@@ -216,7 +218,9 @@ def _enumerate_stream(args):
 def _enumerate_building_set(args) -> nestohedra.BuildingSet:
     if args.building_set:
         bs = _load_building_set(args.building_set)
-        check_capacity("b_permutations", bs.ground_size - 1, args.unsafe_max)
+        if bs.ground_size != args.n + 1:
+            raise ToricgError(f"b_perms {args.n} needs a building set on [{args.n + 1}]")
+        check_capacity("b_permutations", args.n, args.unsafe_max)
         nestohedra.validate(bs)
         return bs
     if args.bs_family:

@@ -9,17 +9,16 @@ connected chordal building set on [n+1] the h-polynomial of the associated
 nestohedron is the descent generating function of its B-permutations,
 counted by a dynamic program over prefixes of B-permutations, not by
 listing them.  The gamma-vector is read off the h-vector; it restricts the
-same sum to permutations with no double descents and no final descent
-(which the verification suite checks against the listed permutations), and
-the toric g-polynomial follows from it.
+same sum to the right-adjusted B-permutations, those with no double
+descent and no final descent, and the toric g-polynomial follows from it.
 
 The direct route certifies the toric g-polynomial as the weak-ascent count
 of 123-avoiding parking trees over B-permutations.  Such a tree is a pair
-(pi, f): pi a B-permutation with no double descent and no final descent,
-f : [n] -> [n] a function whose fiber over v has c_v(pi) elements, the
-number of neighbours of v in pi larger than v.  Avoidance and ascents read
-f alone, so the route sums, over pi, one table of 123-avoiding functions
-by fiber sizes.  B-permutations are listed by extending valid prefixes.
+(pi, f): pi a right-adjusted B-permutation, f : [n] -> [n] a function
+whose fiber over v has c_v(pi) elements, the number of neighbours of v in
+pi larger than v.  Avoidance and ascents read f alone, so the route sums,
+over pi, one table of 123-avoiding functions by fiber sizes.  One walk
+lists the right-adjusted B-permutations for the route and the gamma checks.
 Members are stored as bitmasks over a ground set of size at most 16.
 """
 
@@ -269,6 +268,35 @@ def b_permutations(bs: BuildingSet, unsafe: bool = False) -> list[tuple[int, ...
     return out
 
 
+def right_adjusted_b_permutations(bs: BuildingSet, unsafe: bool = False) -> list[tuple[int, ...]]:
+    """The B-permutations with no double descent and no final descent (whose
+    min-rooted tree is right-adjusted), in lexicographic order, by a
+    depth-first walk: v may follow T iff v lies in comp[T | v], as in
+    ``b_permutations``; a value below the last one may follow only the
+    first value or an ascent, and never comes last."""
+    m = bs.ground_size
+    check_capacity("b_permutations", m - 1, unsafe)
+    comp = _component_table(bs)
+    full = (1 << m) - 1
+    out: list[tuple[int, ...]] = []
+
+    def extend(t: int, p: tuple[int, ...], last: int, fell: bool) -> None:
+        free = full ^ t
+        if not free:
+            out.append(p)
+        elif fell or not free & (free - 1):
+            free &= -1 << last  # only values above the last may follow
+        while free:
+            bit = free & -free
+            free ^= bit
+            if comp[t | bit] & bit:
+                v = bit.bit_length()
+                extend(t | bit, p + (v,), v, v < last)
+
+    extend(0, (), 0, False)
+    return out
+
+
 def _require_chordal(bs: BuildingSet, unsafe: bool) -> None:
     """Refuse sets past the b_permutations cap, then those that are not
     connected and chordal; the cap comes first as validate is O(|B|^2)."""
@@ -342,13 +370,11 @@ def toric_g_direct(bs: BuildingSet, dfs_only: bool = False, unsafe: bool = False
     pushed to the right slot.  With ``dfs_only`` the vertex labeling must
     additionally follow the depth-first search order of the shape.
 
-    Each such tree is a pair (pi, f).  pi is a B-permutation whose tree is
-    right-adjusted (no double descent, no final descent); f : [n] -> [n]
-    sends each edge to its parent vertex, so |f^-1(v)| = c_v(pi), the number
-    of neighbours of v in pi that exceed it.  Avoidance and ascents depend
-    on f alone, so the polynomial is the sum over pi of A[c(pi)], where A
-    holds the ascent histogram of the 123-avoiding functions by fiber
-    sizes, built in one pass per call.
+    Each such tree is a pair (pi, f): pi a right-adjusted B-permutation,
+    f : [n] -> [n] sending each edge to its parent vertex, so |f^-1(v)| =
+    c_v(pi).  Avoidance and ascents depend on f alone, so the polynomial is
+    the sum over pi of A[c(pi)], where A holds the ascent histogram of the
+    123-avoiding functions by fiber sizes, built in one pass per call.
     """
     n = bs.ground_size - 1
     check_capacity("direct_route", n, unsafe)
@@ -361,11 +387,9 @@ def toric_g_direct(bs: BuildingSet, dfs_only: bool = False, unsafe: bool = False
         by_fibers.setdefault(tuple(sizes), Counter())[parking.fn_ascents(f)] += 1
     shapes: Counter[tuple[int, ...]] = Counter()
     preorder = tuple(range(1, n + 2))
-    for pi in b_permutations(bs, unsafe):
-        sizes = _fiber_sizes(pi)
-        if sizes is None or dfs_only and perms.fs_preorder(perms.fs_tree(pi)) != preorder:
-            continue
-        shapes[sizes] += 1
+    for pi in right_adjusted_b_permutations(bs, unsafe):
+        if not dfs_only or perms.fs_preorder(perms.fs_tree(pi)) == preorder:
+            shapes[_fiber_sizes(pi)] += 1
     acc: Counter[int] = Counter()
     for sizes, times in shapes.items():
         for k, count in by_fibers[sizes].items():
@@ -373,19 +397,14 @@ def toric_g_direct(bs: BuildingSet, dfs_only: bool = False, unsafe: bool = False
     return IntPoly.from_counts(acc)
 
 
-def _fiber_sizes(pi: tuple[int, ...]) -> tuple[int, ...] | None:
+def _fiber_sizes(pi: tuple[int, ...]) -> tuple[int, ...]:
     """c_v(pi) for v = 1..len(pi) - 1: the number of children of v in the
     min-rooted tree of pi, which is |f^-1(v)| for the functions f of its
-    parking trees; None when some vertex has only a left child (pi has a
-    double or final descent)."""
+    parking trees (pi right-adjusted)."""
     m = len(pi)
     counts = [0] * m
     for i, v in enumerate(pi):
-        left = i > 0 and pi[i - 1] > v
-        right = i < m - 1 and pi[i + 1] > v
-        if left and not right:
-            return None
-        counts[v - 1] = left + right
+        counts[v - 1] = (i > 0 and pi[i - 1] > v) + (i < m - 1 and pi[i + 1] > v)
     return tuple(counts[:-1])
 
 

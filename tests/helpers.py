@@ -157,6 +157,15 @@ def b_permutations_filter(bs) -> list[tuple[int, ...]]:
     return out
 
 
+def right_adjusted_filter(bs) -> list[tuple[int, ...]]:
+    """The filter's B-permutations with no double descent and no final
+    descent, read off perms.asc_des, in lexicographic order."""
+    return [
+        pi for pi in b_permutations_filter(bs)
+        if not perms.asc_des(pi).double_descents and not perms.has_final_descent(pi)
+    ]
+
+
 def is_dfs_labeled(tree) -> bool:
     """True when the labels of a plane tree read 1, 2, 3, ... in preorder."""
     expected = itertools.count(1)

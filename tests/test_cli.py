@@ -148,6 +148,33 @@ def test_enumerate_b_perms_validates_the_file(tmp_path, capsys):
     assert code == 3 and out == ""
 
 
+def test_enumerate_b_perms_sources_exclude_each_other(tmp_path, capsys):
+    """Given both, b_perms used to drop --bs-family silently and list the
+    file's permutations; now argparse refuses the pair."""
+    path = tmp_path / "bs.json"
+    path.write_text(json.dumps({"ground_size": 3, "sets": [[1], [2], [3], [1, 2, 3]]}))
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "enumerate", "b_perms", "2", "--bs-family", "stanley_pitman",
+            "--building-set", str(path))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "not allowed with argument" in err
+
+
+def test_enumerate_b_perms_n_must_match_the_file(tmp_path, capsys):
+    """n used to be ignored with --building-set: b_perms 5 on a ground-3
+    file listed that file's permutations and exited 0."""
+    path = tmp_path / "bs.json"
+    path.write_text(json.dumps({"ground_size": 3, "sets": [[1], [2], [3], [1, 2, 3]]}))
+    for n in ("5", "0", "3"):
+        code, out, err = run(capsys, "enumerate", "b_perms", n, "--building-set", str(path),
+                             "--count-only")
+        assert code == 2 and out == "" and "building set on" in err, n
+    code, out, _ = run(capsys, "enumerate", "b_perms", "2", "--building-set", str(path),
+                       "--count-only")
+    assert (code, out) == (0, "3\n")
+
+
 def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify", "series", "4")
     assert code == 0

@@ -74,6 +74,10 @@ GOLDEN = [
      "2bc33ee6a5489457e5e4eee550f9b7c5fba79de9b73159549a65332d28598ca0"),
     ("verify gamma 7", 0,
      "17f349a63e23152defaa58c7bbb605199df45298c837590671827d3578acb13b"),
+    ("verify nestohedra 6", 0,
+     "087978a50b7dde4116b719c7c34a5144bd19f76f4eb68f0068274afcf61acf6d"),
+    ("table --family permutahedron --max 6 --route direct", 0,
+     "53261d073ed1bff805f7f09d92f1f17d3f5cc1d64b933fe4a206fba3b3800361"),
     ("verify conjectures 6", 0,
      "f317298820d8ca6306227aef09782c48b3e2784ff7d2fc11e6035e7f0930d9d4"),
     ("verify bijections 2 --unsafe-max", 0,

@@ -6,7 +6,7 @@ import sys
 from collections import Counter
 
 import pytest
-from helpers import b_permutations_filter, toric_g_by_parking_trees
+from helpers import b_permutations_filter, right_adjusted_filter, toric_g_by_parking_trees
 
 from toricg import nestohedra, parking, perms, polyvec, words
 from toricg.errors import (
@@ -171,9 +171,15 @@ def test_gamma_by_tree_forks(n):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_dfs_restriction_gives_associahedron(n):
-    bs = nestohedra.named_family("associahedron_intervals", n)
+    """On the intervals every right-adjusted B-permutation is already read
+    in preorder; on the permutahedron the restriction is what cuts the
+    count down to the associahedron's (from n = 2 on)."""
     expected = polyvec.toric_g_from_gamma(n, polyvec.gamma_family("associahedron", n))
-    assert nestohedra.toric_g_direct(bs, dfs_only=True) == expected
+    for kind in ("associahedron_intervals", "permutahedron"):
+        bs = nestohedra.named_family(kind, n)
+        assert nestohedra.toric_g_direct(bs, dfs_only=True) == expected, kind
+    everyone = nestohedra.named_family("permutahedron", n)
+    assert (nestohedra.toric_g_direct(everyone) != expected) == (n >= 2)
 
 
 def test_permutahedron_brute_force_over_parking_trees():
@@ -437,3 +443,42 @@ def test_b_permutations_match_filter_on_arbitrary_families():
         BuildingSet(3, [[2], [3], [1, 2, 3]]),
     ):
         assert nestohedra.b_permutations(bs) == b_permutations_filter(bs)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_right_adjusted_walk_matches_filter_on_named_families(n):
+    for bs in named_and_interpolation_sets(n):
+        assert nestohedra.right_adjusted_b_permutations(bs) == right_adjusted_filter(bs)
+
+
+def test_right_adjusted_walk_matches_filter_on_random_graphicals():
+    for bs in random_chordal_graphicals(seed=61, count=30, max_ground=7):
+        assert nestohedra.right_adjusted_b_permutations(bs) == right_adjusted_filter(bs)
+
+
+def test_right_adjusted_walk_matches_filter_on_arbitrary_families():
+    """Like b_permutations, the walk does not validate: it reads any family
+    as the filter does."""
+    rng = random.Random(73)
+    for _ in range(200):
+        m = rng.randint(1, 6)
+        masks = [s for s in range(1, 1 << m) if rng.random() < 0.4]
+        bs = BuildingSet(m, [nestohedra._unmask(s) for s in masks])
+        assert nestohedra.right_adjusted_b_permutations(bs) == right_adjusted_filter(bs)
+    for bs in (
+        BuildingSet(1, []),
+        BuildingSet(1, [[1]]),
+        BuildingSet(3, [[1, 2, 3]]),
+        BuildingSet(3, [[2], [3], [1, 2, 3]]),
+        BuildingSet(4, [[1], [2], [3], [4], [1, 2, 3, 4]]),
+    ):
+        assert nestohedra.right_adjusted_b_permutations(bs) == right_adjusted_filter(bs)
+
+
+def test_right_adjusted_walk_refuses_before_any_work(monkeypatch):
+    def no_table(bs):
+        raise AssertionError("component table built past the cap")
+
+    monkeypatch.setattr(nestohedra, "_component_table", no_table)
+    with pytest.raises(CapacityError):
+        nestohedra.right_adjusted_b_permutations(BuildingSet(9, [[i] for i in range(1, 10)]))

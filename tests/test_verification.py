@@ -9,7 +9,8 @@ from collections import Counter
 
 import pytest
 
-from toricg import perms, verification, words
+from toricg import config, nestohedra, perms, verification, words
+from toricg.nestohedra import BuildingSet
 
 from helpers import naive_peaks_in_prefix
 
@@ -83,14 +84,74 @@ def test_peak_poly_oracles_match_naive_prefix_counts(n):
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_descent_census_matches_asc_des_filter(m):
+    """The census of the gamma suite: the walk over the right-adjusted
+    B-permutations of the permutahedron on [m], counted by descents."""
     expected: Counter = Counter()
     for p in itertools.permutations(range(1, m + 1)):
         stats = perms.asc_des(p)
         if not stats.double_descents and not perms.has_final_descent(p):
             expected[len(stats.des)] += 1
-    got = verification.descent_census(m)
+    everyone = BuildingSet(1, [[1]]) if m == 1 else nestohedra.named_family("permutahedron", m - 1)
+    got = Counter(map(perms.des, nestohedra.right_adjusted_b_permutations(everyone, unsafe=True)))
     assert got == expected
     assert all(got.values())
+
+
+# the library capacity keys each capped row reaches; the row's n is the key's n
+_ROW_KEYS = {
+    "b_permutation_characterizations": {"b_permutations"},
+    "h_gamma_pipeline": {"b_permutations"},
+    "gamma_by_tree_forks": {"b_permutations"},
+    "direct_route_agreement": {"direct_route", "b_permutations"},
+    "dfs_tree_specialization": {"direct_route", "b_permutations"},
+    "permutahedron_parking_trees": {"parking_trees"},
+    "increasing_012_fork_counts": {"b_permutations"},
+}
+
+
+class _KeyRecorder(dict):
+    """CAPS that records every key check_capacity reads."""
+
+    def __init__(self, caps):
+        super().__init__(caps)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def test_row_caps_stay_within_library_caps(monkeypatch):
+    """The checks pass unsafe=True to the library, so each row's own cap is
+    the gate; it must not exceed the cap of any library call it makes, or a
+    safe-mode verify would run past a library bound.  Each capped row runs
+    at bound 2 to find the keys it reads."""
+    tables = (verification._BIJECTIONS, verification._COMPAT, verification._SERIES,
+              verification._GAMMA, verification._NESTOHEDRA, verification._CONJECTURES)
+    library = dict(config.CAPS)
+    reached = {}
+    for table in tables:
+        for name, cap, check in table:
+            if cap is None:
+                continue
+            recorder = _KeyRecorder(library)
+            monkeypatch.setattr(config, "CAPS", recorder)
+            check(2)
+            reached[name] = recorder.read
+    assert {name: keys for name, keys in reached.items() if keys} == _ROW_KEYS
+    caps = {name: cap for table in tables for name, cap, _ in table}
+    for name, keys in _ROW_KEYS.items():
+        assert all(caps[name] <= library[key] for key in keys), name
+
+
+def test_unsafe_suites_pass_below_library_caps(monkeypatch):
+    """verify --unsafe-max used to stop at the library caps, which the
+    checks did not lift: with every library cap at 1, the suites run at 3."""
+    monkeypatch.setattr(config, "CAPS", dict.fromkeys(config.CAPS, 1))
+    for suite in (verification.suite_nestohedra, verification.suite_gamma):
+        report = suite(3, unsafe=True)
+        assert report["ok"], report
+        assert all(c["bound"] == 3 for c in report["checks"] if c["name"] in _ROW_KEYS)
 
 
 def _run_optimized(script: str) -> str:
@@ -119,7 +180,8 @@ MUTANTS = {
         "import itertools\n"
         "from toricg import parking\n"
         "right = parking.enumerate_123_parking_trees\n"
-        "parking.enumerate_123_parking_trees = lambda n: itertools.islice(right(n), 1, None)\n"
+        "parking.enumerate_123_parking_trees = lambda n, unsafe=False: "
+        "itertools.islice(right(n, unsafe), 1, None)\n"
         "report = verification.suite_nestohedra(3)\n",
         ("permutahedron_parking_trees",),
     ),
@@ -128,8 +190,8 @@ MUTANTS = {
         "import itertools\n"
         "from toricg import parking\n"
         "right = parking.enumerate_123_parking_trees\n"
-        "parking.enumerate_123_parking_trees = lambda n: itertools.chain("
-        "itertools.islice(right(n), 1), right(n))\n"
+        "parking.enumerate_123_parking_trees = lambda n, unsafe=False: itertools.chain("
+        "itertools.islice(right(n, unsafe), 1), right(n, unsafe))\n"
         "report = verification.suite_nestohedra(3)\n",
         ("permutahedron_parking_trees",),
     ),
@@ -141,13 +203,25 @@ MUTANTS = {
         "report = verification.suite_gamma(3)\n",
         ("increasing_012_fork_counts",),
     ),
-    # one permutation too many at every size
+    # the descent census, read off the right-adjusted walk, one permutation
+    # too many at every size
     "descent_census": (
-        "from collections import Counter\n"
-        "right = verification.descent_census\n"
-        "verification.descent_census = lambda m: right(m) + Counter({0: 1})\n"
+        "from toricg import nestohedra\n"
+        "right = nestohedra.right_adjusted_b_permutations\n"
+        "nestohedra.right_adjusted_b_permutations = lambda bs, unsafe=False: "
+        "right(bs, unsafe) + right(bs, unsafe)[:1]\n"
         "report = verification.suite_gamma(3)\n",
         ("increasing_012_fork_counts",),
+    ),
+    # the direct route counts every right-adjusted B-permutation even when
+    # asked for the DFS-labelled trees alone
+    "dfs_only ignored": (
+        "from toricg import nestohedra\n"
+        "right = nestohedra.toric_g_direct\n"
+        "nestohedra.toric_g_direct = lambda bs, dfs_only=False, unsafe=False: "
+        "right(bs, unsafe=unsafe)\n"
+        "report = verification.suite_nestohedra(3)\n",
+        ("dfs_tree_specialization",),
     ),
 }
 
@@ -155,8 +229,9 @@ MUTANTS = {
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_wrong_fast_paths_fail_under_optimized_mode(mutant):
     """A stubbed factor_masks fails the compat suite, a wrong descent census
-    or fork tag the gamma suite and a parking-tree walk that drops or
-    repeats a tree the nestohedra suite, also under python -O."""
+    or fork tag the gamma suite, and a parking-tree walk that drops or
+    repeats a tree or a direct route that ignores dfs_only the nestohedra
+    suite, also under python -O."""
     body, failing = MUTANTS[mutant]
     script = (
         "from toricg import verification\n" + body
