@@ -261,7 +261,7 @@ class NoncrossingPartition:
         return hash(self.blocks)
 
     def __repr__(self):
-        return f"NoncrossingPartition.from_text({nc_to_text(self)!r})"
+        return f"nc_from_text({nc_to_text(self)!r})"
 
     def block_of(self, x: int) -> tuple[int, ...]:
         for b in self.blocks:

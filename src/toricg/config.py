@@ -9,8 +9,9 @@ hardware:
 key                 default  what it bounds (n = dimension / semilength)
 ==================  =======  ==================================================
 parking_trees       7        enumerate_parking_trees: (n!)^2 trees (25.4M at 7);
-                             enumerate_123_parking_trees: the walk pruned
-                             on 123-containment (216,685 trees at 7)
+                             enumerate_123_parking_trees: 0-1-2 shapes times
+                             the table of 123-avoiding functions by fiber
+                             sizes (216,685 trees at 7)
 b_permutations      7        b_permutations: lists up to (n+1)! permutations
                              by prefix extension; right_adjusted_b_permutations:
                              the walk over those with no double or final
@@ -20,7 +21,7 @@ direct_route        6        toric_g_direct: counts parking trees over the
                              123-avoiding functions
 functions_route     7        123-avoiding (parking) function sweeps, pruned
                              by perms.enumerate_123_avoiding (16,753 at 7)
-table               12       closed-form table rows (gamma / h routes)
+table               12       table rows (gamma / h routes), enumerate dyck
 ==================  =======  ==================================================
 """
 

@@ -17,8 +17,10 @@ of 123-avoiding parking trees over B-permutations.  Such a tree is a pair
 (pi, f): pi a right-adjusted B-permutation, f : [n] -> [n] a function
 whose fiber over v has c_v(pi) elements, the number of neighbours of v in
 pi larger than v.  Avoidance and ascents read f alone, so the route sums,
-over pi, one table of 123-avoiding functions by fiber sizes.  One walk
-lists the right-adjusted B-permutations for the route and the gamma checks.
+over pi, the table of 123-avoiding functions by fiber sizes that also
+builds the 123 parking-tree walk as 0-1-2 shapes times the table
+(``parking.avoiding_functions_by_fibers``).  One walk lists the
+right-adjusted B-permutations for the route and the gamma checks.
 Members are stored as bitmasks over a ground set of size at most 16.
 """
 
@@ -55,10 +57,7 @@ class BuildingSet:
     __slots__ = ("ground_size", "masks")
 
     def __init__(self, ground_size: int, sets: Iterable[Iterable[int]]):
-        if type(ground_size) is not int:
-            raise BuildingSetError(f"ground_size must be an int, got {ground_size!r}")
-        if not (1 <= ground_size <= 16):
-            raise PreconditionError("ground size must be between 1 and 16")
+        _check_ground_size(ground_size)
         try:
             members = [tuple(s) for s in sets]
         except TypeError as exc:
@@ -122,6 +121,14 @@ class BuildingSet:
             ) from exc
 
 
+def _check_ground_size(m: int) -> None:
+    """Refuse a ground set other than [1..16], before any 2^m work."""
+    if type(m) is not int:
+        raise BuildingSetError(f"ground_size must be an int, got {m!r}")
+    if not (1 <= m <= 16):
+        raise PreconditionError("ground size must be between 1 and 16")
+
+
 class ValidationReport(NamedTuple):
     connected: bool
     chordal: bool
@@ -161,6 +168,7 @@ def _suffix_closed(member: int, masks: set[int]) -> bool:
 
 def graphical(ground_size: int, edges: Iterable[tuple[int, int]]) -> BuildingSet:
     """Building set of all vertex subsets inducing a connected subgraph."""
+    _check_ground_size(ground_size)
     adj = [0] * (ground_size + 1)
     for a, b in edges:
         if a == b:
@@ -373,27 +381,22 @@ def toric_g_direct(bs: BuildingSet, dfs_only: bool = False, unsafe: bool = False
     Each such tree is a pair (pi, f): pi a right-adjusted B-permutation,
     f : [n] -> [n] sending each edge to its parent vertex, so |f^-1(v)| =
     c_v(pi).  Avoidance and ascents depend on f alone, so the polynomial is
-    the sum over pi of A[c(pi)], where A holds the ascent histogram of the
-    123-avoiding functions by fiber sizes, built in one pass per call.
+    the sum over pi of the ascents of the functions in group c(pi) of
+    :func:`toricg.parking.avoiding_functions_by_fibers`.
     """
     n = bs.ground_size - 1
     check_capacity("direct_route", n, unsafe)
     _require_chordal(bs, unsafe)
-    by_fibers: dict[tuple[int, ...], Counter[int]] = {}
-    for f in perms.enumerate_123_avoiding(n, distinct=False):
-        sizes = [0] * n
-        for v in f:
-            sizes[v - 1] += 1
-        by_fibers.setdefault(tuple(sizes), Counter())[parking.fn_ascents(f)] += 1
     shapes: Counter[tuple[int, ...]] = Counter()
     preorder = tuple(range(1, n + 2))
     for pi in right_adjusted_b_permutations(bs, unsafe):
         if not dfs_only or perms.fs_preorder(perms.fs_tree(pi)) == preorder:
             shapes[_fiber_sizes(pi)] += 1
+    table = parking.avoiding_functions_by_fibers(n)
     acc: Counter[int] = Counter()
     for sizes, times in shapes.items():
-        for k, count in by_fibers[sizes].items():
-            acc[k] += times * count
+        for f in table[sizes]:
+            acc[parking.fn_ascents(f)] += times
     return IntPoly.from_counts(acc)
 
 
@@ -421,6 +424,7 @@ def named_family(kind: str, n: int, r: int | None = None) -> BuildingSet:
     if n < 1:
         raise PreconditionError("named_family needs n >= 1")
     m = n + 1
+    _check_ground_size(m)
     if kind == "permutahedron":
         sets = [s for k in range(1, m + 1) for s in itertools.combinations(range(1, m + 1), k)]
     elif kind == "stanley_pitman":

@@ -10,13 +10,16 @@ A parking tree is a rooted plane tree on n+1 vertices whose vertex labels
 (a bijection to [n]) increase left to right among siblings.  Setting f(i)
 to the label of the parent vertex of the edge labeled i always yields a
 parking function, and the vertex labelings following the depth-first or
-breadth-first search order give two bijective encodings.
+breadth-first search order give two bijective encodings.  Every tree is
+built from a vertex-labeled shape and its fibers, the edge labels at each
+vertex; the 123 walk is the 0-1-2 shapes times the table of 123-avoiding
+functions by fiber sizes (:func:`avoiding_functions_by_fibers`).
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from typing import Iterator, NamedTuple, Sequence
 
 from . import perms
@@ -80,12 +83,9 @@ def garsia_haiman(f) -> GHPair:
     parking function exactly when the word is a Dyck word.
     """
     validate_fn(f)
-    n = len(f)
-    fibers: list[list[int]] = [[] for _ in range(n + 1)]
-    for i, v in enumerate(f, start=1):
-        fibers[v].append(i)
-    perm = tuple(i for fiber in fibers[1:] for i in fiber)
-    word = "".join(U * len(fiber) + D for fiber in fibers[1:])
+    fibers = _fibers(f)
+    perm = tuple(i for v in sorted(fibers) for i in fibers[v])
+    word = "".join(U * len(fibers.get(v, ())) + D for v in range(1, len(f) + 1))
     return GHPair(perm, word)
 
 
@@ -137,34 +137,36 @@ class ParkingTree:
         return hash(self.root)
 
     def __repr__(self):
-        return f"ParkingTree.from_text({parking_tree_to_text(self)!r})"
+        return f"parking_tree_from_text({parking_tree_to_text(self)!r})"
 
     def vertex_count(self) -> int:
         return self.n + 1
 
 
+def _edges(node: Node) -> Iterator[tuple[int, int, Node]]:
+    """(parent label, edge label, child) for every edge, in preorder."""
+    v, edges = node
+    for e, child in edges:
+        yield v, e, child
+        yield from _edges(child)
+
+
 def _validate_parking_tree(root: Node) -> int:
-    vlabels: list[int] = []
+    vlabels = [root[0]]
     elabels: list[int] = []
-
-    def walk(node: Node) -> None:
-        vlabel, edges = node
-        vlabels.append(vlabel)
-        previous = 0
-        for elabel, child in edges:
-            if child[0] <= vlabel:
-                raise StructuralError(
-                    f"vertex labels must increase: {vlabel} -> {child[0]}"
-                )
-            if elabel <= previous:
-                raise StructuralError(
-                    f"sibling edge labels must increase left to right at vertex {vlabel}"
-                )
-            previous = elabel
-            elabels.append(elabel)
-            walk(child)
-
-    walk(root)
+    # last edge label at each vertex of the path (labels increase along it)
+    previous = {root[0]: 0}
+    for v, e, child in _edges(root):
+        if child[0] <= v:
+            raise StructuralError(f"vertex labels must increase: {v} -> {child[0]}")
+        if e <= previous[v]:
+            raise StructuralError(
+                f"sibling edge labels must increase left to right at vertex {v}"
+            )
+        previous[v] = e
+        previous[child[0]] = 0
+        vlabels.append(child[0])
+        elabels.append(e)
     n = len(elabels)
     if sorted(vlabels) != list(range(1, n + 2)):
         raise StructuralError("vertex labels are not a bijection to [n+1]")
@@ -178,30 +180,17 @@ def _validate_parking_tree(root: Node) -> int:
 def tree_to_function(t: ParkingTree) -> tuple[int, ...]:
     """f(i) = label of the parent vertex of the edge labeled i."""
     f = [0] * t.n
-
-    def walk(node: Node) -> None:
-        vlabel, edges = node
-        for elabel, child in edges:
-            f[elabel - 1] = vlabel
-            walk(child)
-
-    walk(t.root)
+    for v, e, _ in _edges(t.root):
+        f[e - 1] = v
     return tuple(f)
 
 
 def edge_perm(t: ParkingTree) -> tuple[int, ...]:
     """Edge labels grouped by parent vertex label (ascending), left to right
     within a group; equals the fiber permutation of the encoded function."""
-    groups: dict[int, tuple[int, ...]] = {}
-
-    def walk(node: Node) -> None:
-        vlabel, edges = node
-        if edges:
-            groups[vlabel] = tuple(elabel for elabel, _ in edges)
-        for _, child in edges:
-            walk(child)
-
-    walk(t.root)
+    groups: dict[int, list[int]] = {}
+    for v, e, _ in _edges(t.root):
+        groups.setdefault(v, []).append(e)
     return tuple(e for v in sorted(groups) for e in groups[v])
 
 
@@ -209,25 +198,28 @@ def is_123_parking_tree(t: ParkingTree) -> bool:
     """True when every vertex has at most two children and the edge
     permutation is 123-avoiding; equivalently the encoded parking function
     is 123-avoiding."""
-
-    def small(node: Node) -> bool:
-        return len(node[1]) <= 2 and all(small(c) for _, c in node[1])
-
-    return small(t.root) and perms.is_123_avoiding(edge_perm(t))
+    children = Counter(v for v, _, _ in _edges(t.root))
+    return max(children.values(), default=0) <= 2 and perms.is_123_avoiding(edge_perm(t))
 
 
-def _attach_edges(children: Sequence[Sequence[int]], f) -> Node:
-    """Build the tree given each vertex's child list; the edges at vertex v
-    take the elements of f^{-1}(v) in increasing order."""
+def _attach(shape: perms.PlaneTree, fibers: dict, n: int) -> ParkingTree:
+    """The parking tree on ``shape`` (a vertex-labeled plane tree on n+1
+    vertices) whose edges at vertex v carry ``fibers[v]``, v's increasing
+    edge labels, left to right."""
+
+    def build(node) -> Node:
+        v, kids = node
+        return (v, tuple(zip(fibers[v], map(build, kids)))) if kids else node
+
+    return ParkingTree._unchecked(build(shape), n)
+
+
+def _fibers(f) -> dict[int, list[int]]:
+    """f^{-1}(v), increasing, for every value v of f."""
     fibers: dict[int, list[int]] = {}
     for i, v in enumerate(f, start=1):
         fibers.setdefault(v, []).append(i)
-
-    def build(v: int) -> Node:
-        kids = children[v - 1]
-        return (v, tuple(zip(sorted(fibers.get(v, ())), map(build, kids))))
-
-    return build(1)
+    return fibers
 
 
 def dfs_tree(f) -> ParkingTree:
@@ -259,8 +251,10 @@ def _search_tree(f, bfs: bool) -> ParkingTree:
             pending.popleft() if bfs else pending.pop()
         if remaining[label - 1] > 0:
             pending.append(label)
-    root = _attach_edges(children, f)
-    return ParkingTree._unchecked(root, n)
+    nodes: list = [None] * (n + 2)
+    for v in range(n + 1, 0, -1):  # children carry larger labels
+        nodes[v] = (v, tuple([nodes[c] for c in children[v - 1]]))
+    return _attach(nodes[1], _fibers(f), n)
 
 
 def enumerate_parking_trees(n: int, unsafe: bool = False) -> Iterator[ParkingTree]:
@@ -275,48 +269,43 @@ def enumerate_parking_trees(n: int, unsafe: bool = False) -> Iterator[ParkingTre
         raise PreconditionError("n must be >= 0")
     check_capacity("parking_trees", n, unsafe)
     labels = tuple(range(1, n + 1))
-    yield from _label_edges(
-        n, perms.increasing_plane_trees(n + 1), lambda sizes: _ordered_groups(labels, sizes)
-    )
+    for shape in perms.increasing_plane_trees(n + 1):
+        parents, sizes = _parent_sizes(shape)
+        for groups in _ordered_groups(labels, sizes):
+            yield _attach(shape, dict(zip(parents, groups)), n)
 
 
 def enumerate_123_parking_trees(n: int, unsafe: bool = False) -> Iterator[ParkingTree]:
     """The parking trees of the 123-avoiding parking functions on [n]: those
     of :func:`enumerate_parking_trees` that :func:`is_123_parking_tree`
-    keeps, in the same order, without listing the others.
-
-    Shapes come with at most two children per vertex, and the edge-label
-    groups are handed to the parents in increasing label order while the
-    strict 123-scan of the edge permutation runs along (m1 the least label
-    so far, m2 the least top of a 12): a group that would complete a 123,
-    or leave a label that never can be placed, is not extended.
-    """
+    keeps, in the same order, without listing the others.  Each 0-1-2 shape
+    takes the functions whose fiber sizes are its child counts, ordered by
+    their fibers in parent order (the Garsia-Haiman permutation)."""
     if n < 0:
         raise PreconditionError("n must be >= 0")
     check_capacity("parking_trees", n, unsafe)
-    labels = tuple(range(1, n + 1))
-    yield from _label_edges(
-        n,
-        perms.increasing_plane_trees(n + 1, max_children=2),
-        lambda sizes: _avoiding_groups(labels, sizes, n + 1, n + 1),
-    )
+    table = avoiding_functions_by_fibers(n)
+    layouts: dict[tuple[int, ...], list[dict[int, list[int]]]] = {}
+    for shape in perms.increasing_plane_trees(n + 1, max_children=2):
+        sizes = perms.child_counts(shape)[:-1]
+        if sizes not in layouts:
+            group = sorted(table[sizes], key=lambda f: garsia_haiman(f).perm)
+            layouts[sizes] = [_fibers(f) for f in group]
+        for fibers in layouts[sizes]:
+            yield _attach(shape, fibers, n)
 
 
-def _label_edges(n: int, shapes, splits) -> Iterator[ParkingTree]:
-    """The parking trees on ``shapes`` (vertex-labeled plane trees on n+1
-    vertices): ``splits(sizes)`` yields the ways to hand the parents, in
-    increasing label order, sorted groups of edge labels of the given sizes,
-    and each group is laid out left to right."""
-    for shape in shapes:
-        parents, sizes = _parent_sizes(shape)
-        for groups in splits(sizes):
-            fiber = dict(zip(parents, groups))
-
-            def build(node) -> Node:
-                v, cs = node
-                return (v, tuple(zip(fiber.get(v, ()), map(build, cs))))
-
-            yield ParkingTree._unchecked(build(shape), n)
+def avoiding_functions_by_fibers(n: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """The 123-avoiding functions [n] -> [n] of
+    :func:`toricg.perms.enumerate_123_avoiding`, grouped by their fiber
+    sizes (|f^-1(1)|, ..., |f^-1(n)|), each group in lexicographic order."""
+    table: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for f in perms.enumerate_123_avoiding(n, distinct=False):
+        sizes = [0] * n
+        for v in f:
+            sizes[v - 1] += 1
+        table.setdefault(tuple(sizes), []).append(f)
+    return table
 
 
 def _parent_sizes(shape: perms.PlaneTree) -> tuple[list[int], list[int]]:
@@ -337,30 +326,6 @@ def _ordered_groups(labels: tuple[int, ...], sizes: Sequence[int]) -> Iterator[t
         chosen = set(combo)
         rest = tuple(x for x in labels if x not in chosen)
         for tail in _ordered_groups(rest, sizes[1:]):
-            yield (combo,) + tail
-
-
-def _avoiding_groups(labels: tuple[int, ...], sizes: Sequence[int], m1: int, m2: int) -> Iterator[tuple]:
-    """The splits of :func:`_ordered_groups` (sizes 1 or 2) whose
-    concatenation, read after a prefix with 123-scan state (m1, m2), avoids
-    123, in the same order.  Every label left must stay below m2, since it
-    would complete a 123 wherever it went; a pair a < b is itself a 12, so
-    it needs a < m1 and leaves the state (a, b)."""
-    if not sizes:
-        yield ()
-        return
-    for combo in itertools.combinations(labels, sizes[0]):
-        if len(combo) == 1:
-            x = combo[0]
-            m1_next, m2_next = (x, m2) if x < m1 else (m1, x)
-        elif combo[0] < m1:
-            m1_next, m2_next = combo
-        else:
-            continue
-        rest = tuple(x for x in labels if x not in combo)
-        if rest and rest[-1] >= m2_next:
-            continue
-        for tail in _avoiding_groups(rest, sizes[1:], m1_next, m2_next):
             yield (combo,) + tail
 
 
@@ -412,12 +377,12 @@ def parking_tree_from_text(text: str) -> ParkingTree:
         if not s.startswith("(v=", i):
             raise StructuralError(f"expected '(v=' at {i} in {text!r}")
         i += 3
-        v, i = _parse_int(s, i, text)
+        v, i = perms._parse_int(s, i, text)
         edges = []
         while i < len(s) and s[i] == "[":
             if not s.startswith("[e=", i):
                 raise StructuralError(f"expected '[e=' at {i} in {text!r}")
-            e, i = _parse_int(s, i + 3, text)
+            e, i = perms._parse_int(s, i + 3, text)
             child, i = parse_node(i)
             if i >= len(s) or s[i] != "]":
                 raise StructuralError(f"expected ']' at {i} in {text!r}")
@@ -431,15 +396,6 @@ def parking_tree_from_text(text: str) -> ParkingTree:
     if end != len(s):
         raise StructuralError(f"trailing text in {text!r}")
     return ParkingTree(root)
-
-
-def _parse_int(s: str, i: int, text: str) -> tuple[int, int]:
-    j = i
-    while j < len(s) and s[j].isdigit():
-        j += 1
-    if j == i:
-        raise StructuralError(f"expected an integer at {i} in {text!r}")
-    return int(s[i:j]), j
 
 
 # ---------------------------------------------------------------------------

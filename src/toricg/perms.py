@@ -217,7 +217,7 @@ class FSTree:
         return hash((self.label, self.left, self.right))
 
     def __repr__(self) -> str:
-        return f"FSTree.from_text({fs_tree_to_text(self)!r})"
+        return f"fs_tree_from_text({fs_tree_to_text(self)!r})"
 
     def labels(self) -> set[int]:
         out = {self.label}
@@ -357,35 +357,39 @@ def fs_tree_to_text(t: FSTree | None) -> str:
 
 
 def fs_tree_from_text(text: str) -> FSTree:
+    """Inverse of :func:`fs_tree_to_text`: slots once each, labels increasing."""
     s = text.replace(" ", "")
 
     def parse(i: int) -> tuple[FSTree, int]:
-        if s[i] != "(":
+        if not s.startswith("(", i):
             raise StructuralError(f"expected '(' at {i} in {text!r}")
-        i += 1
-        j = i
-        while j < len(s) and s[j].isdigit():
-            j += 1
-        if j == i:
-            raise StructuralError(f"expected a label at {i} in {text!r}")
-        label = int(s[i:j])
-        i = j
-        left = right = None
+        label, i = _parse_int(s, i + 1, text)
+        slots: dict[str, FSTree] = {}
         while i < len(s) and s[i] in "LR":
             slot = s[i]
-            child, i = parse(i + 1)
-            if slot == "L":
-                left = child
-            else:
-                right = child
-        if i >= len(s) or s[i] != ")":
+            if slot in slots:
+                raise StructuralError(f"repeated {slot} slot at {i} in {text!r}")
+            slots[slot], i = parse(i + 1)
+            if slots[slot].label <= label:
+                raise StructuralError(f"child label not above {label} in {text!r}")
+        if not s.startswith(")", i):
             raise StructuralError(f"expected ')' at {i} in {text!r}")
-        return FSTree(label, left, right), i + 1
+        return FSTree(label, slots.get("L"), slots.get("R")), i + 1
 
     tree, end = parse(0)
     if end != len(s):
         raise StructuralError(f"trailing text in {text!r}")
     return tree
+
+
+def _parse_int(s: str, i: int, text: str) -> tuple[int, int]:
+    """The digits of ``s`` from position i, and the position after them."""
+    j = i
+    while j < len(s) and s[j].isdigit():
+        j += 1
+    if j == i:
+        raise StructuralError(f"expected an integer at {i} in {text!r}")
+    return int(s[i:j]), j
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,11 @@ def test_enumerate_b_perms_n_must_match_the_file(tmp_path, capsys):
     assert (code, out) == (0, "3\n")
 
 
+def test_enumerate_b_perms_refuses_a_large_family_before_building_it(capsys):
+    code, _, err = run(capsys, "enumerate", "b_perms", "30", "--bs-family", "permutahedron")
+    assert code == 2 and "ground size" in err
+
+
 def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify", "series", "4")
     assert code == 0

@@ -122,6 +122,11 @@ def test_nc_examples():
         compat.NoncrossingPartition([(1,), (3,)])
 
 
+def test_nc_repr_evaluates_to_the_partition():
+    p = compat.dyck_to_nc("UUDUDD")
+    assert eval(repr(p), vars(compat)) == p
+
+
 @pytest.mark.parametrize("n", range(9))
 def test_nc_bijection_and_statistics(n):
     seen = set()

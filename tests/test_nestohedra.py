@@ -274,6 +274,19 @@ def test_json_round_trip():
         BuildingSet(2, [[1], [2], []])
 
 
+def test_ground_sets_above_16_are_refused_before_they_are_built(monkeypatch):
+    def no_subsets(*args, **kwargs):
+        raise AssertionError("subsets were built")
+
+    monkeypatch.setattr(nestohedra.itertools, "combinations", no_subsets)
+    monkeypatch.setattr(nestohedra, "_induced_connected", no_subsets)
+    for kind in ("permutahedron", "interpolation"):
+        with pytest.raises(PreconditionError):
+            nestohedra.named_family(kind, 40, 1)
+    with pytest.raises(PreconditionError):
+        nestohedra.graphical(40, [(i, i + 1) for i in range(1, 40)])
+
+
 @pytest.mark.parametrize("ground,sets", [
     (2, [[0]]), (2, [["a"]]), (2, [[1.5]]), (2, [[True]]), (True, [[1]]),
     (2, [1, 2]), (2, 5),

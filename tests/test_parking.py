@@ -185,11 +185,31 @@ def test_123_parking_tree_walk_refuses_before_any_work(monkeypatch):
     def no_shapes(*args, **kwargs):
         raise AssertionError("shapes were listed")
 
+    def no_table(*args, **kwargs):
+        raise AssertionError("the function table was built")
+
     monkeypatch.setattr(perms, "increasing_plane_trees", no_shapes)
+    monkeypatch.setattr(perms, "enumerate_123_avoiding", no_table)
     with pytest.raises(PreconditionError):
         next(parking.enumerate_123_parking_trees(-1))
     with pytest.raises(CapacityError):
         next(parking.enumerate_123_parking_trees(8))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_avoiding_functions_by_fibers_matches_filtered_functions(n):
+    expected: dict = {}
+    for f in parking.iter_functions(n):
+        if not contains_pattern_123(f, weak=True):
+            sizes = tuple(f.count(v) for v in range(1, n + 1))
+            expected.setdefault(sizes, []).append(f)
+    # iter_functions is lexicographic, so each expected group is too
+    assert parking.avoiding_functions_by_fibers(n) == expected
+
+
+def test_parking_tree_repr_evaluates_to_the_tree():
+    t = parking.dfs_tree(FIG_FN)
+    assert eval(repr(t), vars(parking)) == t
 
 
 def test_every_parking_function_has_trees():

@@ -95,6 +95,25 @@ def test_fs_tree_figure():
     assert perms.fs_inorder(perms.fs_phi(t5, 1)) == (4, 6, 8, 7, 9, 5, 3, 10, 11, 1, 2)
 
 
+@pytest.mark.parametrize("text", [
+    "(1 R(2) R(3))",  # repeated slot: vertex 2 was dropped silently
+    "(1 L(2) L(3))",
+    "(2 L(1))",  # child label below its parent's
+    "(1 L(1))",  # child label equal to its parent's
+    "",  # ends before the root
+    "(1 L",  # ends inside a slot
+    "(1 R(2 R(3)",  # ends before the closing parentheses
+])
+def test_fs_tree_from_text_rejects_malformed_text(text):
+    with pytest.raises(StructuralError):
+        perms.fs_tree_from_text(text)
+
+
+def test_fs_tree_repr_evaluates_to_the_tree():
+    t = perms.fs_tree((2, 1, 4, 3, 5))
+    assert eval(repr(t), vars(perms)) == t
+
+
 def test_fs_tree_small():
     assert perms.fs_tree_to_text(perms.fs_tree((1,))) == "(1)"
     assert perms.fs_tree_to_text(perms.fs_tree((1, 2, 3))) == "(1 R(2 R(3)))"

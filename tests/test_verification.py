@@ -195,6 +195,19 @@ MUTANTS = {
         "report = verification.suite_nestohedra(3)\n",
         ("permutahedron_parking_trees",),
     ),
+    # one function missing from the table of 123-avoiding functions by
+    # fiber sizes, which the tree walk and the direct route both read
+    "function_table_drops": (
+        "from toricg import parking\n"
+        "right = parking.avoiding_functions_by_fibers\n"
+        "def dropped(n):\n"
+        "    table = right(n)\n"
+        "    max(table.values(), key=len).pop()\n"
+        "    return table\n"
+        "parking.avoiding_functions_by_fibers = dropped\n"
+        "report = verification.suite_nestohedra(3)\n",
+        ("dfs_tree_specialization", "direct_route_agreement", "permutahedron_parking_trees"),
+    ),
     # every fork tag one too high
     "fork_tags": (
         "from toricg import perms\n"
@@ -230,8 +243,8 @@ MUTANTS = {
 def test_wrong_fast_paths_fail_under_optimized_mode(mutant):
     """A stubbed factor_masks fails the compat suite, a wrong descent census
     or fork tag the gamma suite, and a parking-tree walk that drops or
-    repeats a tree or a direct route that ignores dfs_only the nestohedra
-    suite, also under python -O."""
+    repeats a tree, a function table that drops a function or a direct
+    route that ignores dfs_only the nestohedra suite, also under python -O."""
     body, failing = MUTANTS[mutant]
     script = (
         "from toricg import verification\n" + body
