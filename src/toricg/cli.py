@@ -26,6 +26,7 @@ from .errors import CapacityError, ToricgError
 
 _SCHEMA = "toricg/1"
 _TABLE_FAMILIES = ("associahedron", "cyclohedron", "permutahedron", "cube")
+_CHUNK_LINES = 4096
 _BS_FAMILIES = ("permutahedron", "stanley_pitman", "associahedron_intervals", "interpolation")
 
 
@@ -194,25 +195,27 @@ def _cmd_verify(args) -> int:
 
 
 def _enumerate_stream(args):
+    """(count, lines): the closed-form count of the objects, or None where
+    only the stream can count them, and the stream of their texts."""
     n = args.n
     if n < 0:
         raise ToricgError("n must be >= 0")
     if args.object == "dyck":
         check_capacity("table", n, args.unsafe_max)
-        return words.enumerate_words(n, "dyck")
+        return words.catalan(n), words.enumerate_words(n, "dyck")
     if args.object == "parking_functions_123":
         check_capacity("functions_route", n, args.unsafe_max)
-        return (
+        return None, (
             parking.fn_to_text(f)
             for f in parking.iter_123_avoiding_functions(n, parking_only=True)
         )
     if args.object == "parking_trees":
-        return (
-            parking.parking_tree_to_text(t)
-            for t in parking.enumerate_parking_trees(n, unsafe=args.unsafe_max)
-        )
+        from math import factorial
+
+        check_capacity("parking_trees", n, args.unsafe_max)
+        return factorial(n) ** 2, parking.parking_tree_texts(n, unsafe=args.unsafe_max)
     bs = _enumerate_building_set(args)
-    return (perms.perm_to_text(p) for p in nestohedra.b_permutations(bs, args.unsafe_max))
+    return None, (perms.perm_to_text(p) for p in nestohedra.b_permutations(bs, args.unsafe_max))
 
 
 def _enumerate_building_set(args) -> nestohedra.BuildingSet:
@@ -229,12 +232,15 @@ def _enumerate_building_set(args) -> nestohedra.BuildingSet:
 
 
 def _cmd_enumerate(args) -> int:
-    stream = _enumerate_stream(args)
+    from itertools import islice
+
+    count, lines = _enumerate_stream(args)
     if args.count_only:
-        print(sum(1 for _ in stream))
-    else:
-        for item in stream:
-            print(item)
+        print(sum(1 for _ in lines) if count is None else count)
+        return 0
+    # a few thousand lines per write, never the whole stream
+    for chunk in iter(lambda: list(islice(lines, _CHUNK_LINES)), []):
+        sys.stdout.write("\n".join(chunk) + "\n")
     return 0
 
 

@@ -171,6 +171,10 @@ def graphical(ground_size: int, edges: Iterable[tuple[int, int]]) -> BuildingSet
     _check_ground_size(ground_size)
     adj = [0] * (ground_size + 1)
     for a, b in edges:
+        if not all(type(v) is int and 1 <= v <= ground_size for v in (a, b)):
+            raise BuildingSetError(
+                f"edge endpoints must be ints in [1, {ground_size}], got {(a, b)!r}"
+            )
         if a == b:
             continue
         adj[a] |= 1 << (b - 1)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, deque
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 from . import perms
@@ -265,14 +266,45 @@ def enumerate_parking_trees(n: int, unsafe: bool = False) -> Iterator[ParkingTre
     and the sets of edge labels given to the vertices 1, 2, ... vary in
     lexicographic order.  This ordering is an artifact convention.
     """
+    for shape, parents, labellings in _labelled_shapes(n, unsafe):
+        for groups in labellings:
+            yield _attach(shape, dict(zip(parents, groups)), n)
+
+
+def parking_tree_texts(n: int, unsafe: bool = False) -> Iterator[str]:
+    """:func:`parking_tree_to_text` of each tree of
+    :func:`enumerate_parking_trees`, in the same order, without building
+    the trees: each shape is rendered once, with a slot per edge label."""
+    for shape, parents, labellings in _labelled_shapes(n, unsafe):
+        first = labellings[0]
+        slots = {v: ["%d"] * len(group) for v, group in zip(parents, first)}
+        template = parking_tree_to_text(_attach(shape, slots, n))
+        # The first labelling lays 1..n out end to end, so its tree's edge
+        # labels in preorder, less one, say where each slot's label sits in
+        # any labelling laid end to end.  itemgetter hands back a single
+        # label bare, which % takes as well; at n = 0 there is none.
+        order = [e - 1 for _, e, _ in _edges(_attach(shape, dict(zip(parents, first)), n).root)]
+        pick = itemgetter(*order) if order else tuple
+        for groups in labellings:
+            yield template % pick(sum(groups, ()))
+
+
+def _labelled_shapes(n: int, unsafe: bool) -> Iterator[tuple]:
+    """(shape, parents, labellings) for every shape of
+    :func:`enumerate_parking_trees`: the labels of its vertices with
+    children, increasing, and every split of [n] into their groups of edge
+    labels, in order; shapes with the same child counts share one list."""
     if n < 0:
         raise PreconditionError("n must be >= 0")
     check_capacity("parking_trees", n, unsafe)
     labels = tuple(range(1, n + 1))
+    splits: dict[tuple[int, ...], list[tuple]] = {}
     for shape in perms.increasing_plane_trees(n + 1):
         parents, sizes = _parent_sizes(shape)
-        for groups in _ordered_groups(labels, sizes):
-            yield _attach(shape, dict(zip(parents, groups)), n)
+        key = tuple(sizes)
+        if key not in splits:
+            splits[key] = list(_ordered_groups(labels, sizes))
+        yield shape, parents, splits[key]
 
 
 def enumerate_123_parking_trees(n: int, unsafe: bool = False) -> Iterator[ParkingTree]:

@@ -20,6 +20,9 @@ H = "H"
 
 _RUN_TOKEN = re.compile(r"([UDH])(?:\^?(\d+))?")
 
+# enumerate_words completes each prefix from a table of its last _TAIL steps
+_TAIL = 10
+
 
 def catalan(n: int) -> int:
     """n-th Catalan number C_n = binom(2n, n) / (n + 1)."""
@@ -137,24 +140,30 @@ def enumerate_words(n: int, kind: str = "dyck", height: int | None = None) -> It
         raise PreconditionError(f"unknown word kind {kind!r}")
     if abs(target) > steps:
         return
-
-    buf = [""] * steps
-
-    def rec(i: int, h: int) -> Iterator[str]:
-        if i == steps:
-            yield "".join(buf)
-            return
-        remaining = steps - i - 1
-        up = h + 1
-        if abs(target - up) <= remaining:
-            buf[i] = U
-            yield from rec(i + 1, up)
-        down = h - 1
-        if (not nonneg or down >= 0) and abs(target - down) <= remaining:
-            buf[i] = D
-            yield from rec(i + 1, down)
-
-    yield from rec(0, 0)
+    tail = min(steps, _TAIL)
+    head = steps - tail
+    floor = 0 if nonneg else -steps
+    # ends[h]: the words of the last ``tail`` steps from height h to the
+    # target, in order, for the heights some head can reach
+    ends = {target: [""]}
+    for k in range(1, tail + 1):
+        done = steps - k
+        ends = {
+            h: [U + w for w in ends.get(h + 1, ())] + [D + w for w in ends.get(h - 1, ())]
+            for h in range(-done, done + 1, 2)
+            if h >= floor and (h + 1 in ends or h - 1 in ends)
+        }
+    stack = [("", 0)]  # U is pushed after D, so it is walked first
+    while stack:
+        prefix, h = stack.pop()
+        if len(prefix) == head:
+            yield from map(prefix.__add__, ends[h])
+            continue
+        remaining = steps - len(prefix) - 1
+        if h > floor and abs(target - h + 1) <= remaining:
+            stack.append((prefix + D, h - 1))
+        if abs(target - h - 1) <= remaining:
+            stack.append((prefix + U, h + 1))
 
 
 def factor_count(w: str, f: str) -> int:

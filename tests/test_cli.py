@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -101,6 +103,47 @@ def test_enumerate_counts(capsys):
     assert run(capsys, "enumerate", "dyck", "3", "--count-only")[1] == "5\n"
     assert run(capsys, "enumerate", "parking_functions_123", "3", "--count-only")[1] == "11\n"
     assert run(capsys, "enumerate", "parking_trees", "3", "--count-only")[1] == "36\n"
+
+
+@pytest.mark.parametrize("kind,top", [("dyck", 10), ("parking_trees", 5)])
+def test_count_only_closed_forms_match_the_streams(kind, top, capsys):
+    for n in range(top + 1):
+        code, count, _ = run(capsys, "enumerate", kind, str(n), "--count-only")
+        assert code == 0
+        assert int(count) == run(capsys, "enumerate", kind, str(n))[1].count("\n")
+
+
+def test_count_only_closed_forms_skip_the_stream_but_not_the_cap(capsys, monkeypatch):
+    def no_stream(*args, **kwargs):
+        raise AssertionError("streamed")
+        yield
+
+    monkeypatch.setattr(cli.words, "enumerate_words", no_stream)
+    monkeypatch.setattr(cli.parking, "parking_tree_texts", no_stream)
+    assert run(capsys, "enumerate", "dyck", "12", "--count-only")[:2] == (0, "208012\n")
+    assert run(capsys, "enumerate", "parking_trees", "7", "--count-only")[:2] == (0, "25401600\n")
+    assert run(capsys, "enumerate", "dyck", "13", "--count-only")[0] == 3
+    assert run(capsys, "enumerate", "parking_trees", "8", "--count-only")[0] == 3
+    code, out, _ = run(capsys, "enumerate", "parking_trees", "8", "--count-only", "--unsafe-max")
+    assert (code, out) == (0, f"{40320 ** 2}\n")
+
+
+@pytest.mark.parametrize("argv", [["dyck", "11"], ["parking_trees", "5"]])
+def test_enumerate_exits_0_when_the_reader_leaves(argv):
+    """Closing the reader's end after the first line ends the chunked
+    stream quietly, with exit code 0 and nothing on stderr."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from toricg.cli import main; sys.exit(main())",
+         "enumerate", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (0, b"")
 
 
 def test_enumerate_streams(capsys):

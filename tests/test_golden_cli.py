@@ -96,6 +96,22 @@ GOLDEN = [
      "00cd2bd24a5c1a05469388f804b83b14d2b4aed94b50a9dbc0bfe4547fc951fe"),
     ("enumerate b_perms 3 --building-set bs4.json", 0,
      "0f29ec2ac2b81b375f99d94884fdc56f3a46ef929c343cf7e3c4c9fb78a4680a"),
+    ("enumerate dyck 11", 0,
+     "dfba36bc75f1eb70f53bcba42cea451a3c4228ad926450da114095fd86d6f264"),
+    ("enumerate parking_trees 5", 0,
+     "0f6eaf2354e490fcd2d690e3a9fcd74b5c97dbfac26cf43ced04ef34a0ac1531"),
+    ("enumerate dyck 0", 0,
+     "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"),
+    ("enumerate parking_trees 0", 0,
+     "7728c54229a0487ad161289d9fb5edd054c8ce67a9404ba6748deee4ea44eaea"),
+]
+
+# (command, bytes, lines) of the longest streams, beside their digests above
+STREAM_SIZES = [
+    ("enumerate dyck 11", 1_352_078, 58_786),
+    ("enumerate parking_trees 5", 950_400, 14_400),
+    ("enumerate dyck 0", 1, 1),
+    ("enumerate parking_trees 0", 6, 1),
 ]
 
 
@@ -109,3 +125,10 @@ def test_golden_stdout(command, code, digest, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bs4.json").write_text(json.dumps(BUILDING_SET))
     assert _digest(capsys, command) == (code, digest)
+
+
+@pytest.mark.parametrize("command,size,lines", STREAM_SIZES, ids=[c for c, _, _ in STREAM_SIZES])
+def test_stream_sizes(command, size, lines, capsys):
+    assert cli.main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert (len(out.encode()), out.count("\n")) == (size, lines)

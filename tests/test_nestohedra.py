@@ -60,6 +60,15 @@ def test_graphical_examples():
     assert not nestohedra.validate(empty).connected
 
 
+@pytest.mark.parametrize("edge", [(1, 5), (0, 1), (-1, 2), (1, "a")])
+def test_graphical_rejects_endpoints_off_the_ground_set(edge):
+    """An endpoint that is not an int in [ground_size] is refused with a
+    BuildingSetError (before: IndexError, a negative shift count and a
+    TypeError)."""
+    with pytest.raises(BuildingSetError):
+        nestohedra.graphical(3, [edge])
+
+
 def test_restrict_and_components():
     full = powerset_building_set(3)
     assert nestohedra.restrict(full, (1, 3)) == ((1,), (3,), (1, 3))

@@ -161,6 +161,20 @@ def test_parking_tree_capacity():
 
 
 @pytest.mark.parametrize("n", range(6))
+def test_tree_texts_match_rendered_trees(n):
+    """The texts rendered from one template per shape are the texts of the
+    listed trees, in the same order."""
+    expected = [parking.parking_tree_to_text(t) for t in parking.enumerate_parking_trees(n)]
+    assert list(parking.parking_tree_texts(n)) == expected
+
+
+def test_tree_texts_capacity():
+    with pytest.raises(CapacityError):
+        next(parking.parking_tree_texts(8))
+    assert next(parking.parking_tree_texts(8, unsafe=True)).startswith("(v=1 [e=1 (v=9)]")
+
+
+@pytest.mark.parametrize("n", range(6))
 def test_123_parking_tree_walk_matches_filtered_listing(n):
     """The pruned walk lists exactly the trees the filter keeps, in order."""
     expected = [t for t in parking.enumerate_parking_trees(n) if parking.is_123_parking_tree(t)]

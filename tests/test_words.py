@@ -61,6 +61,28 @@ def test_enumeration_counts(n):
     assert set(dyck) == {w for w in all_ud_words(2 * n) if naive_is_dyck(w)}
 
 
+@pytest.mark.parametrize("steps", range(15))
+def test_enumeration_order_matches_brute_force(steps):
+    """Every kind, size and height lists exactly the words that a filter of
+    the raw product keeps, in the product's order (lexicographic, U < D)."""
+    rows = []
+    for w in all_ud_words(steps):
+        path = list(itertools.accumulate((1 if ch == "U" else -1 for ch in w), initial=0))
+        rows.append((w, path[-1], min(path)))
+    if steps % 2 == 0:
+        n = steps // 2
+        dyck = [w for w, end, low in rows if end == 0 and low >= 0]
+        assert list(words.enumerate_words(n, "dyck")) == dyck
+        assert list(words.enumerate_words(n, "balanced")) == [w for w, end, _ in rows if end == 0]
+    for height in range(steps + 3):
+        if (steps - height) % 2:
+            with pytest.raises(PreconditionError):
+                list(words.enumerate_words(steps, "nonneg_to_height", height=height))
+            continue
+        paths = [w for w, end, low in rows if end == height and low >= 0]
+        assert list(words.enumerate_words(steps, "nonneg_to_height", height=height)) == paths
+
+
 def test_enumeration_examples():
     assert list(words.enumerate_words(1, "dyck")) == ["UD"]
     assert next(iter(words.enumerate_words(3, "dyck"))) == "UUUDDD"
