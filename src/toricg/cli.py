@@ -21,7 +21,7 @@ import sys
 from typing import Sequence
 
 from . import nestohedra, parking, perms, polyvec, verification, words
-from .config import CAPS, check_capacity
+from .config import check_capacity
 from .errors import CapacityError, ToricgError
 
 _SCHEMA = "toricg/1"
@@ -96,18 +96,13 @@ def _family_row(family: str, n: int, route: str, unsafe: bool) -> polyvec.IntPol
     if route == "hetyei":
         gamma = polyvec.gamma_family(family, n)
         return polyvec.toric_g_from_h(n, polyvec.gamma_to_h(gamma, n))
-    check_capacity("direct_route", n, unsafe)
-    if family == "associahedron":
-        return nestohedra.ascent_polynomial(
-            parking.iter_123_avoiding_functions(n, parking_only=True)
-        )
-    if family == "cyclohedron":
-        return nestohedra.ascent_polynomial(parking.iter_123_avoiding_functions(n))
     if family == "permutahedron":
-        return nestohedra.toric_g_direct(
-            nestohedra.named_family("permutahedron", n), unsafe=unsafe
-        )
-    return nestohedra.ascent_polynomial(perms.enumerate_123_avoiding(n))
+        return nestohedra.toric_g_direct(nestohedra.named_family(family, n), unsafe=unsafe)
+    check_capacity("functions_route", n, unsafe)
+    if family == "cube":
+        return nestohedra.ascent_polynomial(perms.enumerate_123_avoiding(n))
+    parking_only = family == "associahedron"
+    return nestohedra.ascent_polynomial(parking.iter_123_avoiding_functions(n, parking_only))
 
 
 def _bs_row(bs: nestohedra.BuildingSet, route: str, unsafe: bool) -> polyvec.IntPoly:
@@ -137,9 +132,11 @@ def _table_rows(args) -> list[tuple[int, list[int]]]:
     for n in dims:
         results = {}
         for route in routes:
-            if args.route == "all" and route == "direct" and n > CAPS["direct_route"] and not args.unsafe_max:
-                continue
-            results[route] = compute(n, route)
+            try:
+                results[route] = compute(n, route)
+            except CapacityError:
+                if args.route != "all" or route != "direct":
+                    raise  # under --route all the direct route is dropped past its cap
         first_route = next(iter(results))
         baseline = results[first_route]
         for route, poly in results.items():

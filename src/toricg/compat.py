@@ -21,7 +21,7 @@ import itertools
 from typing import Iterable, Iterator
 
 from .errors import PreconditionError, StructuralError
-from .words import D, U, enumerate_words, is_dyck, is_sparse
+from .words import D, U, enumerate_words, is_dyck, is_sparse, read_ints
 
 
 def u_positions(w: str) -> list[int]:
@@ -242,11 +242,12 @@ class NoncrossingPartition:
     __slots__ = ("blocks", "n")
 
     def __init__(self, blocks: Iterable[Iterable[int]]):
-        bs = tuple(sorted(tuple(sorted(b)) for b in blocks))
-        elements = [x for b in bs for x in b]
+        blocks = [tuple(b) for b in blocks]
+        elements = [x for b in blocks for x in b]
         n = len(elements)
-        if sorted(elements) != list(range(1, n + 1)):
-            raise StructuralError(f"blocks do not partition [n]: {bs!r}")
+        if any(type(x) is not int for x in elements) or sorted(elements) != list(range(1, n + 1)):
+            raise StructuralError(f"blocks do not partition [n]: {blocks!r}")
+        bs = tuple(sorted(tuple(sorted(b)) for b in blocks))
         if not _crossing_free(bs):
             raise StructuralError(f"partition is crossing: {bs!r}")
         self.blocks = bs
@@ -291,8 +292,8 @@ def _crossing_free(blocks) -> bool:
 
 
 def nc_from_text(text: str) -> NoncrossingPartition:
-    """Parse "1,2|3|4"."""
-    blocks = [[int(tok) for tok in part.split(",")] for part in text.split("|")]
+    """Parse "1,2|3|4"; the empty text is the empty partition."""
+    blocks = [read_ints(part, ",") for part in text.split("|")] if text.strip() else []
     return NoncrossingPartition(blocks)
 
 

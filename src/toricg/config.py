@@ -18,12 +18,13 @@ parking_trees       7        enumerate_parking_trees: (n!)^2 trees (25.4M at 7);
 b_permutations      7        b_permutations: lists up to (n+1)! permutations
                              by prefix extension; right_adjusted_b_permutations:
                              the walk over those with no double or final
-                             descent; h/gamma_chordal: 2^(n+1)*(n+1)^2 DP
-direct_route        6        toric_g_direct: counts parking trees over the
-                             right-adjusted B-permutations and the
-                             123-avoiding functions
+                             descent; h/gamma_chordal: 2^(n+1)*(n+1)^2 DP;
+                             toric_g_direct (``table --family permutahedron
+                             --max 7 --route direct``: about 0.3 s)
 functions_route     7        123-avoiding (parking) function sweeps, pruned
-                             by perms.enumerate_123_avoiding (16,753 at 7)
+                             by perms.enumerate_123_avoiding (16,753 at 7):
+                             the direct routes of the associahedron,
+                             cyclohedron and cube tables (about 0.2 s to 7)
 table               12       table rows (gamma / h routes), enumerate dyck
                              (``enumerate dyck 12``: about 0.2 s for 208,012
                              words)
@@ -40,7 +41,6 @@ from .errors import CapacityError
 CAPS = {
     "parking_trees": 7,
     "b_permutations": 7,
-    "direct_route": 6,
     "functions_route": 7,
     "table": 12,
 }

@@ -26,11 +26,13 @@ from typing import Iterator, NamedTuple, Sequence
 from . import perms
 from .config import check_capacity
 from .errors import PreconditionError, StructuralError
-from .words import D, U, u_runs
+from .words import D, U, read_int, read_ints, u_runs
 
 
 def fn_from_text(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split())
+    f = read_ints(text)
+    validate_fn(f)
+    return f
 
 
 def fn_to_text(f) -> str:
@@ -39,8 +41,9 @@ def fn_to_text(f) -> str:
 
 def validate_fn(f) -> None:
     n = len(f)
-    if any(not (1 <= v <= n) for v in f):
-        raise StructuralError(f"values must lie in [1, {n}]: {f!r}")
+    for v in f:
+        if type(v) is not int or not 1 <= v <= n:
+            raise StructuralError(f"values must be ints in [1, {n}]: {f!r}")
 
 
 def is_parking(f) -> bool:
@@ -409,12 +412,12 @@ def parking_tree_from_text(text: str) -> ParkingTree:
         if not s.startswith("(v=", i):
             raise StructuralError(f"expected '(v=' at {i} in {text!r}")
         i += 3
-        v, i = perms._parse_int(s, i, text)
+        v, i = read_int(s, i)
         edges = []
         while i < len(s) and s[i] == "[":
             if not s.startswith("[e=", i):
                 raise StructuralError(f"expected '[e=' at {i} in {text!r}")
-            e, i = perms._parse_int(s, i + 3, text)
+            e, i = read_int(s, i + 3)
             child, i = parse_node(i)
             if i >= len(s) or s[i] != "]":
                 raise StructuralError(f"expected ']' at {i} in {text!r}")

@@ -12,13 +12,15 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import PreconditionError, StructuralError
-from .words import D, U, is_dyck
+from .words import D, U, is_dyck, read_int, read_ints
 
 PlaneTree = tuple  # (label, (PlaneTree, ...))
 
 
 def perm_from_text(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split())
+    p = read_ints(text)
+    validate_perm(p)
+    return p
 
 
 def perm_to_text(p) -> str:
@@ -26,7 +28,7 @@ def perm_to_text(p) -> str:
 
 
 def validate_perm(p) -> None:
-    if sorted(p) != list(range(1, len(p) + 1)):
+    if any(type(v) is not int for v in p) or sorted(p) != list(range(1, len(p) + 1)):
         raise StructuralError(f"not a permutation of [{len(p)}]: {p!r}")
 
 
@@ -363,7 +365,7 @@ def fs_tree_from_text(text: str) -> FSTree:
     def parse(i: int) -> tuple[FSTree, int]:
         if not s.startswith("(", i):
             raise StructuralError(f"expected '(' at {i} in {text!r}")
-        label, i = _parse_int(s, i + 1, text)
+        label, i = read_int(s, i + 1)
         slots: dict[str, FSTree] = {}
         while i < len(s) and s[i] in "LR":
             slot = s[i]
@@ -380,16 +382,6 @@ def fs_tree_from_text(text: str) -> FSTree:
     if end != len(s):
         raise StructuralError(f"trailing text in {text!r}")
     return tree
-
-
-def _parse_int(s: str, i: int, text: str) -> tuple[int, int]:
-    """The digits of ``s`` from position i, and the position after them."""
-    j = i
-    while j < len(s) and s[j].isdigit():
-        j += 1
-    if j == i:
-        raise StructuralError(f"expected an integer at {i} in {text!r}")
-    return int(s[i:j]), j
 
 
 # ---------------------------------------------------------------------------

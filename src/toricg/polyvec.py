@@ -30,7 +30,7 @@ from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from .errors import PreconditionError, StructuralError
-from .words import catalan
+from .words import catalan, read_ints
 
 _FAMILIES = ("cube", "associahedron", "cyclohedron", "permutahedron")
 
@@ -81,8 +81,7 @@ class IntPoly:
 
     @classmethod
     def from_text(cls, text: str) -> "IntPoly":
-        text = text.strip()
-        return cls(int(tok) for tok in text.split(",")) if text else cls()
+        return cls(read_ints(text, ",", signed=True)) if text.strip() else cls()
 
     def to_text(self) -> str:
         return ",".join(str(c) for c in self.coeffs)

@@ -18,7 +18,7 @@ U = "U"
 D = "D"
 H = "H"
 
-_RUN_TOKEN = re.compile(r"([UDH])(?:\^?(\d+))?")
+_RUN_TOKEN = re.compile(r"([UDH])(?:\^?([0-9]+))?")
 
 # enumerate_words completes each prefix from a table of its last _TAIL steps
 _TAIL = 10
@@ -49,6 +49,33 @@ def catalan_triangle(n: int, k: int) -> int:
     if k < 0 or 2 * k > n:
         return 0
     return comb(n, k) - (comb(n, k - 1) if k >= 1 else 0)
+
+
+def read_int(s: str, i: int = 0, signed: bool = False) -> tuple[int, int]:
+    """The integer written in ASCII digits from position i of ``s`` (after
+    one '-' where the format has a sign), and the position after it."""
+    j = k = i + (signed and s.startswith("-", i))
+    while k < len(s) and "0" <= s[k] <= "9":
+        k += 1
+    if k == j:
+        raise StructuralError(f"expected an integer at {i} in {s!r}")
+    try:
+        return int(s[i:k]), k
+    except ValueError as exc:  # more digits than int() converts
+        raise StructuralError(f"integer too long at {i} in {s!r}") from exc
+
+
+def read_ints(text: str, sep: str | None = None, signed: bool = False) -> tuple[int, ...]:
+    """The integers of ``text`` split at ``sep`` (whitespace when None),
+    each token read whole by :func:`read_int`."""
+    out = []
+    for tok in text.split(sep):
+        tok = tok.strip()
+        value, end = read_int(tok, 0, signed)
+        if end != len(tok):
+            raise StructuralError(f"not an integer: {tok!r} in {text!r}")
+        out.append(value)
+    return tuple(out)
 
 
 def word_from_text(text: str) -> str:

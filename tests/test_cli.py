@@ -9,7 +9,8 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toricg import cli, verification
+from toricg import cli, nestohedra, parking, perms, verification
+from toricg.polyvec import IntPoly
 
 TABLE_1 = """\
 n,g0,g1,g2,g3,g4
@@ -57,6 +58,69 @@ def test_table_route_all(capsys):
     assert code == 0
     baseline = run(capsys, "table", "--family", "associahedron", "--max", "5")[1]
     assert out == baseline
+
+
+_FAMILIES = ("associahedron", "cyclohedron", "permutahedron", "cube")
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_direct_answers_row_7(family, capsys):
+    """Each direct route is bounded by the key of the sweep it runs, which
+    allows n = 7: functions_route, or b_permutations for the permutahedron."""
+    code, out, _ = run(capsys, "table", "--family", family, "--max", "7", "--route", "direct")
+    assert code == 0
+    assert out == run(capsys, "table", "--family", family, "--max", "7", "--route", "gamma")[1]
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_direct_refuses_row_8_before_its_sweep(family, capsys, monkeypatch):
+    def only_to_7(sweep, size=lambda arg: arg):
+        def guarded(arg, *rest, **kwargs):
+            assert size(arg) <= 7, f"{sweep.__name__} ran past the cap"
+            return sweep(arg, *rest, **kwargs)
+        return guarded
+
+    ground = lambda bs: bs.ground_size - 1
+    monkeypatch.setattr(perms, "enumerate_123_avoiding", only_to_7(perms.enumerate_123_avoiding))
+    monkeypatch.setattr(parking, "avoiding_functions_by_fibers",
+                        only_to_7(parking.avoiding_functions_by_fibers))
+    monkeypatch.setattr(nestohedra, "validate", only_to_7(nestohedra.validate, ground))
+    monkeypatch.setattr(nestohedra, "right_adjusted_b_permutations",
+                        only_to_7(nestohedra.right_adjusted_b_permutations, ground))
+    code, out, err = run(capsys, "table", "--family", family, "--max", "8", "--route", "direct")
+    key = "b_permutations" if family == "permutahedron" else "functions_route"
+    assert code == 3 and out == ""
+    assert f"{key} is bounded at n <= 7 (requested n = 8)" in err
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_route_all_drops_direct_past_its_cap(family, capsys):
+    code, out, _ = run(capsys, "table", "--family", family, "--max", "12", "--route", "all")
+    assert code == 0
+    assert out == run(capsys, "table", "--family", family, "--max", "12")[1]
+
+
+def test_route_all_checks_row_7_directly(capsys, monkeypatch):
+    """A direct route that is wrong at n = 7 alone fails --route all."""
+    real = nestohedra.toric_g_direct
+
+    def wrong_at_7(bs, **kwargs):
+        poly = real(bs, **kwargs)
+        return poly + IntPoly([1]) if bs.ground_size == 8 else poly
+
+    monkeypatch.setattr(nestohedra, "toric_g_direct", wrong_at_7)
+    code, _, err = run(capsys, "table", "--family", "permutahedron", "--max", "7",
+                       "--route", "all")
+    assert code == 1 and "disagree at n=7" in err
+
+
+def test_route_all_keeps_the_other_refusals(tmp_path, capsys):
+    """Only the direct route is dropped past its cap; the gamma route's own
+    refusal of a ground-9 building set still exits 3."""
+    path = tmp_path / "bs.json"
+    path.write_text(json.dumps(nestohedra.named_family("permutahedron", 8).to_json()))
+    code, out, err = run(capsys, "table", "--building-set", str(path), "--route", "all")
+    assert code == 3 and out == "" and "b_permutations" in err
 
 
 def test_table_routes_agree(capsys):

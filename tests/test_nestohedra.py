@@ -166,6 +166,15 @@ def test_direct_route_agreement(n):
         assert nestohedra.toric_g_direct(bs) == nestohedra.toric_g_chordal(bs)
 
 
+def test_toric_g_direct_is_bounded_by_the_b_permutations_key():
+    """toric_g_direct answers on ground 8 and refuses ground 9 through the
+    b_permutations key alone."""
+    bs = nestohedra.named_family("permutahedron", 7)
+    assert nestohedra.toric_g_direct(bs) == nestohedra.toric_g_chordal(bs)
+    with pytest.raises(CapacityError, match="b_permutations is bounded at n <= 7"):
+        nestohedra.toric_g_direct(nestohedra.named_family("permutahedron", 8))
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_gamma_by_tree_forks(n):
     for kind in ("permutahedron", "stanley_pitman", "associahedron_intervals"):

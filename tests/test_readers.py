@@ -1,0 +1,132 @@
+"""Every text reader fails with the package's own errors.
+
+Each reader either raises a ToricgError or returns a value whose text
+reads back as the same value; every integer goes through
+``words.read_int``, which takes ASCII digits only.  The validators refuse
+entries that are not ints (floats and bools included) with a
+StructuralError.
+"""
+
+import re
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from toricg import compat, parking, perms, words
+from toricg.errors import StructuralError, ToricgError
+from toricg.polyvec import IntPoly
+
+# digits that int() or str.isdigit() take, and signs, underscores and blanks
+_TRAPS = "²¹٣_+- \t"
+
+
+def _texts(valid, alphabet):
+    """Arbitrary text over the format's characters and any others, real
+    texts of the format, and real texts with a slice replaced by noise."""
+    noise = st.text(st.sampled_from(alphabet + _TRAPS) | st.characters(), max_size=12)
+    spliced = st.builds(
+        lambda t, i, k, s: t[:i] + s + t[i + k:],
+        st.sampled_from(valid), st.integers(0, 40), st.integers(0, 3), noise,
+    )
+    return noise | st.sampled_from(valid) | spliced
+
+
+def _reads_back(read, write, text):
+    try:
+        value = read(text)
+    except ToricgError:
+        return
+    assert read(write(value)) == value
+
+
+_FS_TEXTS = [perms.fs_tree_to_text(perms.fs_tree(p))
+             for p in [(1,), (2, 1, 3), (3, 1, 4, 2), (2, 1, 4, 3, 5)]]
+_TREE_TEXTS = ["(v=1)", "(v=1 [e=1 (v=2)])", "(v=1 [e=1 (v=2)] [e=2 (v=3)])",
+               "(v=1 [e=2 (v=2 [e=1 (v=3)])])"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_texts(["7 5 10 7 3 6 1 4 3 1", "1", "2 1 2", ""], "0123456789 "))
+def test_fn_from_text_reads_back(text):
+    _reads_back(parking.fn_from_text, parking.fn_to_text, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_texts(["7 10 5 9 8 2 6 1 4 3", "1", "2 1 3", ""], "0123456789 "))
+def test_perm_from_text_reads_back(text):
+    _reads_back(perms.perm_from_text, perms.perm_to_text, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_texts(["1,37,10", "-3,0,5", "0", ""], "0123456789,-"))
+def test_intpoly_from_text_reads_back(text):
+    _reads_back(IntPoly.from_text, IntPoly.to_text, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_texts(["1,2|3|4", "1,4|2,3", "1", ""], "0123456789,|"))
+def test_nc_from_text_reads_back(text):
+    _reads_back(compat.nc_from_text, compat.nc_to_text, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_texts(_FS_TEXTS, "0123456789()LR"))
+def test_fs_tree_from_text_reads_back(text):
+    _reads_back(perms.fs_tree_from_text, perms.fs_tree_to_text, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_texts(_TREE_TEXTS, "0123456789()[]ve="))
+def test_parking_tree_from_text_reads_back(text):
+    _reads_back(parking.parking_tree_from_text, parking.parking_tree_to_text, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_texts(["U^4 D^2 U^2 D^3 U^3 D^2 U D^3", "UUDD", "U4D2", "UHD", ""], "UDH^0123456789")
+       # a run of k digits spells up to 10^k letters: keep the words small
+       .filter(lambda t: all(len(run) <= 3 for run in re.findall("[0-9]+", t))))
+def test_word_from_text_reads_back(text):
+    _reads_back(words.word_from_text, words.run_length_text, text)
+
+
+@pytest.mark.parametrize("read,text", [
+    (parking.fn_from_text, "a"),
+    (perms.perm_from_text, "x"),
+    (IntPoly.from_text, "x"),
+    (compat.nc_from_text, "1,a"),
+    (perms.fs_tree_from_text, "(²)"),  # a digit to str.isdigit, not to int()
+    (parking.parking_tree_from_text, "(v=¹)"),
+    (parking.fn_from_text, "0 9"),  # values off [1, n]
+    (perms.perm_from_text, "1 1"),
+    (IntPoly.from_text, "1_0"),  # int() reads this as 10
+    (IntPoly.from_text, "+1"),
+    (parking.fn_from_text, "١"),  # int() and str.isdigit() read this as 1
+    (IntPoly.from_text, "1" * 5000),  # more digits than int() converts
+])
+def test_reader_probes_raise_structural_errors(read, text):
+    with pytest.raises(StructuralError):
+        read(text)
+
+
+def test_empty_partition_reads_back():
+    empty = compat.nc_from_text("")
+    assert empty.blocks == () and empty.n == 0
+    assert compat.nc_to_text(empty) == ""
+
+
+def test_signed_coefficients_read_back():
+    assert IntPoly.from_text("1,-2, 3") == IntPoly([1, -2, 3])
+
+
+@pytest.mark.parametrize("check,value", [
+    (parking.is_parking, ("a",)),
+    (parking.is_parking, (True,)),
+    (parking.validate_fn, (1.0,)),
+    (perms.validate_perm, (1, "a")),
+    (perms.validate_perm, (True,)),
+    (compat.NoncrossingPartition, [[1, "a"]]),
+    (compat.NoncrossingPartition, [[1.0]]),
+])
+def test_validators_refuse_entries_that_are_not_ints(check, value):
+    with pytest.raises(StructuralError):
+        check(value)

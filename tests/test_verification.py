@@ -102,8 +102,8 @@ _ROW_KEYS = {
     "b_permutation_characterizations": {"b_permutations"},
     "h_gamma_pipeline": {"b_permutations"},
     "gamma_by_tree_forks": {"b_permutations"},
-    "direct_route_agreement": {"direct_route", "b_permutations"},
-    "dfs_tree_specialization": {"direct_route", "b_permutations"},
+    "direct_route_agreement": {"b_permutations"},
+    "dfs_tree_specialization": {"b_permutations"},
     "permutahedron_parking_trees": {"parking_trees"},
     "increasing_012_fork_counts": {"b_permutations"},
 }
