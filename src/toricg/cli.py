@@ -97,6 +97,7 @@ def _family_row(family: str, n: int, route: str, unsafe: bool) -> polyvec.IntPol
         gamma = polyvec.gamma_family(family, n)
         return polyvec.toric_g_from_h(n, polyvec.gamma_to_h(gamma, n))
     if family == "permutahedron":
+        check_capacity("b_permutations", n, unsafe)  # before the 2^(n+1) - 1 members
         return nestohedra.toric_g_direct(nestohedra.named_family(family, n), unsafe=unsafe)
     check_capacity("functions_route", n, unsafe)
     if family == "cube":
@@ -195,6 +196,8 @@ def _enumerate_stream(args):
     """(count, lines): the closed-form count of the objects, or None where
     only the stream can count them, and the stream of their texts."""
     n = args.n
+    if args.r is not None and args.bs_family != "interpolation":
+        raise ToricgError("--r needs --bs-family interpolation")
     if n < 0:
         raise ToricgError("n must be >= 0")
     if args.object == "dyck":
@@ -224,6 +227,8 @@ def _enumerate_building_set(args) -> nestohedra.BuildingSet:
         nestohedra.validate(bs)
         return bs
     if args.bs_family:
+        nestohedra._check_family(args.bs_family, args.n, args.r)
+        check_capacity("b_permutations", args.n, args.unsafe_max)
         return nestohedra.named_family(args.bs_family, args.n, args.r)
     raise ToricgError("b_perms needs --bs-family or --building-set")
 

@@ -19,8 +19,9 @@ whose fiber over v has c_v(pi) elements, the number of neighbours of v in
 pi larger than v.  Avoidance and ascents read f alone, so the route sums,
 over pi, the table of 123-avoiding functions by fiber sizes that also
 builds the 123 parking-tree walk as 0-1-2 shapes times the table
-(``parking.avoiding_functions_by_fibers``).  One walk lists the
-right-adjusted B-permutations for the route and the gamma checks.
+(``parking.avoiding_functions_by_fibers``).  One prefix walk lists the
+B-permutations and, for the route and the gamma checks, the right-adjusted
+ones.
 Members are stored as bitmasks over a ground set of size at most 16.
 """
 
@@ -242,12 +243,25 @@ def _component_table(bs: BuildingSet) -> list[int]:
 def b_permutations(bs: BuildingSet, unsafe: bool = False) -> list[tuple[int, ...]]:
     """All permutations pi of the ground set such that pi(i) and
     max(pi(1..i)) share a component of the restriction to {pi(1..i)},
-    for every prefix, in lexicographic order.
+    for every prefix, in lexicographic order."""
+    return _b_walk(bs, unsafe, right_adjusted=False)
+
+
+def right_adjusted_b_permutations(bs: BuildingSet, unsafe: bool = False) -> list[tuple[int, ...]]:
+    """The B-permutations with no double descent and no final descent (whose
+    min-rooted tree is right-adjusted), in lexicographic order."""
+    return _b_walk(bs, unsafe, right_adjusted=True)
+
+
+def _b_walk(bs: BuildingSet, unsafe: bool, right_adjusted: bool) -> list[tuple[int, ...]]:
+    """The one walk behind both listings.
 
     Valid prefixes are extended one element at a time (v may follow T iff
     v lies in comp[T | v]) and the last element, the complement, is checked
     against comp[full].  One first element at a time keeps the order
-    lexicographic and holds only that element's prefixes in memory.
+    lexicographic and holds only that element's prefixes in memory.  With
+    ``right_adjusted`` a value after a descent, and the last value, must be
+    above the value before it.
     """
     m = bs.ground_size
     check_capacity("b_permutations", m - 1, unsafe)
@@ -266,6 +280,8 @@ def b_permutations(bs: BuildingSet, unsafe: bool = False) -> list[tuple[int, ...
             grown: list[tuple[int, ...]] = []
             for t, p in zip(masks, prefixes):
                 free = full ^ t
+                if right_adjusted and len(p) > 1 and p[-2] > p[-1]:
+                    free &= -1 << p[-1]
                 while free:
                     bit = free & -free
                     free ^= bit
@@ -275,37 +291,8 @@ def b_permutations(bs: BuildingSet, unsafe: bool = False) -> list[tuple[int, ...
             masks, prefixes = grown_masks, grown
         for t, p in zip(masks, prefixes):
             last = full ^ t
-            if comp[full] & last:
+            if comp[full] & last and (not right_adjusted or last.bit_length() > p[-1]):
                 out.append(p + (last.bit_length(),))
-    return out
-
-
-def right_adjusted_b_permutations(bs: BuildingSet, unsafe: bool = False) -> list[tuple[int, ...]]:
-    """The B-permutations with no double descent and no final descent (whose
-    min-rooted tree is right-adjusted), in lexicographic order, by a
-    depth-first walk: v may follow T iff v lies in comp[T | v], as in
-    ``b_permutations``; a value below the last one may follow only the
-    first value or an ascent, and never comes last."""
-    m = bs.ground_size
-    check_capacity("b_permutations", m - 1, unsafe)
-    comp = _component_table(bs)
-    full = (1 << m) - 1
-    out: list[tuple[int, ...]] = []
-
-    def extend(t: int, p: tuple[int, ...], last: int, fell: bool) -> None:
-        free = full ^ t
-        if not free:
-            out.append(p)
-        elif fell or not free & (free - 1):
-            free &= -1 << last  # only values above the last may follow
-        while free:
-            bit = free & -free
-            free ^= bit
-            if comp[t | bit] & bit:
-                v = bit.bit_length()
-                extend(t | bit, p + (v,), v, v < last)
-
-    extend(0, (), 0, False)
     return out
 
 
@@ -425,10 +412,8 @@ def named_family(kind: str, n: int, r: int | None = None) -> BuildingSet:
                               [r+1, n+1]; r = 1 gives the permutahedron and
                               r = n the stellohedron
     """
-    if n < 1:
-        raise PreconditionError("named_family needs n >= 1")
+    _check_family(kind, n, r)
     m = n + 1
-    _check_ground_size(m)
     if kind == "permutahedron":
         sets = [s for k in range(1, m + 1) for s in itertools.combinations(range(1, m + 1), k)]
     elif kind == "stanley_pitman":
@@ -436,19 +421,24 @@ def named_family(kind: str, n: int, r: int | None = None) -> BuildingSet:
         sets += [list(range(i, m + 1)) for i in range(1, m + 1)]
     elif kind == "associahedron_intervals":
         sets = [list(range(i, j + 1)) for i in range(1, m + 1) for j in range(i, m + 1)]
-    elif kind == "interpolation":
-        if r is None or not (1 <= r <= n):
-            raise PreconditionError("interpolation needs 1 <= r <= n")
+    else:  # interpolation
         sets = [[i] for i in range(1, r + 1)]
         for k in range(1, m + 1):
             for s in itertools.combinations(range(1, m + 1), k):
                 if max(s) >= r + 1:
                     sets.append(list(s))
-    else:
-        raise PreconditionError(
-            f"unknown family {kind!r}; expected one of {_NAMED_KINDS}"
-        )
     return BuildingSet(m, sets)
+
+
+def _check_family(kind: str, n: int, r: int | None) -> None:
+    """Refuse what named_family refuses, before any member is built."""
+    if n < 1:
+        raise PreconditionError("named_family needs n >= 1")
+    _check_ground_size(n + 1)
+    if kind not in _NAMED_KINDS:
+        raise PreconditionError(f"unknown family {kind!r}; expected one of {_NAMED_KINDS}")
+    if kind == "interpolation" and (r is None or not (1 <= r <= n)):
+        raise PreconditionError("interpolation needs 1 <= r <= n")
 
 
 def ascent_polynomial(functions: Iterator[tuple[int, ...]]) -> IntPoly:

@@ -427,10 +427,13 @@ def parking_tree_from_text(text: str) -> ParkingTree:
             raise StructuralError(f"expected ')' at {i} in {text!r}")
         return (v, tuple(edges)), i + 1
 
-    root, end = parse_node(0)
-    if end != len(s):
-        raise StructuralError(f"trailing text in {text!r}")
-    return ParkingTree(root)
+    try:  # the parse and the ParkingTree check both recurse once per level
+        root, end = parse_node(0)
+        if end != len(s):
+            raise StructuralError(f"trailing text in {text!r}")
+        return ParkingTree(root)
+    except RecursionError:
+        raise StructuralError(f"tree nests too deeply to read: {text[:40]!r}...") from None
 
 
 # ---------------------------------------------------------------------------

@@ -378,7 +378,10 @@ def fs_tree_from_text(text: str) -> FSTree:
             raise StructuralError(f"expected ')' at {i} in {text!r}")
         return FSTree(label, slots.get("L"), slots.get("R")), i + 1
 
-    tree, end = parse(0)
+    try:
+        tree, end = parse(0)
+    except RecursionError:
+        raise StructuralError(f"tree nests too deeply to read: {text[:40]!r}...") from None
     if end != len(s):
         raise StructuralError(f"trailing text in {text!r}")
     return tree

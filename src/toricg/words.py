@@ -80,12 +80,7 @@ def read_ints(text: str, sep: str | None = None, signed: bool = False) -> tuple[
 
 def word_from_text(text: str) -> str:
     """Parse a word from plain ("UUDD") or run-length ("U^4 D^2", "U4D2") text."""
-    s = text.strip()
-    if not s:
-        return ""
-    compact = s.replace(" ", "").replace("\t", "")
-    if not compact:
-        return ""
+    compact = text.strip().replace(" ", "").replace("\t", "")
     out = []
     pos = 0
     while pos < len(compact):
@@ -93,7 +88,10 @@ def word_from_text(text: str) -> str:
         if m is None:
             raise StructuralError(f"cannot parse word text {text!r} at position {pos}")
         letter, count = m.group(1), m.group(2)
-        out.append(letter * (int(count) if count else 1))
+        try:
+            out.append(letter * (read_int(count)[0] if count else 1))
+        except OverflowError as exc:
+            raise StructuralError(f"run of {count} letters is too long in {text!r}") from exc
         pos = m.end()
     return "".join(out)
 

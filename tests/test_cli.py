@@ -123,6 +123,43 @@ def test_route_all_keeps_the_other_refusals(tmp_path, capsys):
     assert code == 3 and out == "" and "b_permutations" in err
 
 
+@pytest.mark.parametrize("argv,code", [
+    (("table", "--family", "permutahedron", "--max", "12", "--route", "all"), 0),
+    (("enumerate", "b_perms", "15", "--bs-family", "permutahedron"), 3),
+], ids=["table", "enumerate"])
+def test_named_family_is_not_built_past_the_cap(argv, code, capsys, monkeypatch):
+    """The b_permutations key refuses a row before its 2^(n+1) - 1 members
+    are built."""
+    real = nestohedra.named_family
+
+    def only_to_7(kind, n, r=None):
+        assert n <= 7, f"named_family built at n = {n}"
+        return real(kind, n, r)
+
+    monkeypatch.setattr(nestohedra, "named_family", only_to_7)
+    assert run(capsys, *argv)[0] == code
+
+
+@pytest.mark.parametrize("argv", [
+    ("b_perms", "8", "--bs-family", "interpolation"),  # no --r
+    ("b_perms", "8", "--bs-family", "interpolation", "--r", "9"),
+    ("b_perms", "16", "--bs-family", "permutahedron"),  # ground set past 16
+])
+def test_family_usage_errors_come_before_the_cap(argv, capsys):
+    code, out, err = run(capsys, "enumerate", *argv)
+    assert (code, out) == (2, "") and "capacity" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("b_perms", "2", "--bs-family", "permutahedron", "--r", "5"),
+    ("b_perms", "2", "--building-set", "bs.json", "--r", "1"),
+    ("dyck", "3", "--r", "1"),
+])
+def test_enumerate_refuses_r_without_interpolation(argv, capsys):
+    code, out, err = run(capsys, "enumerate", *argv)
+    assert (code, out) == (2, "") and "--r needs --bs-family interpolation" in err
+
+
 def test_table_routes_agree(capsys):
     for route in ("gamma", "hetyei", "direct"):
         code, out, _ = run(capsys, "table", "--family", "cube", "--max", "4",

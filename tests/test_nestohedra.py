@@ -506,10 +506,13 @@ def test_right_adjusted_walk_matches_filter_on_arbitrary_families():
         assert nestohedra.right_adjusted_b_permutations(bs) == right_adjusted_filter(bs)
 
 
-def test_right_adjusted_walk_refuses_before_any_work(monkeypatch):
+@pytest.mark.parametrize("listing", [
+    nestohedra.b_permutations, nestohedra.right_adjusted_b_permutations,
+], ids=lambda listing: listing.__name__)
+def test_walk_refuses_before_any_work(listing, monkeypatch):
     def no_table(bs):
         raise AssertionError("component table built past the cap")
 
     monkeypatch.setattr(nestohedra, "_component_table", no_table)
     with pytest.raises(CapacityError):
-        nestohedra.right_adjusted_b_permutations(BuildingSet(9, [[i] for i in range(1, 10)]))
+        listing(BuildingSet(9, [[i] for i in range(1, 10)]))

@@ -102,6 +102,8 @@ def test_word_from_text_reads_back(text):
     (IntPoly.from_text, "+1"),
     (parking.fn_from_text, "١"),  # int() and str.isdigit() read this as 1
     (IntPoly.from_text, "1" * 5000),  # more digits than int() converts
+    pytest.param(words.word_from_text, "U" + "9" * 5000, id="word-5000-digit-run"),
+    pytest.param(words.word_from_text, "U" + "9" * 25, id="word-run-past-any-str"),
 ])
 def test_reader_probes_raise_structural_errors(read, text):
     with pytest.raises(StructuralError):
@@ -130,3 +132,44 @@ def test_signed_coefficients_read_back():
 def test_validators_refuse_entries_that_are_not_ints(check, value):
     with pytest.raises(StructuralError):
         check(value)
+
+
+def _fs_chain(depth):
+    text = f"({depth})"
+    for v in range(depth - 1, 0, -1):
+        text = f"({v} R{text})"
+    return text
+
+
+def _parking_chain(depth):
+    text = f"(v={depth})"
+    for v in range(depth - 1, 0, -1):
+        text = f"(v={v} [e={v} {text}])"
+    return text
+
+
+_CHAINS = [
+    (perms.fs_tree_from_text, perms.fs_tree_to_text, _fs_chain),
+    (parking.parking_tree_from_text, parking.parking_tree_to_text, _parking_chain),
+]
+
+
+@pytest.mark.parametrize("read,write,chain", _CHAINS, ids=["fs_tree", "parking_tree"])
+def test_deep_trees_read_back_or_raise_structural_errors(read, write, chain):
+    """The tree readers recurse once per level: a 200-level chain reads
+    back, and one nesting past the interpreter's recursion limit is a
+    StructuralError, not a RecursionError."""
+    assert write(read(chain(200))) == chain(200)
+    with pytest.raises(StructuralError, match="nests too deeply"):
+        read(chain(1200))
+
+
+def test_parking_tree_check_past_the_recursion_limit_is_a_structural_error(monkeypatch):
+    """The ParkingTree check after the parse recurses once per level too;
+    near the limit it is the one that overflows."""
+    def too_deep(root):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(parking, "_validate_parking_tree", too_deep)
+    with pytest.raises(StructuralError, match="nests too deeply"):
+        parking.parking_tree_from_text(_parking_chain(3))
