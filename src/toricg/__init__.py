@@ -4,6 +4,8 @@ and building-set combinatorics that certify every entry by independent
 enumeration at desk scale.
 """
 
+import importlib
+
 from .errors import (
     BuildingSetError,
     CapacityError,
@@ -13,24 +15,29 @@ from .errors import (
     StructuralError,
     ToricgError,
 )
-from .polyvec import (
-    IntPoly,
-    cnix,
-    f_to_h,
-    g_contrib,
-    gamma_family,
-    gamma_to_h,
-    h_to_f,
-    h_to_gamma,
-    kruskal_katona_ok,
-    narayana,
-    peak_poly,
-    sturm_real_rooted,
-    toric_g_from_gamma,
-    toric_g_from_h,
-)
-from .series import TruncSeries, verify_series
-from .words import catalan, catalan_triangle, enumerate_words, factor_count, motzkin
+# The closed forms and the oracles load on first use (PEP 562), so that
+# ``import toricg.cli`` compiles only what a command runs.
+_HOMES = {
+    "polyvec": (
+        "IntPoly",
+        "cnix",
+        "f_to_h",
+        "g_contrib",
+        "gamma_family",
+        "gamma_to_h",
+        "h_to_f",
+        "h_to_gamma",
+        "kruskal_katona_ok",
+        "narayana",
+        "peak_poly",
+        "sturm_real_rooted",
+        "toric_g_from_gamma",
+        "toric_g_from_h",
+    ),
+    "series": ("TruncSeries", "verify_series"),
+    "words": ("catalan", "catalan_triangle", "enumerate_words", "factor_count", "motzkin"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -64,3 +71,9 @@ __all__ = [
     "toric_g_from_h",
     "verify_series",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)

@@ -18,16 +18,24 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import nestohedra, parking, perms, polyvec, verification, words
 from .config import check_capacity
 from .errors import CapacityError, ToricgError
+
+if TYPE_CHECKING:
+    from . import nestohedra, polyvec
+
+# Each command imports the modules it runs where its path runs them, after
+# the usage and capacity checks that come first: a closed-form row needs
+# only polyvec, and a refusal none of the library.
 
 _SCHEMA = "toricg/1"
 _TABLE_FAMILIES = ("associahedron", "cyclohedron", "permutahedron", "cube")
 _CHUNK_LINES = 4096
 _BS_FAMILIES = ("permutahedron", "stanley_pitman", "associahedron_intervals", "interpolation")
+# sorted(verification.SUITES), spelled out so that parsing loads no suite
+_SUITES = ("bijections", "compat", "conjectures", "gamma", "nestohedra", "series")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="lift the capacity bounds")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=sorted(verification.SUITES))
+    p_verify.add_argument("suite", choices=_SUITES)
     p_verify.add_argument("n_max", type=int)
     p_verify.add_argument("--unsafe-max", action="store_true")
 
@@ -87,19 +95,27 @@ def _load_building_set(path: str) -> nestohedra.BuildingSet:
         raise ToricgError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ToricgError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    from . import nestohedra
+
     return nestohedra.BuildingSet.from_json(data)
 
 
 def _family_row(family: str, n: int, route: str, unsafe: bool) -> polyvec.IntPoly:
-    if route == "gamma":
-        return polyvec.toric_g_from_gamma(n, polyvec.gamma_family(family, n))
-    if route == "hetyei":
+    if route != "direct":
+        from . import polyvec
+
         gamma = polyvec.gamma_family(family, n)
+        if route == "gamma":
+            return polyvec.toric_g_from_gamma(n, gamma)
         return polyvec.toric_g_from_h(n, polyvec.gamma_to_h(gamma, n))
     if family == "permutahedron":
         check_capacity("b_permutations", n, unsafe)  # before the 2^(n+1) - 1 members
+        from . import nestohedra
+
         return nestohedra.toric_g_direct(nestohedra.named_family(family, n), unsafe=unsafe)
     check_capacity("functions_route", n, unsafe)
+    from . import nestohedra, parking, perms
+
     if family == "cube":
         return nestohedra.ascent_polynomial(perms.enumerate_123_avoiding(n))
     parking_only = family == "associahedron"
@@ -107,6 +123,8 @@ def _family_row(family: str, n: int, route: str, unsafe: bool) -> polyvec.IntPol
 
 
 def _bs_row(bs: nestohedra.BuildingSet, route: str, unsafe: bool) -> polyvec.IntPoly:
+    from . import nestohedra, polyvec
+
     n = bs.ground_size - 1
     if route == "gamma":
         return nestohedra.toric_g_chordal(bs, unsafe)
@@ -181,6 +199,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verification
+
     report = verification.SUITES[args.suite](args.n_max, unsafe=args.unsafe_max)
     report = {"schema": _SCHEMA, "kind": "verify", **report}
     print(json.dumps(report, indent=2, sort_keys=True))
@@ -202,9 +222,13 @@ def _enumerate_stream(args):
         raise ToricgError("n must be >= 0")
     if args.object == "dyck":
         check_capacity("table", n, args.unsafe_max)
+        from . import words
+
         return words.catalan(n), words.enumerate_words(n, "dyck")
     if args.object == "parking_functions_123":
         check_capacity("functions_route", n, args.unsafe_max)
+        from . import parking
+
         return None, (
             parking.fn_to_text(f)
             for f in parking.iter_123_avoiding_functions(n, parking_only=True)
@@ -213,12 +237,20 @@ def _enumerate_stream(args):
         from math import factorial
 
         check_capacity("parking_trees", n, args.unsafe_max)
+        from . import parking
+
         return factorial(n) ** 2, parking.parking_tree_texts(n, unsafe=args.unsafe_max)
     bs = _enumerate_building_set(args)
+    from . import nestohedra, perms
+
     return None, (perms.perm_to_text(p) for p in nestohedra.b_permutations(bs, args.unsafe_max))
 
 
 def _enumerate_building_set(args) -> nestohedra.BuildingSet:
+    if not args.building_set and not args.bs_family:
+        raise ToricgError("b_perms needs --bs-family or --building-set")
+    from . import nestohedra
+
     if args.building_set:
         bs = _load_building_set(args.building_set)
         if bs.ground_size != args.n + 1:
@@ -226,11 +258,9 @@ def _enumerate_building_set(args) -> nestohedra.BuildingSet:
         check_capacity("b_permutations", args.n, args.unsafe_max)
         nestohedra.validate(bs)
         return bs
-    if args.bs_family:
-        nestohedra._check_family(args.bs_family, args.n, args.r)
-        check_capacity("b_permutations", args.n, args.unsafe_max)
-        return nestohedra.named_family(args.bs_family, args.n, args.r)
-    raise ToricgError("b_perms needs --bs-family or --building-set")
+    nestohedra._check_family(args.bs_family, args.n, args.r)
+    check_capacity("b_permutations", args.n, args.unsafe_max)
+    return nestohedra.named_family(args.bs_family, args.n, args.r)
 
 
 def _cmd_enumerate(args) -> int:

@@ -231,56 +231,73 @@ class FSTree:
 
 
 def fs_tree(p) -> FSTree:
-    """Decompose recursively: the minimum becomes the root, everything to
-    its left the left subtree and everything to its right the right one."""
+    """The minimum becomes the root, everything to its left the left
+    subtree and everything to its right the right one.
+
+    Built in one left-to-right pass that keeps the right spine of the tree
+    so far: each value adopts, as its left subtree, the part of the spine
+    above it, so no level costs a recursion."""
     validate_perm(p)
     if not p:
         raise PreconditionError("fs_tree requires a nonempty permutation")
-
-    def build(lo: int, hi: int) -> FSTree | None:
-        if lo >= hi:
-            return None
-        m = min(range(lo, hi), key=p.__getitem__)
-        return FSTree(p[m], build(lo, m), build(m + 1, hi))
-
-    return build(0, len(p))
+    spine: list[FSTree] = []
+    for value in p:
+        node = FSTree(value)
+        while spine and spine[-1].label > value:
+            node.left = spine.pop()
+        if spine:
+            spine[-1].right = node
+        spine.append(node)
+    return spine[0]
 
 
 def fs_inorder(t: FSTree) -> tuple[int, ...]:
     """Left subtree, root, right subtree; inverts :func:`fs_tree`."""
     out: list[int] = []
-
-    def walk(node: FSTree | None) -> None:
-        if node is None:
-            return
-        walk(node.left)
+    stack: list[FSTree] = []
+    node = t
+    while node is not None or stack:
+        while node is not None:
+            stack.append(node)
+            node = node.left
+        node = stack.pop()
         out.append(node.label)
-        walk(node.right)
-
-    walk(t)
+        node = node.right
     return tuple(out)
 
 
 def fs_preorder(t: FSTree | None) -> tuple[int, ...]:
     """Root, left subtree, right subtree."""
-    if t is None:
-        return ()
-    return (t.label,) + fs_preorder(t.left) + fs_preorder(t.right)
+    out: list[int] = []
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if node is not None:
+            out.append(node.label)
+            stack += (node.right, node.left)
+    return tuple(out)
 
 
 def _rebuild(node: FSTree | None, x: int, swap_if) -> tuple[FSTree | None, bool]:
-    if node is None:
-        return None, False
-    if node.label == x:
-        if swap_if(node):
-            return FSTree(node.label, node.right, node.left), True
-        return node, True
-    left, found = _rebuild(node.left, x, swap_if)
-    if found:
-        return FSTree(node.label, left, node.right), True
-    right, found = _rebuild(node.right, x, swap_if)
-    if found:
-        return FSTree(node.label, node.left, right), True
+    """The tree with the first vertex labeled x in preorder swapped when
+    ``swap_if`` holds for it and the path above it copied, and whether
+    there was one."""
+    stack = [(node, None)]  # (vertex, its trail: (parent, is left child, parent's trail))
+    while stack:
+        vertex, trail = stack.pop()
+        if vertex is None:
+            continue
+        if vertex.label != x:
+            stack += ((vertex.right, (vertex, False, trail)), (vertex.left, (vertex, True, trail)))
+            continue
+        new = FSTree(vertex.label, vertex.right, vertex.left) if swap_if(vertex) else vertex
+        while trail is not None:
+            parent, is_left, trail = trail
+            if is_left:
+                new = FSTree(parent.label, new, parent.right)
+            else:
+                new = FSTree(parent.label, parent.left, new)
+        return new, True
     return node, False
 
 
@@ -350,12 +367,20 @@ def fs_tree_to_text(t: FSTree | None) -> str:
     e.g. "(1 L(2) R(3 R(4)))"."""
     if t is None:
         return "()"
-    parts = [str(t.label)]
-    if t.left is not None:
-        parts.append("L" + fs_tree_to_text(t.left))
-    if t.right is not None:
-        parts.append("R" + fs_tree_to_text(t.right))
-    return "(" + " ".join(parts) + ")"
+    out: list[str] = []
+    stack: list = [t]  # vertices still to render and the text that closes them
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        out.append(f"({item.label}")
+        stack.append(")")
+        if item.right is not None:
+            stack += (item.right, " R")
+        if item.left is not None:
+            stack += (item.left, " L")
+    return "".join(out)
 
 
 def fs_tree_from_text(text: str) -> FSTree:

@@ -9,7 +9,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toricg import cli, nestohedra, parking, perms, verification
+from toricg import cli, nestohedra, parking, perms, verification, words
 from toricg.polyvec import IntPoly
 
 TABLE_1 = """\
@@ -219,8 +219,8 @@ def test_count_only_closed_forms_skip_the_stream_but_not_the_cap(capsys, monkeyp
         raise AssertionError("streamed")
         yield
 
-    monkeypatch.setattr(cli.words, "enumerate_words", no_stream)
-    monkeypatch.setattr(cli.parking, "parking_tree_texts", no_stream)
+    monkeypatch.setattr(words, "enumerate_words", no_stream)
+    monkeypatch.setattr(parking, "parking_tree_texts", no_stream)
     assert run(capsys, "enumerate", "dyck", "12", "--count-only")[:2] == (0, "208012\n")
     assert run(capsys, "enumerate", "parking_trees", "7", "--count-only")[:2] == (0, "25401600\n")
     assert run(capsys, "enumerate", "dyck", "13", "--count-only")[0] == 3
@@ -468,3 +468,38 @@ def test_exit_code_property(document, truncated, argv):
                 code = exc.code
     assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def _loaded_modules(*argv):
+    """Exit code of one command in a fresh interpreter, and the toricg
+    modules it left loaded, by their short names."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import contextlib, io, sys\n"
+        "from toricg.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'toricg'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), check=True)
+    code, *names = proc.stdout.split()
+    return int(code), {name.rpartition(".")[2] for name in names}
+
+
+def test_each_command_loads_only_the_modules_it_runs():
+    code, loaded = _loaded_modules("table", "--family", "cube", "--max", "3")
+    assert code == 0 and "polyvec" in loaded
+    assert not loaded & {"nestohedra", "parking", "perms", "series", "compat", "verification"}
+    code, loaded = _loaded_modules("enumerate", "dyck", "3")
+    assert code == 0 and "words" in loaded and "polyvec" not in loaded
+    # the capacity refusal comes before any of the library
+    assert _loaded_modules("table", "--family", "permutahedron", "--max", "13") == (
+        3, {"toricg", "cli", "config", "errors"})
+    code, loaded = _loaded_modules("verify", "series", "2")
+    assert code == 0 and "verification" in loaded
+
+
+def test_verify_parser_lists_every_suite_in_sorted_order():
+    assert cli._SUITES == tuple(sorted(verification.SUITES))

@@ -132,3 +132,13 @@ def test_stream_sizes(command, size, lines, capsys):
     assert cli.main(command.split()) == 0
     out = capsys.readouterr().out
     assert (len(out.encode()), out.count("\n")) == (size, lines)
+
+
+def test_golden_usage_error(capsys):
+    """argparse's usage and "invalid choice" text for an unknown suite,
+    pinned by the sha256 of stderr."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "nosuch", "3"])
+    err = capsys.readouterr().err
+    assert (exc.value.code, hashlib.sha256(err.encode()).hexdigest()) == (
+        2, "670feb8150f359fca9d36751fbc89652246f97bfc5fd89c8407946db1aafd304")

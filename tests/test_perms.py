@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -228,6 +229,33 @@ def test_plane_trees_are_increasing():
 def test_text_formats():
     assert perms.perm_from_text("7 10 5 9 8 2 6 1 4 3") == FIG_PERM
     assert perms.perm_to_text(FIG_PERM) == "7 10 5 9 8 2 6 1 4 3"
+
+
+def _deep_perms():
+    rng = random.Random(14)
+    shuffled = list(range(1, 2001))
+    rng.shuffle(shuffled)
+    return [tuple(range(1, 1201)), tuple(range(1200, 0, -1)), tuple(shuffled)]
+
+
+@pytest.mark.parametrize("p", _deep_perms(), ids=["increasing", "decreasing", "random"])
+def test_fs_trees_deeper_than_the_recursion_limit(p):
+    """fs_tree and the walks over its trees take no recursion per level: a
+    1,200-level chain, either way round, builds, walks and renders."""
+    n = len(p)
+    t = perms.fs_tree(p)
+    assert perms.fs_inorder(t) == p
+    text = perms.fs_tree_to_text(t)
+    assert text.count("(") == n
+    if p == tuple(range(1, n + 1)):
+        assert text == "".join(f"({v} R" for v in range(1, n)) + f"({n}" + ")" * n
+        assert perms.fs_preorder(t) == p
+        # psi swaps the only child of n - 1 into its left slot, n levels down
+        assert perms.fs_inorder(perms.fs_psi(t, n - 1)) == p[:-2] + (n, n - 1)
+    elif p[0] == n:
+        assert text == "".join(f"({v} L" for v in range(1, n)) + f"({n}" + ")" * n
+    else:
+        assert perms.fs_inorder(perms.fs_tree_from_text(text)) == p
 
 
 @given(st.permutations(list(range(1, 9))))
