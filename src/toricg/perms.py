@@ -212,22 +212,39 @@ class FSTree:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FSTree):
             return NotImplemented
-        return (self.label == other.label and self.left == other.left
-                and self.right == other.right)
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a is None or b is None or a.label != b.label:
+                return False
+            stack += ((a.right, b.right), (a.left, b.left))
+        return True
 
     def __hash__(self):
-        return hash((self.label, self.left, self.right))
+        # the preorder with each vertex's child slots fixes the tree
+        return hash(tuple((node.label, node.left is None, node.right is None)
+                          for node in _preorder(self)))
 
     def __repr__(self) -> str:
         return f"fs_tree_from_text({fs_tree_to_text(self)!r})"
 
     def labels(self) -> set[int]:
-        out = {self.label}
-        if self.left is not None:
-            out |= self.left.labels()
-        if self.right is not None:
-            out |= self.right.labels()
-        return out
+        return {node.label for node in _preorder(self)}
+
+
+def _preorder(t: FSTree | None) -> list[FSTree]:
+    """The vertices of t, root, left subtree, right subtree, walked on an
+    explicit stack: each parent comes before its children."""
+    out: list[FSTree] = []
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if node is not None:
+            out.append(node)
+            stack += (node.right, node.left)
+    return out
 
 
 def fs_tree(p) -> FSTree:
@@ -268,14 +285,7 @@ def fs_inorder(t: FSTree) -> tuple[int, ...]:
 
 def fs_preorder(t: FSTree | None) -> tuple[int, ...]:
     """Root, left subtree, right subtree."""
-    out: list[int] = []
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if node is not None:
-            out.append(node.label)
-            stack += (node.right, node.left)
-    return tuple(out)
+    return tuple(node.label for node in _preorder(t))
 
 
 def _rebuild(node: FSTree | None, x: int, swap_if) -> tuple[FSTree | None, bool]:
@@ -322,21 +332,19 @@ def fs_psi(t: FSTree, x: int) -> FSTree:
 
 def is_right_adjusted(t: FSTree | None) -> bool:
     """True when no vertex has an only child sitting in the left slot."""
-    if t is None:
-        return True
-    if t.left is not None and t.right is None:
-        return False
-    return is_right_adjusted(t.left) and is_right_adjusted(t.right)
+    return all(node.left is None or node.right is not None for node in _preorder(t))
 
 
-def _right_adjust(node: FSTree | None) -> FSTree | None:
-    if node is None:
-        return None
-    left = _right_adjust(node.left)
-    right = _right_adjust(node.right)
-    if left is not None and right is None:
-        return FSTree(node.label, None, left)
-    return FSTree(node.label, left, right)
+def _right_adjust(t: FSTree | None) -> FSTree | None:
+    """A copy of t with every only child moved to the right slot, built
+    children first."""
+    new = {id(None): None}
+    for node in reversed(_preorder(t)):
+        left, right = new[id(node.left)], new[id(node.right)]
+        if left is not None and right is None:
+            left, right = None, left
+        new[id(node)] = FSTree(node.label, left, right)
+    return new[id(t)]
 
 
 def right_adjusted_rep(p) -> tuple[int, ...]:

@@ -1,8 +1,9 @@
 """Exact integer polynomials and the f/h/gamma/toric-g pipeline.
 
-All arithmetic is over Python's arbitrary-precision integers; rationals
-appear only inside the Narayana/triangle prefactors (with integrality
-asserted on output) and inside the Sturm sign computations.
+All arithmetic is over Python's arbitrary-precision integers, with no
+rationals anywhere: the Narayana/triangle prefactors divide exactly (a
+remainder raises StructuralError), and each link of the Sturm chain is a
+positive integer multiple of the rational one.
 
 The toric g-polynomial of an n-dimensional simple polytope with
 gamma-vector (gamma_0, ..., gamma_{n//2}) is
@@ -24,9 +25,8 @@ its binomial coefficients.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 from typing import Iterable, Mapping, Sequence
 
 from .errors import PreconditionError, StructuralError
@@ -272,10 +272,9 @@ def cnix(n: int, i: int) -> IntPoly:
         return IntPoly((1,))
     coeffs = [0] * (i + 1)
     for k in range(1, i + 1):
-        value = Fraction(n + 1 - 2 * i, k) * comb(n - i, k - 1) * comb(i - 1, k - 1)
-        if value.denominator != 1:
-            raise AssertionError(f"cnix({n},{i}) coefficient x^{k} not integral")
-        coeffs[k] = int(value)
+        coeffs[k], rest = divmod((n + 1 - 2 * i) * comb(n - i, k - 1) * comb(i - 1, k - 1), k)
+        if rest:
+            raise StructuralError(f"cnix({n},{i}) coefficient x^{k} not integral")
     return IntPoly(coeffs)
 
 
@@ -334,10 +333,9 @@ def narayana(k: int) -> IntPoly:
         return X
     coeffs = [0] * (k + 1)
     for j in range(1, k + 1):
-        value = Fraction(comb(k, j) * comb(k, j - 1), k)
-        if value.denominator != 1:
-            raise AssertionError(f"narayana({k}) coefficient x^{j} not integral")
-        coeffs[j] = int(value)
+        coeffs[j], rest = divmod(comb(k, j) * comb(k, j - 1), k)
+        if rest:
+            raise StructuralError(f"narayana({k}) coefficient x^{j} not integral")
     return IntPoly(coeffs)
 
 
@@ -405,66 +403,49 @@ def gamma_family(family: str, n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _frac_divmod(a: list[Fraction], b: list[Fraction]):
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+def _next_link(a: list[int], b: list[int]) -> list[int]:
+    """-rem(a, b) as a positive integer multiple of the rational remainder,
+    divided by its content; [] when b divides a.  Each division step scales
+    the dividend by |lead(b)| > 0, so every sign is kept."""
+    scale, sign = abs(b[-1]), 1 if b[-1] > 0 else -1
     r = a[:]
-    while len(r) >= len(b) and any(r):
+    while len(r) >= len(b):
+        top, shift = sign * r[-1], len(r) - len(b)
+        r = [scale * c for c in r]
+        for i, c in enumerate(b):
+            r[shift + i] -= top * c
         while r and r[-1] == 0:
             r.pop()
-        if len(r) < len(b):
-            break
-        factor = r[-1] / b[-1]
-        shift = len(r) - len(b)
-        q[shift] = factor
-        for i, c in enumerate(b):
-            r[shift + i] -= factor * c
-        r.pop()
-    while r and r[-1] == 0:
-        r.pop()
-    return q, r
-
-
-def _frac_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    while b:
-        _, r = _frac_divmod(a, b)
-        a, b = b, r
-    lead = a[-1]
-    return [c / lead for c in a]
-
-
-def _sign_variations(signs: list[int]) -> int:
-    nz = [s for s in signs if s]
-    return sum(1 for x, y in zip(nz, nz[1:]) if x * y < 0)
+    content = gcd(*r)
+    return [-c // content for c in r]
 
 
 def sturm_real_rooted(p: IntPoly) -> bool:
     """Decide exactly whether every complex root of p is real.
 
-    Takes the squarefree part first, builds the Sturm chain over exact
-    rationals, and compares the number of distinct real roots (sign
-    variations at -infinity minus +infinity) with the degree.
+    Builds the Sturm chain p, p', -rem, ... on int coefficient lists
+    (``_next_link``) until a constant or a zero remainder.  The chain then
+    ends at gcd(p, p'), and its sign variations at -infinity minus
+    +infinity count the distinct real roots even when some are multiple;
+    p has deg p - deg gcd(p, p') distinct roots, and is real-rooted when
+    the two counts agree.
     """
     if p.is_zero():
         raise PreconditionError("the zero polynomial has no root count")
     if p.degree <= 1:
         return True
-    coeffs = [Fraction(c) for c in p.coeffs]
-    deriv = [Fraction(i * c) for i, c in enumerate(p.coeffs)][1:]
-    square_free, _ = _frac_divmod(coeffs, _frac_gcd(coeffs, deriv))
-    deg = len(square_free) - 1
-    if deg <= 1:
-        return True
-    chain = [square_free, [i * c for i, c in enumerate(square_free)][1:]]
+    chain = [list(p.coeffs), list(p.derivative().coeffs)]
     while len(chain[-1]) > 1:
-        _, r = _frac_divmod(chain[-2], chain[-1])
-        if not r:
-            raise AssertionError("squarefree Sturm chain hit a zero remainder")
-        chain.append([-c for c in r])
-    at_minus = [
-        (1 if s[-1] > 0 else -1) * (-1 if (len(s) - 1) % 2 else 1) for s in chain
-    ]
-    at_plus = [1 if s[-1] > 0 else -1 for s in chain]
-    return _sign_variations(at_minus) - _sign_variations(at_plus) == deg
+        link = _next_link(chain[-2], chain[-1])
+        if not link:
+            break
+        chain.append(link)
+    def variations(signs: list[bool]) -> int:
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    at_plus = [s[-1] > 0 for s in chain]
+    at_minus = [(s[-1] > 0) != (len(s) % 2 == 0) for s in chain]
+    return variations(at_minus) - variations(at_plus) == p.degree - (len(chain[-1]) - 1)
 
 
 def kk_pseudopower(m: int, k: int) -> int:

@@ -1,6 +1,9 @@
-"""The package root: every public name resolves to its home module's object."""
+"""The package root: every public name resolves to its home module's object,
+and no module imports ``fractions``: the closed forms stay in integers."""
 
+import ast
 import importlib
+import pathlib
 
 import pytest
 
@@ -22,3 +25,16 @@ def test_star_import_binds_every_public_name():
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="nosuch"):
         toricg.nosuch
+
+
+def test_no_module_imports_fractions():
+    """Read with ``ast``, so that a rational chain cannot come back unnoticed."""
+    for path in sorted(pathlib.Path(toricg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] == "fractions" for m in modules), path.name

@@ -241,10 +241,18 @@ def _deep_perms():
 @pytest.mark.parametrize("p", _deep_perms(), ids=["increasing", "decreasing", "random"])
 def test_fs_trees_deeper_than_the_recursion_limit(p):
     """fs_tree and the walks over its trees take no recursion per level: a
-    1,200-level chain, either way round, builds, walks and renders."""
+    1,200-level chain, either way round, builds, walks, compares, hashes,
+    right-adjusts and renders."""
     n = len(p)
     t = perms.fs_tree(p)
     assert perms.fs_inorder(t) == p
+    assert t == perms.fs_tree(p) and hash(t) == hash(perms.fs_tree(p))
+    assert t.labels() == set(p)
+    rep = perms.right_adjusted_rep(p)
+    assert perms.is_right_adjusted(t) == (rep == p)
+    assert perms.is_right_adjusted(perms.fs_tree(rep)) and sorted(rep) == sorted(p)
+    if p[0] == 1 or p[0] == n:
+        assert rep == tuple(range(1, n + 1))
     text = perms.fs_tree_to_text(t)
     assert text.count("(") == n
     if p == tuple(range(1, n + 1)):

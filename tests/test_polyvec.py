@@ -275,6 +275,28 @@ def test_sturm_matches_factored_products(roots):
     assert polyvec.sturm_real_rooted(poly)
 
 
+@given(
+    st.integers(-9, 9).filter(bool),
+    st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 3), st.integers(1, 3)), max_size=4),
+    st.lists(
+        st.integers(-6, 6).flatmap(
+            lambda b: st.tuples(st.just(b), st.integers(b * b // 4 + 1, b * b // 4 + 12))
+        ),
+        max_size=2,
+    ),
+)
+def test_sturm_on_products_with_known_roots(constant, linear, quadratics):
+    """constant * prod (a x - r)^m * prod (x^2 + b x + c) with b^2 < 4c is
+    real-rooted iff it has no such quadratic; a repeated real root, as in
+    (x - r)^2, counts as real."""
+    poly = IntPoly([constant])
+    for r, a, m in linear:
+        poly = poly * IntPoly([-r, a]) ** m
+    for b, c in quadratics:
+        poly = poly * IntPoly([c, b, 1])
+    assert polyvec.sturm_real_rooted(poly) == (not quadratics)
+
+
 def test_kruskal_katona():
     assert polyvec.kruskal_katona_ok([1, 0])
     assert polyvec.kruskal_katona_ok([1, 37, 10])
