@@ -199,6 +199,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.n_max < 0:  # refused before the suites load; _run checks it for library callers
+        raise ToricgError(f"n_max must be >= 0, got {args.n_max}")
     from . import verification
 
     report = verification.SUITES[args.suite](args.n_max, unsafe=args.unsafe_max)
@@ -213,8 +215,9 @@ def _cmd_verify(args) -> int:
 
 
 def _enumerate_stream(args):
-    """(count, lines): the closed-form count of the objects, or None where
-    only the stream can count them, and the stream of their texts."""
+    """(count, lines): the count of the objects without their stream (a
+    closed form, or the descent DP for b_perms under --count-only), or None
+    where only the stream can count them, and the stream of their texts."""
     n = args.n
     if args.r is not None and args.bs_family != "interpolation":
         raise ToricgError("--r needs --bs-family interpolation")
@@ -241,7 +244,13 @@ def _enumerate_stream(args):
 
         return factorial(n) ** 2, parking.parking_tree_texts(n, unsafe=args.unsafe_max)
     bs = _enumerate_building_set(args)
-    from . import nestohedra, perms
+    from . import nestohedra
+
+    if args.count_only:
+        # the descent DP extends a prefix exactly when the listing's walk
+        # does, so on a validated set its total is the number of lines
+        return sum(nestohedra._descent_counts(bs)), ()
+    from . import perms
 
     return None, (perms.perm_to_text(p) for p in nestohedra.b_permutations(bs, args.unsafe_max))
 

@@ -22,16 +22,23 @@ builds the 123 parking-tree walk as 0-1-2 shapes times the table
 (``parking.avoiding_functions_by_fibers``).  One prefix walk lists the
 B-permutations and, for the route and the gamma checks, the right-adjusted
 ones.
-Members are stored as bitmasks over a ground set of size at most 16.
+
+Members are stored as bitmasks over a ground set of size at most 16.  A
+BuildingSet is immutable and memoises what the pipeline asks of it more
+than once: its set of masks, the validation report, the component table
+and, once the palindromic check passes, the h-vector, so gamma, toric g
+and the direct route share one validation and one descent count.  The
+capacity check still runs on every call, and a call that raises stores
+nothing.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from functools import lru_cache
+from typing import Iterable, NamedTuple, Sequence
 
-from . import parking, perms
 from .config import check_capacity
 from .errors import BuildingSetError, ChordalityError, PreconditionError, StructuralError
 from .polyvec import IntPoly, h_to_gamma, toric_g_from_gamma
@@ -53,9 +60,14 @@ def _unmask(mask: int) -> tuple[int, ...]:
 
 
 class BuildingSet:
-    """A family of subsets of [ground_size], stored as sorted bitmasks."""
+    """A family of subsets of [ground_size], stored as sorted bitmasks.
 
-    __slots__ = ("ground_size", "masks")
+    Immutable.  The private ``_memo`` holds what this module computes from
+    the family (see the module docstring); equality, hashing, repr and JSON
+    ignore it.
+    """
+
+    __slots__ = ("ground_size", "masks", "_memo")
 
     def __init__(self, ground_size: int, sets: Iterable[Iterable[int]]):
         _check_ground_size(ground_size)
@@ -65,10 +77,7 @@ class BuildingSet:
             raise BuildingSetError(f"sets must be iterables of ints, got {sets!r}") from exc
         masks = set()
         for s in members:
-            if not all(type(i) is int and i >= 1 for i in s):
-                raise BuildingSetError(f"members must hold ints >= 1, got {list(s)!r}")
-            if not s:
-                raise BuildingSetError("members must be nonempty", witness=())
+            _check_member(s)
             if max(s) > ground_size:
                 # checked before masking: 1 << (i - 1) costs memory linear in i
                 member = tuple(sorted(set(s)))
@@ -77,14 +86,30 @@ class BuildingSet:
                     witness=member,
                 )
             masks.add(_mask(s))
-        self.ground_size = ground_size
-        self.masks = tuple(sorted(masks))
+        object.__setattr__(self, "ground_size", ground_size)
+        object.__setattr__(self, "masks", tuple(sorted(masks)))
+        object.__setattr__(self, "_memo", {"masks": frozenset(masks)})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BuildingSet is immutable")
+
+    def __reduce__(self):
+        # copies and pickles rebuild the family with an empty memo
+        return BuildingSet, (self.ground_size, self.members())
 
     def members(self) -> tuple[tuple[int, ...], ...]:
         return tuple(_unmask(m) for m in self.masks)
 
     def __contains__(self, item) -> bool:
-        return _mask(item) in set(self.masks)
+        """Whether ``item`` is a member.  What the constructor refuses as a
+        member raises BuildingSetError; a set reaching past the ground set
+        is not a member."""
+        try:
+            member = tuple(item)
+        except TypeError as exc:
+            raise BuildingSetError(f"a member is an iterable of ints, got {item!r}") from exc
+        _check_member(member)
+        return max(member) <= self.ground_size and _mask(member) in self._memo["masks"]
 
     def __eq__(self, other):
         if not isinstance(other, BuildingSet):
@@ -122,6 +147,14 @@ class BuildingSet:
             ) from exc
 
 
+def _check_member(s: tuple) -> None:
+    """Refuse a member that is empty or holds anything but ints >= 1."""
+    if not all(type(i) is int and i >= 1 for i in s):
+        raise BuildingSetError(f"members must hold ints >= 1, got {list(s)!r}")
+    if not s:
+        raise BuildingSetError("members must be nonempty", witness=())
+
+
 def _check_ground_size(m: int) -> None:
     """Refuse a ground set other than [1..16], before any 2^m work."""
     if type(m) is not int:
@@ -139,9 +172,12 @@ def validate(bs: BuildingSet) -> ValidationReport:
     """Check the building-set axioms, then report connectivity/chordality.
 
     Axiom violations raise BuildingSetError carrying a witness: the missing
-    singleton, or the pair whose union is missing.
+    singleton, or the pair whose union is missing.  The report is memoised.
     """
-    masks = set(bs.masks)
+    memo = bs._memo
+    if "report" in memo:
+        return memo["report"]
+    masks = memo["masks"]
     for i in range(1, bs.ground_size + 1):
         if 1 << (i - 1) not in masks:
             raise BuildingSetError(f"missing singleton {{{i}}}", witness=(i,))
@@ -154,10 +190,11 @@ def validate(bs: BuildingSet) -> ValidationReport:
     full = (1 << bs.ground_size) - 1
     connected = full in masks
     chordal = all(_suffix_closed(member, masks) for member in bs.masks)
-    return ValidationReport(connected, chordal)
+    memo["report"] = report = ValidationReport(connected, chordal)
+    return report
 
 
-def _suffix_closed(member: int, masks: set[int]) -> bool:
+def _suffix_closed(member: int, masks: frozenset[int]) -> bool:
     elements = _unmask(member)
     suffix = 0
     for i in reversed(elements):
@@ -225,8 +262,12 @@ def _component_table(bs: BuildingSet) -> list[int]:
 
     Members holding max(S) are closed under union, so when S is not a
     member comp[S] is the union of comp[S - {y}] over y in S below max(S).
+    The table is memoised; callers only read it.
     """
-    member = set(bs.masks)
+    memo = bs._memo
+    if "comp" in memo:
+        return memo["comp"]
+    member = memo["masks"]
     comp = [0] * (1 << bs.ground_size)
     for s in range(1, len(comp)):
         if s in member:
@@ -237,6 +278,7 @@ def _component_table(bs: BuildingSet) -> list[int]:
             bit = below & -below
             below ^= bit
             comp[s] |= comp[s ^ bit]
+    memo["comp"] = comp
     return comp
 
 
@@ -298,7 +340,8 @@ def _b_walk(bs: BuildingSet, unsafe: bool, right_adjusted: bool) -> list[tuple[i
 
 def _require_chordal(bs: BuildingSet, unsafe: bool) -> None:
     """Refuse sets past the b_permutations cap, then those that are not
-    connected and chordal; the cap comes first as validate is O(|B|^2)."""
+    connected and chordal.  The cap comes first, on every call: validate is
+    O(|B|^2), and a memo filled under ``unsafe`` must not lift it."""
     check_capacity("b_permutations", bs.ground_size - 1, unsafe)
     report = validate(bs)
     if not (report.connected and report.chordal):
@@ -339,12 +382,16 @@ def _descent_counts(bs: BuildingSet) -> list[int]:
 
 
 def h_chordal(bs: BuildingSet, unsafe: bool = False) -> tuple[int, ...]:
-    """Descent generating vector of the B-permutations; palindromic."""
+    """Descent generating vector of the B-permutations; palindromic.  It is
+    memoised once the check passes, after the capacity check of each call."""
     _require_chordal(bs, unsafe)
-    hvec = tuple(_descent_counts(bs))
-    if hvec != hvec[::-1]:
-        raise StructuralError(f"chordal h-vector {hvec} is not palindromic")
-    return hvec
+    memo = bs._memo
+    if "h" not in memo:
+        hvec = tuple(_descent_counts(bs))
+        if hvec != hvec[::-1]:
+            raise StructuralError(f"chordal h-vector {hvec} is not palindromic")
+        memo["h"] = hvec
+    return memo["h"]
 
 
 def gamma_chordal(bs: BuildingSet, unsafe: bool = False) -> tuple[int, ...]:
@@ -376,6 +423,8 @@ def toric_g_direct(bs: BuildingSet, dfs_only: bool = False, unsafe: bool = False
     :func:`toricg.parking.avoiding_functions_by_fibers`.  The b_permutations
     key bounds it, checked before any work (n = 7 takes about 0.1 s).
     """
+    from . import perms
+
     n = bs.ground_size - 1
     _require_chordal(bs, unsafe)
     shapes: Counter[tuple[int, ...]] = Counter()
@@ -383,12 +432,24 @@ def toric_g_direct(bs: BuildingSet, dfs_only: bool = False, unsafe: bool = False
     for pi in right_adjusted_b_permutations(bs, unsafe):
         if not dfs_only or perms.fs_preorder(perms.fs_tree(pi)) == preorder:
             shapes[_fiber_sizes(pi)] += 1
-    table = parking.avoiding_functions_by_fibers(n)
-    acc: Counter[int] = Counter()
+    table = _ascents_by_fibers(n)
+    out = IntPoly()
     for sizes, times in shapes.items():
-        for f in table[sizes]:
-            acc[parking.fn_ascents(f)] += times
-    return IntPoly.from_counts(acc)
+        out = out + times * table[sizes]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _ascents_by_fibers(n: int) -> dict[tuple[int, ...], IntPoly]:
+    """The weak-ascent polynomial of each group of
+    :func:`toricg.parking.avoiding_functions_by_fibers`, by fiber sizes;
+    built once per n, which toric_g_direct checks first."""
+    from . import parking
+
+    return {
+        sizes: ascent_polynomial(group)
+        for sizes, group in parking.avoiding_functions_by_fibers(n).items()
+    }
 
 
 def _fiber_sizes(pi: tuple[int, ...]) -> tuple[int, ...]:
@@ -441,7 +502,9 @@ def _check_family(kind: str, n: int, r: int | None) -> None:
         raise PreconditionError("interpolation needs 1 <= r <= n")
 
 
-def ascent_polynomial(functions: Iterator[tuple[int, ...]]) -> IntPoly:
+def ascent_polynomial(functions: Iterable[tuple[int, ...]]) -> IntPoly:
     """Generating polynomial of the weak ascent statistic over a stream of
     functions (plumbing for the brute-force routes)."""
+    from . import parking
+
     return IntPoly.from_counts(Counter(parking.fn_ascents(f) for f in functions))

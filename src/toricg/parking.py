@@ -147,12 +147,19 @@ class ParkingTree:
         return self.n + 1
 
 
-def _edges(node: Node) -> Iterator[tuple[int, int, Node]]:
-    """(parent label, edge label, child) for every edge, in preorder."""
+def _edges(node: Node) -> list[tuple[int, int, Node]]:
+    """(parent label, edge label, child) for every edge, in preorder, walked
+    on an explicit stack so that no level costs a recursion."""
     v, edges = node
-    for e, child in edges:
-        yield v, e, child
-        yield from _edges(child)
+    out = []
+    stack = [(v, e, child) for e, child in reversed(edges)]
+    while stack:
+        edge = stack.pop()
+        out.append(edge)
+        c, below = edge[2]
+        for e, grandchild in reversed(below):
+            stack.append((c, e, grandchild))
+    return out
 
 
 def _validate_parking_tree(root: Node) -> int:
@@ -209,13 +216,27 @@ def is_123_parking_tree(t: ParkingTree) -> bool:
 def _attach(shape: perms.PlaneTree, fibers: dict, n: int) -> ParkingTree:
     """The parking tree on ``shape`` (a vertex-labeled plane tree on n+1
     vertices) whose edges at vertex v carry ``fibers[v]``, v's increasing
-    edge labels, left to right."""
+    edge labels, left to right.
 
-    def build(node) -> Node:
+    The shape is walked on an explicit stack, each node before its
+    children and the children right to left; walked back from the end, each
+    node then finds its children's trees, left to right, on top of
+    ``built``."""
+    order = []
+    stack = [shape]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node[1])
+    built: list[Node] = []
+    for node in reversed(order):
         v, kids = node
-        return (v, tuple(zip(fibers[v], map(build, kids)))) if kids else node
-
-    return ParkingTree._unchecked(build(shape), n)
+        if kids:
+            k = len(kids)
+            node = (v, tuple(zip(fibers[v], built[-k:])))
+            del built[-k:]
+        built.append(node)
+    return ParkingTree._unchecked(built[0], n)
 
 
 def _fibers(f) -> dict[int, list[int]]:
@@ -394,15 +415,21 @@ def _counts_012(tree012: perms.PlaneTree) -> tuple[int, ...]:
 
 
 def parking_tree_to_text(t: ParkingTree) -> str:
-    """Nested rendering "(v=1 [e=7 (v=2)] [e=10 (v=3)])"."""
-
-    def render(node: Node) -> str:
-        v, edges = node
-        parts = [f"v={v}"]
-        parts.extend(f"[e={e} {render(child)}]" for e, child in edges)
-        return "(" + " ".join(parts) + ")"
-
-    return render(t.root)
+    """Nested rendering "(v=1 [e=7 (v=2)] [e=10 (v=3)])", written from an
+    explicit stack of nodes still to render and closing text."""
+    parts = []
+    stack: list = [t.root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        v, edges = item
+        parts.append(f"(v={v}")
+        stack.append(")")
+        for e, child in reversed(edges):
+            stack += ("]", child, f" [e={e} ")
+    return "".join(parts)
 
 
 def parking_tree_from_text(text: str) -> ParkingTree:
@@ -427,7 +454,7 @@ def parking_tree_from_text(text: str) -> ParkingTree:
             raise StructuralError(f"expected ')' at {i} in {text!r}")
         return (v, tuple(edges)), i + 1
 
-    try:  # the parse and the ParkingTree check both recurse once per level
+    try:  # the parse recurses once per level
         root, end = parse_node(0)
         if end != len(s):
             raise StructuralError(f"trailing text in {text!r}")

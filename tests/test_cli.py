@@ -1,7 +1,9 @@
 import contextlib
 import io
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toricg import cli, nestohedra, parking, perms, verification, words
+from toricg.errors import PreconditionError
 from toricg.polyvec import IntPoly
 
 TABLE_1 = """\
@@ -319,6 +322,60 @@ def test_enumerate_b_perms_n_must_match_the_file(tmp_path, capsys):
     assert (code, out) == (0, "3\n")
 
 
+def _count_only_matches_the_stream(capsys, *argv):
+    code, out, _ = run(capsys, "enumerate", "b_perms", *argv)
+    assert code == 0, argv
+    code, count, _ = run(capsys, "enumerate", "b_perms", *argv, "--count-only")
+    assert (code, count) == (0, f"{len(out.splitlines())}\n"), argv
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_b_perms_count_only_matches_the_stream_on_named_families(n, capsys):
+    for family in ("permutahedron", "stanley_pitman", "associahedron_intervals"):
+        _count_only_matches_the_stream(capsys, str(n), "--bs-family", family)
+    for r in range(1, n + 1):
+        _count_only_matches_the_stream(capsys, str(n), "--bs-family", "interpolation",
+                                       "--r", str(r))
+
+
+def test_b_perms_count_only_matches_the_stream_on_random_graphicals(tmp_path, capsys):
+    """Random graphs, disconnected and non-chordal ones included."""
+    rng = random.Random(16)
+    path = tmp_path / "bs.json"
+    kinds = set()
+    for _ in range(40):
+        m = rng.randint(1, 6)
+        pairs = list(itertools.combinations(range(1, m + 1), 2))
+        edges = [e for e in pairs if rng.random() < 0.45]
+        bs = nestohedra.graphical(m, edges)
+        kinds.add(nestohedra.validate(bs))
+        path.write_text(json.dumps(bs.to_json()))
+        _count_only_matches_the_stream(capsys, str(m - 1), "--building-set", str(path))
+    assert len(kinds) == 4  # (connected, chordal) took every value
+
+
+def test_b_perms_count_only_skips_the_stream_but_not_the_checks(tmp_path, capsys, monkeypatch):
+    def no_stream(*args, **kwargs):
+        raise AssertionError("the B-permutations were listed")
+
+    monkeypatch.setattr(nestohedra, "b_permutations", no_stream)
+    code, out, _ = run(capsys, "enumerate", "b_perms", "6", "--bs-family", "permutahedron",
+                       "--count-only")
+    assert (code, out) == (0, "5040\n")
+    code, out, err = run(capsys, "enumerate", "b_perms", "8", "--bs-family", "permutahedron",
+                         "--count-only")
+    assert (code, out) == (3, "") and "b_permutations" in err
+    path = tmp_path / "bs.json"
+    path.write_text(json.dumps({"ground_size": 9, "sets": [[i] for i in range(1, 10)]}))
+    code, out, err = run(capsys, "enumerate", "b_perms", "8", "--building-set", str(path),
+                         "--count-only")
+    assert (code, out) == (3, "") and "b_permutations" in err
+    path.write_text(json.dumps({"ground_size": 3, "sets": [[1], [2], [3], [1, 2], [2, 3]]}))
+    code, out, err = run(capsys, "enumerate", "b_perms", "2", "--building-set", str(path),
+                         "--count-only")
+    assert (code, out) == (2, "") and "union" in err
+
+
 def test_enumerate_b_perms_refuses_a_large_family_before_building_it(capsys):
     code, _, err = run(capsys, "enumerate", "b_perms", "30", "--bs-family", "permutahedron")
     assert code == 2 and "ground size" in err
@@ -379,9 +436,13 @@ def test_malformed_building_set_exits_2(name, tmp_path, capsys):
 
 @pytest.mark.parametrize("suite", sorted(verification.SUITES))
 def test_verify_negative_n_exits_2(suite, capsys):
+    """The command refuses a negative bound itself, with the message the
+    suites give library callers, who still get it."""
     code, out, err = run(capsys, "verify", suite, "-3")
     assert (code, out) == (2, "")
-    assert "n_max" in err
+    assert err == "toricg: error: n_max must be >= 0, got -3\n"
+    with pytest.raises(PreconditionError, match=r"^n_max must be >= 0, got -3$"):
+        verification.SUITES[suite](-3)
 
 
 # Building-set documents: mostly the right shape with wrong or right
@@ -488,7 +549,7 @@ def _loaded_modules(*argv):
     return int(code), {name.rpartition(".")[2] for name in names}
 
 
-def test_each_command_loads_only_the_modules_it_runs():
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     code, loaded = _loaded_modules("table", "--family", "cube", "--max", "3")
     assert code == 0 and "polyvec" in loaded
     assert not loaded & {"nestohedra", "parking", "perms", "series", "compat", "verification"}
@@ -497,6 +558,15 @@ def test_each_command_loads_only_the_modules_it_runs():
     # the capacity refusal comes before any of the library
     assert _loaded_modules("table", "--family", "permutahedron", "--max", "13") == (
         3, {"toricg", "cli", "config", "errors"})
+    # the gamma route of a file, and a malformed file, need neither parking nor perms
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(nestohedra.named_family("stanley_pitman", 3).to_json()))
+    bad.write_text(json.dumps(MALFORMED["member-float"]))
+    for path, code in ((good, 0), (bad, 2)):
+        assert _loaded_modules("table", "--building-set", str(path)) == (
+            code, {"toricg", "cli", "config", "errors", "nestohedra", "polyvec", "words"})
+    # a negative bound is refused before the suites load
+    assert _loaded_modules("verify", "gamma", "-3") == (2, {"toricg", "cli", "config", "errors"})
     code, loaded = _loaded_modules("verify", "series", "2")
     assert code == 0 and "verification" in loaded
 

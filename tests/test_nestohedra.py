@@ -1,5 +1,7 @@
+import copy
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -14,6 +16,7 @@ from toricg.errors import (
     CapacityError,
     ChordalityError,
     PreconditionError,
+    StructuralError,
 )
 from toricg.nestohedra import BuildingSet
 
@@ -516,3 +519,128 @@ def test_walk_refuses_before_any_work(listing, monkeypatch):
     monkeypatch.setattr(nestohedra, "_component_table", no_table)
     with pytest.raises(CapacityError):
         listing(BuildingSet(9, [[i] for i in range(1, 10)]))
+
+
+def _queries(bs: BuildingSet) -> dict:
+    """Every question the pipeline asks of a connected chordal set, by name."""
+    return {
+        "validate": lambda: nestohedra.validate(bs),
+        "table": lambda: list(nestohedra._component_table(bs)),
+        "h": lambda: nestohedra.h_chordal(bs),
+        "gamma": lambda: nestohedra.gamma_chordal(bs),
+        "toric_g": lambda: nestohedra.toric_g_chordal(bs),
+        "direct": lambda: nestohedra.toric_g_direct(bs),
+        "direct_dfs": lambda: nestohedra.toric_g_direct(bs, dfs_only=True),
+        "b_perms": lambda: nestohedra.b_permutations(bs),
+        "right_adjusted": lambda: nestohedra.right_adjusted_b_permutations(bs),
+        "members": lambda: [m in bs for m in bs.members()],
+    }
+
+
+def test_a_reused_set_answers_as_fresh_ones_in_any_order():
+    """The memo changes no answer: each query on a fresh copy equals the
+    same query on one instance asked everything in shuffled orders."""
+    rng = random.Random(16)
+    sets = named_and_interpolation_sets(4) + random_chordal_graphicals(16, 6, 6)
+    for bs in sets:
+        fresh = {name: _queries(BuildingSet(bs.ground_size, bs.members()))[name]()
+                 for name in _queries(bs)}
+        reused = BuildingSet(bs.ground_size, bs.members())
+        queries = _queries(reused)
+        for _ in range(3):
+            names = list(queries)
+            rng.shuffle(names)
+            for name in names:
+                assert queries[name]() == fresh[name], (bs, name)
+        # only O(2^m) ints and one h-vector are kept, never a listing
+        assert set(reused._memo) == {"masks", "report", "comp", "h"}
+        assert reused == bs and hash(reused) == hash(bs)
+        assert repr(reused) == repr(bs) and reused.to_json() == bs.to_json()
+
+
+def test_the_memo_never_lifts_the_cap():
+    bs9 = nestohedra.named_family("stanley_pitman", 8)
+    h = nestohedra.h_chordal(bs9, unsafe=True)
+    assert nestohedra.h_chordal(bs9, unsafe=True) == h
+    nestohedra.b_permutations(bs9, unsafe=True)
+    nestohedra.right_adjusted_b_permutations(bs9, unsafe=True)
+    for route in (
+        nestohedra.h_chordal, nestohedra.gamma_chordal, nestohedra.toric_g_chordal,
+        nestohedra.toric_g_direct, nestohedra.b_permutations,
+        nestohedra.right_adjusted_b_permutations,
+    ):
+        for _ in range(2):
+            with pytest.raises(CapacityError):
+                route(bs9)
+
+
+def test_refusals_repeat_on_every_call():
+    four_cycle = nestohedra.graphical(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    for _ in range(2):
+        for route in (nestohedra.h_chordal, nestohedra.gamma_chordal,
+                      nestohedra.toric_g_chordal, nestohedra.toric_g_direct):
+            with pytest.raises(ChordalityError):
+                route(four_cycle)
+    open_family = BuildingSet(3, [[1], [2], [3], [1, 2], [2, 3]])
+    for _ in range(2):
+        for route in (nestohedra.validate, nestohedra.h_chordal, nestohedra.gamma_chordal,
+                      nestohedra.toric_g_chordal, nestohedra.toric_g_direct):
+            with pytest.raises(BuildingSetError) as err:
+                route(open_family)
+            assert err.value.witness == ((1, 2), (2, 3))
+    assert set(open_family._memo) == {"masks"}  # a call that raises stores nothing
+
+
+def test_palindrome_refusal_stores_no_h_vector(monkeypatch):
+    bs = nestohedra.named_family("permutahedron", 2)
+    monkeypatch.setattr(nestohedra, "_descent_counts", lambda bs: [1, 2, 3])
+    for _ in range(2):
+        with pytest.raises(StructuralError):
+            nestohedra.h_chordal(bs)
+    assert "h" not in bs._memo
+
+
+@pytest.mark.parametrize("name,value", [
+    ("ground_size", 3), ("masks", ()), ("_memo", {}), ("extra", 1),
+])
+def test_building_sets_are_immutable(name, value):
+    bs = nestohedra.named_family("permutahedron", 2)
+    with pytest.raises(AttributeError):
+        setattr(bs, name, value)
+    assert bs == nestohedra.named_family("permutahedron", 2)
+
+
+def test_copies_and_pickles_rebuild_the_set():
+    bs = nestohedra.named_family("associahedron_intervals", 3)
+    h = nestohedra.h_chordal(bs)
+    for twin in (copy.copy(bs), copy.deepcopy(bs), pickle.loads(pickle.dumps(bs))):
+        assert twin == bs and twin is not bs
+        assert set(twin._memo) == {"masks"}
+        assert nestohedra.h_chordal(twin) == h
+
+
+@pytest.mark.parametrize("probe", [[0], ["a"], [1.5], [True], [], 5, [1, None]],
+                         ids=["zero", "string", "float", "bool", "empty", "int", "none"])
+def test_membership_refuses_what_the_constructor_refuses(probe):
+    """`[0] in bs` raised a raw ValueError, `['a']` and `[1.5]` a raw
+    TypeError, and `[True]` answered True though no member can hold a bool."""
+    bs = nestohedra.named_family("permutahedron", 2)
+    with pytest.raises(BuildingSetError):
+        BuildingSet(3, [probe])
+    with pytest.raises(BuildingSetError):
+        probe in bs  # noqa: B015
+
+
+def test_membership_past_the_ground_set_is_false_without_a_mask(monkeypatch):
+    """`[2**40] in bs` built a 2^40-bit mask before answering."""
+    bs = nestohedra.named_family("permutahedron", 2)
+
+    def no_mask(members):
+        raise AssertionError("masked a set past the ground set")
+
+    monkeypatch.setattr(nestohedra, "_mask", no_mask)
+    assert [2 ** 40] not in bs
+    assert (1, 4) not in bs
+    monkeypatch.undo()
+    assert (3, 1) in bs and [2, 2] in bs and (1, 2, 3) in bs
+    assert (1, 3) not in nestohedra.named_family("associahedron_intervals", 2)

@@ -117,6 +117,33 @@ def test_search_trees_round_trip(n):
     assert len(bfs_seen) == expected
 
 
+def _chain_text(depth):
+    text = f"(v={depth})"
+    for v in range(depth - 1, 0, -1):
+        text = f"(v={v} [e={v} {text}])"
+    return text
+
+
+@pytest.mark.parametrize("f", [
+    tuple(range(1, 1501)),  # a chain of 1,500 edges
+    tuple(v for i in range(1, 3000, 2) for v in (i, i)),  # 1,500 forks deep
+], ids=["chain", "forks"])
+def test_parking_trees_deeper_than_the_recursion_limit(f):
+    """Building, checking, reading and rendering a parking tree take no
+    recursion per level: 1,500 levels round-trip through both search
+    trees."""
+    for build in (parking.dfs_tree, parking.bfs_tree):
+        t = build(f)
+        assert parking.ParkingTree(t.root).n == len(f)
+        assert parking.tree_to_function(t) == f
+        assert parking.edge_perm(t) == parking.garsia_haiman(f).perm
+        assert parking.is_123_parking_tree(t) == perms.is_123_avoiding(f)
+        text = parking.parking_tree_to_text(t)
+        assert text.count("(v=") == len(f) + 1
+        if f[0] == 1 and len(set(f)) == len(f):
+            assert text == _chain_text(len(f) + 1)
+
+
 def test_edge_perm_star():
     star = parking.ParkingTree((1, ((1, (2, ())), (2, (3, ())))))
     assert parking.edge_perm(star) == (1, 2)

@@ -165,8 +165,9 @@ def test_deep_trees_read_back_or_raise_structural_errors(read, write, chain):
 
 
 def test_parking_tree_check_past_the_recursion_limit_is_a_structural_error(monkeypatch):
-    """The ParkingTree check after the parse recurses once per level too;
-    near the limit it is the one that overflows."""
+    """The reader turns a RecursionError from the ParkingTree check after
+    the parse into a StructuralError too, though the check now walks an
+    explicit stack."""
     def too_deep(root):
         raise RecursionError("maximum recursion depth exceeded")
 
