@@ -247,9 +247,7 @@ def _enumerate_stream(args):
     from . import nestohedra
 
     if args.count_only:
-        # the descent DP extends a prefix exactly when the listing's walk
-        # does, so on a validated set its total is the number of lines
-        return sum(nestohedra._descent_counts(bs)), ()
+        return nestohedra.count_b_permutations(bs, args.unsafe_max), ()
     from . import perms
 
     return None, (perms.perm_to_text(p) for p in nestohedra.b_permutations(bs, args.unsafe_max))

@@ -19,9 +19,10 @@ whose fiber over v has c_v(pi) elements, the number of neighbours of v in
 pi larger than v.  Avoidance and ascents read f alone, so the route sums,
 over pi, the table of 123-avoiding functions by fiber sizes that also
 builds the 123 parking-tree walk as 0-1-2 shapes times the table
-(``parking.avoiding_functions_by_fibers``).  One prefix walk lists the
-B-permutations and, for the route and the gamma checks, the right-adjusted
-ones.
+(``parking.avoiding_functions_by_fibers``).  That table is listed once per
+n, and each group's ascent polynomial is summed once, when a call first
+needs it.  One prefix walk lists the B-permutations and, for the route and
+the gamma checks, the right-adjusted ones; the descent DP counts them.
 
 Members are stored as bitmasks over a ground set of size at most 16.  A
 BuildingSet is immutable and memoises what the pipeline asks of it more
@@ -91,6 +92,9 @@ class BuildingSet:
         object.__setattr__(self, "_memo", {"masks": frozenset(masks)})
 
     def __setattr__(self, name, value):
+        raise AttributeError("BuildingSet is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("BuildingSet is immutable")
 
     def __reduce__(self):
@@ -295,6 +299,13 @@ def right_adjusted_b_permutations(bs: BuildingSet, unsafe: bool = False) -> list
     return _b_walk(bs, unsafe, right_adjusted=True)
 
 
+def count_b_permutations(bs: BuildingSet, unsafe: bool = False) -> int:
+    """len(b_permutations(bs)) without listing them: the total of the
+    descent DP, whose prefixes are the walk's.  The same cap applies."""
+    check_capacity("b_permutations", bs.ground_size - 1, unsafe)
+    return sum(_descent_counts(bs))
+
+
 def _b_walk(bs: BuildingSet, unsafe: bool, right_adjusted: bool) -> list[tuple[int, ...]]:
     """The one walk behind both listings.
 
@@ -354,7 +365,8 @@ def _require_chordal(bs: BuildingSet, unsafe: bool) -> None:
 def _descent_counts(bs: BuildingSet) -> list[int]:
     """Numbers of B-permutations by descent count, by a DP over prefixes.
 
-    v may follow a prefix T exactly when v lies in comp[T | v], so a state
+    A prefix starts at a member singleton and v may follow a prefix T
+    exactly when v lies in comp[T | v], as in :func:`_b_walk`, so a state
     is (prefix mask, last element) and holds the descent histogram of its
     prefixes, packed one 64-bit slot per count (a slot holds at most
     16! < 2**64).
@@ -362,7 +374,7 @@ def _descent_counts(bs: BuildingSet) -> list[int]:
     m = bs.ground_size
     comp = _component_table(bs)
     full = (1 << m) - 1
-    states = {(1 << v, v + 1): 1 for v in range(m)}
+    states = {(1 << v, v + 1): 1 for v in range(m) if comp[1 << v]}
     for _ in range(m - 1):
         grown: dict[tuple[int, int], int] = {}
         for (t, last), hist in states.items():
@@ -432,24 +444,26 @@ def toric_g_direct(bs: BuildingSet, dfs_only: bool = False, unsafe: bool = False
     for pi in right_adjusted_b_permutations(bs, unsafe):
         if not dfs_only or perms.fs_preorder(perms.fs_tree(pi)) == preorder:
             shapes[_fiber_sizes(pi)] += 1
-    table = _ascents_by_fibers(n)
     out = IntPoly()
     for sizes, times in shapes.items():
-        out = out + times * table[sizes]
+        out = out + times * _ascents_by_fibers(n, sizes)
     return out
 
 
 @lru_cache(maxsize=None)
-def _ascents_by_fibers(n: int) -> dict[tuple[int, ...], IntPoly]:
-    """The weak-ascent polynomial of each group of
-    :func:`toricg.parking.avoiding_functions_by_fibers`, by fiber sizes;
-    built once per n, which toric_g_direct checks first."""
+def _ascents_by_fibers(n: int, sizes: tuple[int, ...]) -> IntPoly:
+    """The weak-ascent polynomial of one group of
+    :func:`toricg.parking.avoiding_functions_by_fibers`, summed once, when
+    a call first needs it; toric_g_direct checks n first."""
+    return ascent_polynomial(_functions_by_fibers(n)[sizes])
+
+
+@lru_cache(maxsize=None)
+def _functions_by_fibers(n: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """The groups themselves, listed once per n."""
     from . import parking
 
-    return {
-        sizes: ascent_polynomial(group)
-        for sizes, group in parking.avoiding_functions_by_fibers(n).items()
-    }
+    return parking.avoiding_functions_by_fibers(n)
 
 
 def _fiber_sizes(pi: tuple[int, ...]) -> tuple[int, ...]:

@@ -605,9 +605,12 @@ def test_palindrome_refusal_stores_no_h_vector(monkeypatch):
 ])
 def test_building_sets_are_immutable(name, value):
     bs = nestohedra.named_family("permutahedron", 2)
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match="immutable"):
         setattr(bs, name, value)
+    with pytest.raises(AttributeError, match="immutable"):
+        delattr(bs, name)
     assert bs == nestohedra.named_family("permutahedron", 2)
+    assert [1, 2] in bs and nestohedra.validate(bs) == (True, True)
 
 
 def test_copies_and_pickles_rebuild_the_set():
@@ -644,3 +647,33 @@ def test_membership_past_the_ground_set_is_false_without_a_mask(monkeypatch):
     monkeypatch.undo()
     assert (3, 1) in bs and [2, 2] in bs and (1, 2, 3) in bs
     assert (1, 3) not in nestohedra.named_family("associahedron_intervals", 2)
+
+
+def test_count_b_permutations_matches_the_listing_on_any_family():
+    """The DP's total equals the walk's count on every family, building set
+    or not: both start at member singletons and extend alike."""
+    rng = random.Random(16)
+    for m in range(1, 7):
+        subsets = [s for k in range(1, m + 1) for s in itertools.combinations(range(1, m + 1), k)]
+        for _ in range(30):
+            bs = BuildingSet(m, rng.sample(subsets, rng.randint(0, len(subsets))))
+            assert nestohedra.count_b_permutations(bs) == len(nestohedra.b_permutations(bs))
+    for bs in named_and_interpolation_sets(6):
+        assert nestohedra.count_b_permutations(bs) == len(nestohedra.b_permutations(bs))
+    big = BuildingSet(9, [[i] for i in range(1, 10)])
+    with pytest.raises(CapacityError):
+        nestohedra.count_b_permutations(big)
+    assert nestohedra.count_b_permutations(big, unsafe=True) == 1  # the identity
+    assert nestohedra.b_permutations(big, unsafe=True) == [tuple(range(1, 10))]
+
+
+def test_direct_route_sums_only_the_fiber_groups_it_needs():
+    """A sparse set at n = 5 needs a few of the 51 groups of 123-avoiding
+    functions by fiber sizes; summing all of them made a first call slower
+    than rebuilding the table per call had been."""
+    nestohedra._ascents_by_fibers.cache_clear()
+    bs = nestohedra.named_family("stanley_pitman", 5)
+    assert nestohedra.toric_g_direct(bs) == nestohedra.toric_g_chordal(bs)
+    needed = {nestohedra._fiber_sizes(pi) for pi in nestohedra.right_adjusted_b_permutations(bs)}
+    assert nestohedra._ascents_by_fibers.cache_info().currsize == len(needed) < 51
+    assert len(nestohedra._functions_by_fibers(5)) == 51
