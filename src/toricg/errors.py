@@ -1,4 +1,5 @@
-"""Exception taxonomy shared by all toricg modules."""
+"""Exception taxonomy shared by all toricg modules, and the one check of
+integer arguments."""
 
 
 class ToricgError(Exception):
@@ -12,6 +13,14 @@ class StructuralError(ToricgError, ValueError):
 
 class PreconditionError(ToricgError, ValueError):
     """An argument is outside the stated contract of an operation."""
+
+
+def require_ints(where: str, *values) -> None:
+    """Refuse, with a PreconditionError naming ``where``, any value that is
+    not an int; a bool is not one."""
+    for value in values:
+        if type(value) is not int:
+            raise PreconditionError(f"{where} needs int arguments, got {value!r}")
 
 
 class CapacityError(ToricgError, RuntimeError):

@@ -21,8 +21,10 @@ over pi, the table of 123-avoiding functions by fiber sizes that also
 builds the 123 parking-tree walk as 0-1-2 shapes times the table
 (``parking.avoiding_functions_by_fibers``).  That table is listed once per
 n, and each group's ascent polynomial is summed once, when a call first
-needs it.  One prefix walk lists the B-permutations and, for the route and
-the gamma checks, the right-adjusted ones; the descent DP counts them.
+needs it.  One walk lists the B-permutations and, for the route and the
+gamma checks, the right-adjusted ones: it extends prefixes to a split
+depth and lists the completions of each prefix state once below it.  The
+descent DP counts them.
 
 Members are stored as bitmasks over a ground set of size at most 16.  A
 BuildingSet is immutable and memoises what the pipeline asks of it more
@@ -176,35 +178,73 @@ def validate(bs: BuildingSet) -> ValidationReport:
     """Check the building-set axioms, then report connectivity/chordality.
 
     Axiom violations raise BuildingSetError carrying a witness: the missing
-    singleton, or the pair whose union is missing.  The report is memoised.
+    singleton, or the first pair, in member order, whose union is missing.
+    Closure costs the cheaper of the pairwise scan, |B|^2 / 2 steps, and
+    :func:`_union_closed`, about m^2 2^m / 4; a refusal then pays the scan
+    for its witness.  The report is memoised.
     """
     memo = bs._memo
     if "report" in memo:
         return memo["report"]
     masks = memo["masks"]
-    for i in range(1, bs.ground_size + 1):
+    m = bs.ground_size
+    for i in range(1, m + 1):
         if 1 << (i - 1) not in masks:
             raise BuildingSetError(f"missing singleton {{{i}}}", witness=(i,))
-    for a, b in itertools.combinations(bs.masks, 2):
-        if a & b and (a | b) not in masks:
-            raise BuildingSetError(
-                f"union of intersecting members {_unmask(a)} and {_unmask(b)} is missing",
-                witness=(_unmask(a), _unmask(b)),
-            )
-    full = (1 << bs.ground_size) - 1
+    size = len(masks)
+    # the scan takes size^2 / 2 steps, the DP about m 2^(m-1) plus
+    # m^2 (2^m - size) / 4; after a DP refusal the scan names the witness
+    scan_first = size * size < (m << m) + m * m * ((1 << m) - size) // 2
+    if scan_first or not _union_closed(masks, m):
+        for a, b in itertools.combinations(bs.masks, 2):
+            if a & b and (a | b) not in masks:
+                raise BuildingSetError(
+                    f"union of intersecting members {_unmask(a)} and {_unmask(b)} is missing",
+                    witness=(_unmask(a), _unmask(b)),
+                )
+    full = (1 << m) - 1
     connected = full in masks
     chordal = all(_suffix_closed(member, masks) for member in bs.masks)
     memo["report"] = report = ValidationReport(connected, chordal)
     return report
 
 
+def _union_closed(masks: frozenset[int], m: int) -> bool:
+    """Whether members that meet have their union in the family, which must
+    hold every singleton, by a subset DP over the sets S holding x:
+    C_x[S] is S for a member S and otherwise the union of C_x[S - y] over
+    y in S - x.  C_x[S] covers every member inside S that holds x, so the
+    family is closed exactly when every C_x[S] is a member.  The cost is
+    about m^2 2^m / 4 steps on a sparse family and m 2^(m-1) on a dense one.
+    """
+    size = 1 << m
+    cover = [0] * size
+    for x in range(m):
+        xbit = 1 << x
+        s = xbit
+        while s < size:  # the sets holding x, in increasing order
+            if s in masks:
+                cover[s] = s
+            else:
+                union = 0
+                others = s ^ xbit
+                while others:
+                    y = others & -others
+                    others ^= y
+                    union |= cover[s ^ y]
+                if union not in masks:
+                    return False
+                cover[s] = union
+            s = (s + 1) | xbit
+    return True
+
+
 def _suffix_closed(member: int, masks: frozenset[int]) -> bool:
-    elements = _unmask(member)
-    suffix = 0
-    for i in reversed(elements):
-        suffix |= 1 << (i - 1)
+    suffix = member
+    while suffix:
         if suffix not in masks:
             return False
+        suffix &= suffix - 1  # drop the least element
     return True
 
 
@@ -244,15 +284,29 @@ def _induced_connected(mask: int, adj: Sequence[int], ground_size: int) -> bool:
     return seen == mask
 
 
+def _subset_mask(bs: BuildingSet, T: Iterable[int]) -> int:
+    """The mask of T's elements in the ground set.  T is refused as a
+    member is, except that it may be empty; elements past the ground set,
+    which no member holds, are dropped before masking."""
+    try:
+        elements = tuple(T)
+    except TypeError as exc:
+        raise BuildingSetError(f"T is an iterable of ints, got {T!r}") from exc
+    if elements:
+        _check_member(elements)
+    return _mask(i for i in elements if i <= bs.ground_size)
+
+
 def restrict(bs: BuildingSet, T: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     """The members of bs contained in T."""
-    t = _mask(T)
+    t = _subset_mask(bs, T)
     return tuple(_unmask(m) for m in bs.masks if m & ~t == 0)
 
 
 def components(bs: BuildingSet, T: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-    """Maximal members of the T-restricted family; they partition T."""
-    t = _mask(T)
+    """Maximal members of the T-restricted family; on a building set they
+    partition T's elements in the ground set."""
+    t = _subset_mask(bs, T)
     inside = [m for m in bs.masks if m & ~t == 0]
     maximal = [
         m for m in inside if not any(m != other and m & ~other == 0 for other in inside)
@@ -309,12 +363,18 @@ def count_b_permutations(bs: BuildingSet, unsafe: bool = False) -> int:
 def _b_walk(bs: BuildingSet, unsafe: bool, right_adjusted: bool) -> list[tuple[int, ...]]:
     """The one walk behind both listings.
 
-    Valid prefixes are extended one element at a time (v may follow T iff
-    v lies in comp[T | v]) and the last element, the complement, is checked
-    against comp[full].  One first element at a time keeps the order
-    lexicographic and holds only that element's prefixes in memory.  With
-    ``right_adjusted`` a value after a descent, and the last value, must be
-    above the value before it.
+    v may follow a prefix with mask T iff v lies in comp[T | v]; the first
+    element follows the empty prefix and the last one completes [m].  With
+    ``right_adjusted`` a value after a descent, and the last value, must
+    also be above the value before it.  Prefixes are extended one element
+    at a time, one first element at a time so that the order is
+    lexicographic, down to a split depth.  Below it what may follow depends
+    only on the prefix's state, so each state's completions are listed once
+    per call, in lexicographic order, and every output is prefix +
+    completion.  The state is the mask T, and with ``right_adjusted`` also
+    the free values below the last one and whether the prefix ends in a
+    descent.  On grounds below 6 (7 for the right-adjusted listing) sharing
+    saves less than it costs, so there every prefix is extended to its end.
     """
     m = bs.ground_size
     check_capacity("b_permutations", m - 1, unsafe)
@@ -322,13 +382,40 @@ def _b_walk(bs: BuildingSet, unsafe: bool, right_adjusted: bool) -> list[tuple[i
     full = (1 << m) - 1
     if m == 1:
         return [(1,)] if comp[1] else []
+    depth = m - 1 if m < (7 if right_adjusted else 6) else max(3, m // 2)
+    shared: dict[int, list[tuple[int, ...]]] = {}
+
+    def completions(t: int, low: int, desc: int) -> list[tuple[int, ...]]:
+        key = t | low << m | desc << 2 * m
+        got = shared.get(key)
+        if got is None:
+            got = []
+            free = full ^ t
+            allowed = free & ~low if desc else free
+            while allowed:
+                bit = allowed & -allowed
+                allowed ^= bit
+                u = t | bit
+                if comp[u] & bit:
+                    head = (bit.bit_length(),)
+                    if u == full:
+                        if not bit & low:  # low is 0 unless right_adjusted
+                            got.append(head)
+                    elif right_adjusted:
+                        rest = completions(u, (free ^ bit) & (bit - 1), 1 if bit & low else 0)
+                        got += map(head.__add__, rest)
+                    else:
+                        got += map(head.__add__, completions(u, 0, 0))
+            shared[key] = got
+        return got
+
     out = []
     for first in range(1, m + 1):
         bit = 1 << (first - 1)
         if not comp[bit] & bit:
             continue
         masks, prefixes = [bit], [(first,)]
-        for _ in range(m - 2):
+        for _ in range(depth - 1):
             grown_masks: list[int] = []
             grown: list[tuple[int, ...]] = []
             for t, p in zip(masks, prefixes):
@@ -342,17 +429,27 @@ def _b_walk(bs: BuildingSet, unsafe: bool, right_adjusted: bool) -> list[tuple[i
                         grown_masks.append(t | bit)
                         grown.append(p + (bit.bit_length(),))
             masks, prefixes = grown_masks, grown
-        for t, p in zip(masks, prefixes):
-            last = full ^ t
-            if comp[full] & last and (not right_adjusted or last.bit_length() > p[-1]):
-                out.append(p + (last.bit_length(),))
+        if depth == m - 1:
+            for t, p in zip(masks, prefixes):
+                last = full ^ t
+                if comp[full] & last and (not right_adjusted or last.bit_length() > p[-1]):
+                    out.append(p + (last.bit_length(),))
+        elif right_adjusted:
+            for t, p in zip(masks, prefixes):
+                low = (full ^ t) & ((1 << (p[-1] - 1)) - 1)
+                out += map(p.__add__, completions(t, low, 1 if p[-2] > p[-1] else 0))
+        else:
+            for t, p in zip(masks, prefixes):
+                out += map(p.__add__, completions(t, 0, 0))
+    shared.clear()  # completions is a reference cycle; free its lists now
     return out
 
 
 def _require_chordal(bs: BuildingSet, unsafe: bool) -> None:
     """Refuse sets past the b_permutations cap, then those that are not
-    connected and chordal.  The cap comes first, on every call: validate is
-    O(|B|^2), and a memo filled under ``unsafe`` must not lift it."""
+    connected and chordal.  The cap comes first, on every call: validate
+    costs up to min(|B|^2, m^2 2^m) steps, and a memo filled under
+    ``unsafe`` must not lift it."""
     check_capacity("b_permutations", bs.ground_size - 1, unsafe)
     report = validate(bs)
     if not (report.connected and report.chordal):

@@ -132,13 +132,19 @@ class ParkingTree:
         tree.n = n
         return tree
 
+    def _preorder(self) -> tuple[tuple[int, int, int], ...]:
+        """(parent label, edge label, child label) of every edge in preorder.
+        Vertex labels are distinct, so this fixes the tree, and unlike the
+        nested root it compares without recursing once per level."""
+        return tuple((v, e, child[0]) for v, e, child in _edges(self.root))
+
     def __eq__(self, other):
         if not isinstance(other, ParkingTree):
             return NotImplemented
-        return self.root == other.root
+        return self._preorder() == other._preorder()
 
     def __hash__(self):
-        return hash(self.root)
+        return hash(self._preorder())
 
     def __repr__(self):
         return f"parking_tree_from_text({parking_tree_to_text(self)!r})"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple, Optional
 
-from .errors import PreconditionError, StructuralError
+from .errors import PreconditionError, StructuralError, require_ints
 from .words import D, U, is_dyck, read_int, read_ints
 
 PlaneTree = tuple  # (label, (PlaneTree, ...))
@@ -171,6 +171,7 @@ def enumerate_123_avoiding(n: int, distinct: bool = True) -> Iterator[tuple[int,
     ``distinct=False`` all 123-avoiding functions [n] -> [n] (weak pattern,
     see :func:`is_123_avoiding`).  Prefixes holding a pattern are pruned,
     so the sweep stays far below n! or n^n."""
+    require_ints("enumerate_123_avoiding", n)
     if n < 0:
         raise PreconditionError("n must be >= 0")
     prefix: list[int] = []

@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import comb, gcd
 from typing import Iterable, Mapping, Sequence
 
-from .errors import PreconditionError, StructuralError
+from .errors import PreconditionError, StructuralError, require_ints
 from .words import catalan, read_ints
 
 _FAMILIES = ("cube", "associahedron", "cyclohedron", "permutahedron")
@@ -266,7 +266,10 @@ def cnix(n: int, i: int) -> IntPoly:
     """The peak-counting triangle polynomial C(n, i, x); its x^k coefficient
     is the number of nonnegative paths with n steps from the origin to
     height n - 2i having k peaks.  C(n, 0, x) = 1."""
-    if n < 0 or i < 0 or 2 * i > n:
+    # the type tests share the range guard, since toric_g_from_h calls
+    # cnix once per h-vector entry
+    if type(n) is not int or type(i) is not int or n < 0 or i < 0 or 2 * i > n:
+        require_ints("cnix", n, i)
         raise PreconditionError(f"cnix needs 0 <= i <= n/2, got ({n}, {i})")
     if i == 0:
         return IntPoly((1,))
@@ -281,7 +284,8 @@ def cnix(n: int, i: int) -> IntPoly:
 def g_contrib(n: int, j: int) -> IntPoly:
     """The contribution of the j-th gamma entry to the toric g-polynomial:
     sum_k C_{n-k-j} binom(n-k, k) (x-1)^k; zero when j > n."""
-    if n < 0 or j < 0:
+    if type(n) is not int or type(j) is not int or n < 0 or j < 0:
+        require_ints("g_contrib", n, j)
         raise PreconditionError("g_contrib needs n >= 0 and j >= 0")
     if j > n:
         return IntPoly()
@@ -296,6 +300,7 @@ def _g_by_power(n: int, j: int) -> list[int]:
 def toric_g_from_gamma(n: int, gamma: Sequence[int]) -> IntPoly:
     """sum_j gamma_j * g_contrib(n, j), summed in the (x-1) basis and
     shifted once; gamma may be zero padded."""
+    require_ints("toric_g_from_gamma", n, *gamma)
     if len(gamma) > n // 2 + 1 and any(gamma[n // 2 + 1 :]):
         raise PreconditionError(f"gamma has entries beyond index {n // 2}")
     by_power = [0] * (n // 2 + 1)
@@ -312,6 +317,7 @@ def toric_g_from_h(n: int, hvec: Sequence[int]) -> IntPoly:
     Agrees with toric_g_from_gamma(n, h_to_gamma(hvec)) on every
     palindromic h-vector.
     """
+    require_ints("toric_g_from_h", n, *hvec)
     if len(hvec) != n + 1:
         raise PreconditionError(f"h-vector must have length {n + 1}")
     if not is_palindromic(hvec):
@@ -347,7 +353,8 @@ def peak_poly(n: int, m: int) -> IntPoly:
     prefix U u' D; the initial condition is the constant catalan(n) at
     m = 0.  Satisfies peak_poly(n - j, n) = g_contrib(n, j) for 2j <= n.
     """
-    if n < 0 or m < 0 or m > 2 * n:
+    if type(n) is not int or type(m) is not int or n < 0 or m < 0 or m > 2 * n:
+        require_ints("peak_poly", n, m)
         raise PreconditionError(f"peak_poly needs 0 <= m <= 2n, got ({n}, {m})")
     return _peak(n, m)
 

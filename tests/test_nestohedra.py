@@ -5,6 +5,7 @@ import pickle
 import random
 import subprocess
 import sys
+import types
 from collections import Counter
 
 import pytest
@@ -677,3 +678,131 @@ def test_direct_route_sums_only_the_fiber_groups_it_needs():
     needed = {nestohedra._fiber_sizes(pi) for pi in nestohedra.right_adjusted_b_permutations(bs)}
     assert nestohedra._ascents_by_fibers.cache_info().currsize == len(needed) < 51
     assert len(nestohedra._functions_by_fibers(5)) == 51
+
+
+def test_b_permutations_of_the_permutahedron_at_ground_8_are_every_permutation():
+    everyone = list(itertools.permutations(range(1, 9)))
+    assert nestohedra.b_permutations(nestohedra.named_family("permutahedron", 7)) == everyone
+
+
+def dense_random_graphicals(seed: int, count: int, ground: int) -> list[BuildingSet]:
+    """Graphical sets of random graphs keeping each edge with probability
+    0.7; most are not chordal, which the listings do not check."""
+    rng = random.Random(seed)
+    return [
+        nestohedra.graphical(ground, [e for e in itertools.combinations(range(1, ground + 1), 2)
+                                      if rng.random() < 0.7])
+        for _ in range(count)
+    ]
+
+
+def test_shared_completions_match_the_filters_at_ground_8():
+    """At ground 8 both listings share the completions of each prefix
+    state below the split depth."""
+    families = dense_random_graphicals(seed=17, count=3, ground=8)
+    rng = random.Random(19)
+    families += [  # neither closed nor holding every singleton
+        BuildingSet(8, [nestohedra._unmask(s) for s in range(1, 256) if rng.random() < 0.6])
+        for _ in range(2)
+    ]
+    for bs in families:
+        listed = b_permutations_filter(bs)
+        assert nestohedra.b_permutations(bs, unsafe=True) == listed
+        assert nestohedra.right_adjusted_b_permutations(bs, unsafe=True) == [
+            pi for pi in listed
+            if not perms.asc_des(pi).double_descents and not perms.has_final_descent(pi)
+        ]
+
+
+def test_listings_leave_nothing_in_the_memo():
+    """A listing is built per call: the memo keeps the component table the
+    walk reads and nothing the walk lists."""
+    for bs in (nestohedra.named_family("permutahedron", 7),
+               nestohedra.named_family("associahedron_intervals", 7),
+               *dense_random_graphicals(seed=23, count=2, ground=8)):
+        for listing in (nestohedra.b_permutations, nestohedra.right_adjusted_b_permutations):
+            listing(bs, unsafe=True)
+            assert set(bs._memo) == {"masks", "comp"}
+
+
+def first_missing_union(bs: BuildingSet):
+    """The pairwise oracle: the first pair of members, in member order, that
+    meet and whose union is missing, or None."""
+    masks = set(bs.masks)
+    for a, b in itertools.combinations(bs.masks, 2):
+        if a & b and a | b not in masks:
+            return nestohedra._unmask(a), nestohedra._unmask(b)
+    return None
+
+
+def test_union_closure_dp_agrees_with_the_pairwise_scan():
+    rng = random.Random(29)
+    closed = 0
+    for _ in range(600):
+        m = rng.randint(1, 7)
+        density = rng.random()
+        masks = {s for s in range(1, 1 << m) if rng.random() < density}
+        masks |= {1 << i for i in range(m)}
+        bs = BuildingSet(m, [nestohedra._unmask(s) for s in masks])
+        expected = first_missing_union(bs)
+        assert nestohedra._union_closed(frozenset(masks), m) == (expected is None)
+        closed += expected is None
+        if expected is None:
+            nestohedra.validate(bs)
+        else:
+            with pytest.raises(BuildingSetError) as err:
+                nestohedra.validate(bs)
+            assert err.value.witness == expected
+    assert 100 < closed < 500
+
+
+def test_validate_decides_a_dense_family_without_the_pairwise_scan(monkeypatch):
+    """The permutahedron at ground 11 has 2047 members: the pairwise scan
+    took 0.2 s there and the DP a few ms."""
+    bs = nestohedra.named_family("permutahedron", 10)
+
+    def no_scan(*args):
+        raise AssertionError("pairwise scan on a closed dense family")
+
+    monkeypatch.setattr(nestohedra, "itertools", types.SimpleNamespace(combinations=no_scan))
+    assert nestohedra.validate(bs) == (True, True)
+
+
+def test_a_dense_family_refused_by_the_dp_keeps_the_pairwise_witness():
+    """The DP decides this family and refuses it; the pairwise scan then
+    names the first pair in member order, as it did alone."""
+    missing = (1, 2, 3, 4, 5, 6)
+    sets = [s for k in range(1, 8) for s in itertools.combinations(range(1, 8), k) if s != missing]
+    bs = BuildingSet(7, sets)
+    with pytest.raises(BuildingSetError, match=r"\(1, 2\) and \(1, 3, 4, 5, 6\) is missing") as err:
+        nestohedra.validate(bs)
+    assert err.value.witness == first_missing_union(bs) == ((1, 2), (1, 3, 4, 5, 6))
+
+
+@pytest.mark.parametrize("probe", [[0], ["a"], [1.5], [True], 5, [1, None]],
+                         ids=["zero", "string", "float", "bool", "int", "none"])
+def test_restrict_and_components_refuse_what_membership_refuses(probe):
+    """`restrict(bs, [0])` and `components(bs, [0])` raised a raw
+    ValueError (negative shift count)."""
+    bs = nestohedra.named_family("permutahedron", 2)
+    for query in (nestohedra.restrict, nestohedra.components):
+        with pytest.raises(BuildingSetError):
+            query(bs, probe)
+
+
+def test_restrict_and_components_past_the_ground_set_mask_no_more(monkeypatch):
+    """An element like 2**40 built a 2^40-bit mask; no member holds it."""
+    bs = nestohedra.named_family("associahedron_intervals", 2)
+    masked = []
+    real_mask = nestohedra._mask
+
+    def recording_mask(members):
+        members = tuple(members)
+        masked.append(members)
+        return real_mask(members)
+
+    monkeypatch.setattr(nestohedra, "_mask", recording_mask)
+    assert nestohedra.restrict(bs, [1, 3, 2 ** 40]) == nestohedra.restrict(bs, [1, 3])
+    assert nestohedra.components(bs, [3, 2 ** 40, 1]) == ((1,), (3,))
+    assert nestohedra.restrict(bs, []) == nestohedra.components(bs, []) == ()
+    assert all(max(members, default=0) <= 3 for members in masked)

@@ -329,3 +329,13 @@ def test_random_parking_round_trip(n, data):
     assert parking.garsia_haiman_inv(*pair) == f
     if parking.is_parking(f):
         assert parking.tree_to_function(parking.dfs_tree(f)) == f
+
+
+def test_deep_trees_compare_without_recursion():
+    """Two equal 1,500-level trees raised RecursionError on ==."""
+    f = tuple(range(1, 1501))
+    a, b = parking.dfs_tree(f), parking.dfs_tree(f)
+    assert a == b and hash(a) == hash(b) and a is not b
+    other = parking.dfs_tree(f[:-1] + (1,))
+    assert a != other and other == parking.dfs_tree(f[:-1] + (1,))
+    assert parking.dfs_tree((1, 1)) != parking.dfs_tree((1, 2))

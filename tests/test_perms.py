@@ -273,3 +273,10 @@ def test_fs_round_trip_random(p):
     rep = perms.right_adjusted_rep(p)
     stats = perms.asc_des(rep)
     assert not stats.double_descents and not perms.has_final_descent(rep)
+
+
+@pytest.mark.parametrize("n", [2.5, True, "3"])
+def test_enumerate_123_avoiding_needs_an_int(n):
+    """enumerate_123_avoiding(2.5) raised a raw TypeError."""
+    with pytest.raises(PreconditionError, match="needs int arguments"):
+        list(perms.enumerate_123_avoiding(n))

@@ -339,3 +339,18 @@ def test_from_counts():
     assert IntPoly.from_counts(Counter({0: 1, 2: 3, 4: 0})) == IntPoly([1, 0, 3])
     assert IntPoly.from_counts({3: 0}).is_zero()
     assert IntPoly.from_counts({1: 2}).coeffs == (0, 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: polyvec.toric_g_from_h(2, (1, "a", 1)),
+    lambda: polyvec.toric_g_from_h(2.0, (1, 1, 1)),
+    lambda: polyvec.toric_g_from_gamma(2, (1, "a")),
+    lambda: polyvec.g_contrib(3.5, 1),
+    lambda: polyvec.peak_poly(2, 1.5),
+    lambda: polyvec.cnix(True, 0),
+], ids=["h-entry", "h-size", "gamma-entry", "g_contrib", "peak_poly", "cnix-bool"])
+def test_integer_arguments_are_checked(call):
+    """Each raised a raw TypeError, except cnix(True, 0), which returned
+    IntPoly([1])."""
+    with pytest.raises(PreconditionError, match="needs int arguments"):
+        call()
