@@ -16,8 +16,9 @@ parking_trees       7        enumerate_parking_trees: (n!)^2 trees (25.4M at 7);
                              the table of 123-avoiding functions by fiber
                              sizes (216,685 trees at 7)
 b_permutations      7        b_permutations and right_adjusted_b_permutations
-                             (no double or final descent): one prefix walk
-                             over up to (n+1)! permutations;
+                             (no double or final descent): one walk that
+                             lists each prefix state's completions once,
+                             up to (n+1)! permutations;
                              h/gamma_chordal: 2^(n+1)*(n+1)^2 DP;
                              toric_g_direct (``table --family permutahedron
                              --max 7 --route direct``: about 0.3 s)
