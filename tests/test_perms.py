@@ -242,12 +242,13 @@ def _deep_perms():
 def test_fs_trees_deeper_than_the_recursion_limit(p):
     """fs_tree and the walks over its trees take no recursion per level: a
     1,200-level chain, either way round, builds, walks, compares, hashes,
-    right-adjusts and renders."""
+    swaps, right-adjusts and renders."""
     n = len(p)
     t = perms.fs_tree(p)
     assert perms.fs_inorder(t) == p
     assert t == perms.fs_tree(p) and hash(t) == hash(perms.fs_tree(p))
     assert t.labels() == set(p)
+    assert perms.fs_phi(perms.fs_phi(t, n - 1), n - 1) == t
     rep = perms.right_adjusted_rep(p)
     assert perms.is_right_adjusted(t) == (rep == p)
     assert perms.is_right_adjusted(perms.fs_tree(rep)) and sorted(rep) == sorted(p)

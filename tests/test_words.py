@@ -204,3 +204,12 @@ def test_random_dyck_round_trips(n, data):
     assert words.lukasiewicz_to_dyck(words.dyck_to_lukasiewicz(w)) == w
     if "UUU" not in w:
         assert words.motzkin_to_dyck(words.dyck_to_motzkin(w)) == w
+
+
+@pytest.mark.parametrize("length", range(9))
+def test_is_motzkin_matches_oracle(length):
+    """Every word over U, D, H and one stray letter up to length 8; a word
+    with the stray letter is no Motzkin path."""
+    for letters in itertools.product("UDHX", repeat=length):
+        w = "".join(letters)
+        assert words.is_motzkin(w) == ("X" not in w and naive_is_motzkin(w))
