@@ -125,30 +125,24 @@ def _expand(w: str, A: list[int], B: list[int]) -> str:
         return w
     end = len(w) + 1
 
-    def upos_of(i: int) -> int:
+    def pos_of(letter: str, i: int) -> int:
         if i == 0:
             return _FRONT
-        ps = u_positions(w)
-        return ps[i - 1] if i <= len(ps) else end
-
-    def dpos_of(i: int) -> int:
-        if i == 0:
-            return _FRONT
-        ps = d_positions(w)
+        ps = [k for k, ch in enumerate(w) if ch == letter]
         return ps[i - 1] if i <= len(ps) else end
 
     if not A:
         b = B[0]
-        pos = dpos_of(b)
+        pos = pos_of(D, b)
         return _expand(w[:pos] + "UD" + w[pos:], A, B[1:])
     if not B:
         a = A[0]
-        pos = upos_of(a)
+        pos = pos_of(U, a)
         return _expand(w[: pos + 1] + "UD" + w[pos + 1 :], A[1:], B)
 
     a, b = A[0], B[0]
-    pu_prev, pu = upos_of(a - 1), upos_of(a)
-    pd_prev, pd = dpos_of(b - 1), dpos_of(b)
+    pu_prev, pu = pos_of(U, a - 1), pos_of(U, a)
+    pd_prev, pd = pos_of(D, b - 1), pos_of(D, b)
     if pu < pd_prev:
         # U_{a-1} ... U_a ... D_{b-1} ... D_b: grow U_a into U_a U_{a+1} D
         return _expand(w[: pu + 1] + "UD" + w[pu + 1 :], A[1:], B)

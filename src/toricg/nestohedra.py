@@ -366,14 +366,15 @@ def _b_walk(bs: BuildingSet, unsafe: bool, right_adjusted: bool) -> list[tuple[i
     v may follow a prefix with mask T iff v lies in comp[T | v]; the first
     element follows the empty prefix and the last one completes [m].  With
     ``right_adjusted`` a value after a descent, and the last value, must
-    also be above the value before it.  Prefixes are extended one element
-    at a time, one first element at a time so that the order is
-    lexicographic, down to a split depth.  Below it what may follow depends
-    only on the prefix's state, so each state's completions are listed once
-    per call, in lexicographic order, and every output is prefix +
-    completion.  The state is the mask T, and with ``right_adjusted`` also
-    the free values below the last one and whether the prefix ends in a
-    descent.  On grounds below 6 (7 for the right-adjusted listing) sharing
+    also be above the value before it.  The walk holds every prefix of one
+    length at once, in lexicographic order, and extends each by its
+    allowed values in increasing order, which keeps the order, down to a
+    split depth.  Below it what may follow depends only on the prefix's
+    state, so each state's completions are listed once per call, in
+    lexicographic order, and every output is prefix + completion.  The
+    state is the mask T, the free values below the last one and whether
+    the prefix ends in a descent; the plain listing keeps the last two at
+    0.  On grounds below 6 (7 for the right-adjusted listing) sharing
     saves less than it costs, so there every prefix is extended to its end.
     """
     m = bs.ground_size
@@ -383,6 +384,7 @@ def _b_walk(bs: BuildingSet, unsafe: bool, right_adjusted: bool) -> list[tuple[i
     if m == 1:
         return [(1,)] if comp[1] else []
     depth = m - 1 if m < (7 if right_adjusted else 6) else max(3, m // 2)
+    keep = full if right_adjusted else 0  # the values low may hold
     shared: dict[int, list[tuple[int, ...]]] = {}
 
     def completions(t: int, low: int, desc: int) -> list[tuple[int, ...]]:
@@ -391,6 +393,7 @@ def _b_walk(bs: BuildingSet, unsafe: bool, right_adjusted: bool) -> list[tuple[i
         if got is None:
             got = []
             free = full ^ t
+            kept = free & keep
             allowed = free & ~low if desc else free
             while allowed:
                 bit = allowed & -allowed
@@ -398,49 +401,41 @@ def _b_walk(bs: BuildingSet, unsafe: bool, right_adjusted: bool) -> list[tuple[i
                 u = t | bit
                 if comp[u] & bit:
                     head = (bit.bit_length(),)
-                    if u == full:
-                        if not bit & low:  # low is 0 unless right_adjusted
-                            got.append(head)
-                    elif right_adjusted:
-                        rest = completions(u, (free ^ bit) & (bit - 1), 1 if bit & low else 0)
+                    if u != full:
+                        rest = completions(u, kept & (bit - 1), 1 if bit & low else 0)
                         got += map(head.__add__, rest)
-                    else:
-                        got += map(head.__add__, completions(u, 0, 0))
+                    elif not bit & low:
+                        got.append(head)
             shared[key] = got
         return got
 
+    masks = [1 << v for v in range(m) if comp[1 << v]]
+    prefixes = [(t.bit_length(),) for t in masks]
+    for _ in range(depth - 1):
+        grown_masks: list[int] = []
+        grown: list[tuple[int, ...]] = []
+        for t, p in zip(masks, prefixes):
+            free = full ^ t
+            if right_adjusted and len(p) > 1 and p[-2] > p[-1]:
+                free &= -1 << p[-1]
+            while free:
+                bit = free & -free
+                free ^= bit
+                if comp[t | bit] & bit:
+                    grown_masks.append(t | bit)
+                    grown.append(p + (bit.bit_length(),))
+        masks, prefixes = grown_masks, grown
     out = []
-    for first in range(1, m + 1):
-        bit = 1 << (first - 1)
-        if not comp[bit] & bit:
-            continue
-        masks, prefixes = [bit], [(first,)]
-        for _ in range(depth - 1):
-            grown_masks: list[int] = []
-            grown: list[tuple[int, ...]] = []
-            for t, p in zip(masks, prefixes):
-                free = full ^ t
-                if right_adjusted and len(p) > 1 and p[-2] > p[-1]:
-                    free &= -1 << p[-1]
-                while free:
-                    bit = free & -free
-                    free ^= bit
-                    if comp[t | bit] & bit:
-                        grown_masks.append(t | bit)
-                        grown.append(p + (bit.bit_length(),))
-            masks, prefixes = grown_masks, grown
-        if depth == m - 1:
-            for t, p in zip(masks, prefixes):
-                last = full ^ t
-                if comp[full] & last and (not right_adjusted or last.bit_length() > p[-1]):
-                    out.append(p + (last.bit_length(),))
-        elif right_adjusted:
-            for t, p in zip(masks, prefixes):
-                low = (full ^ t) & ((1 << (p[-1] - 1)) - 1)
-                out += map(p.__add__, completions(t, low, 1 if p[-2] > p[-1] else 0))
-        else:
-            for t, p in zip(masks, prefixes):
-                out += map(p.__add__, completions(t, 0, 0))
+    if depth == m - 1:
+        for t, p in zip(masks, prefixes):
+            last = full ^ t
+            if comp[full] & last and (not right_adjusted or last.bit_length() > p[-1]):
+                out.append(p + (last.bit_length(),))
+    else:
+        for t, p in zip(masks, prefixes):
+            low = (full ^ t) & ((1 << (p[-1] - 1)) - 1) & keep
+            desc = 1 if right_adjusted and p[-2] > p[-1] else 0
+            out += map(p.__add__, completions(t, low, desc))
     shared.clear()  # completions is a reference cycle; free its lists now
     return out
 

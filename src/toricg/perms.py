@@ -213,20 +213,16 @@ class FSTree:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FSTree):
             return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if a is None or b is None or a.label != b.label:
-                return False
-            stack += ((a.right, b.right), (a.left, b.left))
-        return True
+        return self._signature() == other._signature()
 
     def __hash__(self):
-        # the preorder with each vertex's child slots fixes the tree
-        return hash(tuple((node.label, node.left is None, node.right is None)
-                          for node in _preorder(self)))
+        return hash(self._signature())
+
+    def _signature(self) -> tuple:
+        """Each vertex's label and whether it has a left and a right child,
+        in preorder; this fixes the tree."""
+        return tuple((node.label, node.left is not None, node.right is not None)
+                     for node in _preorder(self))
 
     def __repr__(self) -> str:
         return f"fs_tree_from_text({fs_tree_to_text(self)!r})"
@@ -289,46 +285,36 @@ def fs_preorder(t: FSTree | None) -> tuple[int, ...]:
     return tuple(node.label for node in _preorder(t))
 
 
-def _rebuild(node: FSTree | None, x: int, swap_if) -> tuple[FSTree | None, bool]:
-    """The tree with the first vertex labeled x in preorder swapped when
-    ``swap_if`` holds for it and the path above it copied, and whether
-    there was one."""
-    stack = [(node, None)]  # (vertex, its trail: (parent, is left child, parent's trail))
-    while stack:
-        vertex, trail = stack.pop()
-        if vertex is None:
-            continue
-        if vertex.label != x:
-            stack += ((vertex.right, (vertex, False, trail)), (vertex.left, (vertex, True, trail)))
-            continue
-        new = FSTree(vertex.label, vertex.right, vertex.left) if swap_if(vertex) else vertex
-        while trail is not None:
-            parent, is_left, trail = trail
-            if is_left:
-                new = FSTree(parent.label, new, parent.right)
-            else:
-                new = FSTree(parent.label, parent.left, new)
-        return new, True
-    return node, False
+def _rebuild(t: FSTree | None, swap) -> FSTree | None:
+    """A copy of t, built children first, in which each vertex for which
+    ``swap(vertex)`` holds has its two child slots exchanged.  Reversed,
+    the preorder puts a vertex after its right and then its left subtree,
+    so its children's copies are on top of the stack, the left one first."""
+    built: list[FSTree] = []
+    for node in reversed(_preorder(t)):
+        left = built.pop() if node.left is not None else None
+        right = built.pop() if node.right is not None else None
+        if swap(node):
+            left, right = right, left
+        built.append(FSTree(node.label, left, right))
+    return built[0] if built else None
 
 
 def fs_phi(t: FSTree, x: int) -> FSTree:
     """Exchange the left and right subtrees of the vertex labeled x."""
-    new, found = _rebuild(t, x, lambda node: True)
-    if not found:
+    if x not in t.labels():
         raise PreconditionError(f"no vertex labeled {x}")
-    return new
+    return _rebuild(t, lambda node: node.label == x)
 
 
 def fs_psi(t: FSTree, x: int) -> FSTree:
     """Restricted swap: acts like fs_phi when the vertex labeled x has
     exactly one child and as the identity otherwise."""
-    new, found = _rebuild(
-        t, x, lambda node: (node.left is None) != (node.right is None)
-    )
-    if not found:
+    if x not in t.labels():
         raise PreconditionError(f"no vertex labeled {x}")
-    return new
+    return _rebuild(
+        t, lambda node: node.label == x and (node.left is None) != (node.right is None)
+    )
 
 
 def is_right_adjusted(t: FSTree | None) -> bool:
@@ -336,22 +322,11 @@ def is_right_adjusted(t: FSTree | None) -> bool:
     return all(node.left is None or node.right is not None for node in _preorder(t))
 
 
-def _right_adjust(t: FSTree | None) -> FSTree | None:
-    """A copy of t with every only child moved to the right slot, built
-    children first."""
-    new = {id(None): None}
-    for node in reversed(_preorder(t)):
-        left, right = new[id(node.left)], new[id(node.right)]
-        if left is not None and right is None:
-            left, right = None, left
-        new[id(node)] = FSTree(node.label, left, right)
-    return new[id(t)]
-
-
 def right_adjusted_rep(p) -> tuple[int, ...]:
     """The unique member of p's restricted-swap orbit whose tree is
     right-adjusted; it has no double descents and no final descent."""
-    return fs_inorder(_right_adjust(fs_tree(p)))
+    tree = _rebuild(fs_tree(p), lambda node: node.left is not None and node.right is None)
+    return fs_inorder(tree)
 
 
 def restricted_orbit(p) -> frozenset[tuple[int, ...]]:

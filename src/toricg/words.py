@@ -129,15 +129,9 @@ def is_dyck(w: str) -> bool:
 
 
 def is_motzkin(w: str) -> bool:
-    """True when w over {U,D,H} stays nonnegative and ends at height 0."""
-    if any(ch not in "UDH" for ch in w):
-        return False
-    height = 0
-    for ch in w:
-        height += {"U": 1, "D": -1, "H": 0}[ch]
-        if height < 0:
-            return False
-    return height == 0
+    """True when w over {U,D,H} stays nonnegative and ends at height 0; an
+    H step keeps the height, so that is w without its H's being Dyck."""
+    return is_dyck(w.replace(H, ""))
 
 
 def enumerate_words(n: int, kind: str = "dyck", height: int | None = None) -> Iterator[str]:
