@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator
 
-from .errors import PreconditionError, StructuralError
+from .errors import PreconditionError, StructuralError, require_ints
 from .words import D, U, enumerate_words, is_dyck, is_sparse, read_ints
 
 
@@ -338,6 +338,7 @@ def nc_to_dyck(p: NoncrossingPartition) -> str:
 
 def enumerate_nc(n: int) -> Iterator[NoncrossingPartition]:
     """All noncrossing partitions of [n] (catalan(n) many)."""
+    require_ints("enumerate_nc", n)
     return (dyck_to_nc(w) for w in enumerate_words(n, "dyck"))
 
 

@@ -43,7 +43,7 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .config import check_capacity
-from .errors import BuildingSetError, ChordalityError, PreconditionError, StructuralError
+from .errors import BuildingSetError, ChordalityError, PreconditionError, StructuralError, require_ints
 from .polyvec import IntPoly, h_to_gamma, toric_g_from_gamma
 
 _NAMED_KINDS = (
@@ -366,16 +366,16 @@ def _b_walk(bs: BuildingSet, unsafe: bool, right_adjusted: bool) -> list[tuple[i
     v may follow a prefix with mask T iff v lies in comp[T | v]; the first
     element follows the empty prefix and the last one completes [m].  With
     ``right_adjusted`` a value after a descent, and the last value, must
-    also be above the value before it.  The walk holds every prefix of one
-    length at once, in lexicographic order, and extends each by its
-    allowed values in increasing order, which keeps the order, down to a
-    split depth.  Below it what may follow depends only on the prefix's
-    state, so each state's completions are listed once per call, in
-    lexicographic order, and every output is prefix + completion.  The
-    state is the mask T, the free values below the last one and whether
-    the prefix ends in a descent; the plain listing keeps the last two at
-    0.  On grounds below 6 (7 for the right-adjusted listing) sharing
-    saves less than it costs, so there every prefix is extended to its end.
+    also be above the value before it.  All prefixes of one length are
+    extended at once, down to a split depth; extending a lexicographic
+    list of prefixes by increasing values keeps it lexicographic.  Below
+    the split what may follow depends only on the prefix's state, so each
+    state's completions are listed once per call, in lexicographic order,
+    and every output is prefix + completion.  The state is the mask T, the
+    free values below the last one and whether the prefix ends in a
+    descent; the plain listing keeps the last two at 0.  On grounds below
+    6 (7 for the right-adjusted listing) sharing saves less than it costs,
+    so there every prefix is extended to its end.
     """
     m = bs.ground_size
     check_capacity("b_permutations", m - 1, unsafe)
@@ -599,6 +599,7 @@ def named_family(kind: str, n: int, r: int | None = None) -> BuildingSet:
 
 def _check_family(kind: str, n: int, r: int | None) -> None:
     """Refuse what named_family refuses, before any member is built."""
+    require_ints("named_family", n, *(() if r is None else (r,)))
     if n < 1:
         raise PreconditionError("named_family needs n >= 1")
     _check_ground_size(n + 1)

@@ -25,7 +25,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from . import perms
 from .config import check_capacity
-from .errors import PreconditionError, StructuralError
+from .errors import PreconditionError, StructuralError, require_ints
 from .words import D, U, read_int, read_ints, u_runs
 
 
@@ -324,6 +324,7 @@ def _labelled_shapes(n: int, unsafe: bool) -> Iterator[tuple]:
     :func:`enumerate_parking_trees`: the labels of its vertices with
     children, increasing, and every split of [n] into their groups of edge
     labels, in order; shapes with the same child counts share one list."""
+    require_ints("enumerate_parking_trees", n)
     if n < 0:
         raise PreconditionError("n must be >= 0")
     check_capacity("parking_trees", n, unsafe)
@@ -343,6 +344,7 @@ def enumerate_123_parking_trees(n: int, unsafe: bool = False) -> Iterator[Parkin
     keeps, in the same order, without listing the others.  Each 0-1-2 shape
     takes the functions whose fiber sizes are its child counts, ordered by
     their fibers in parent order (the Garsia-Haiman permutation)."""
+    require_ints("enumerate_123_parking_trees", n)
     if n < 0:
         raise PreconditionError("n must be >= 0")
     check_capacity("parking_trees", n, unsafe)
@@ -476,6 +478,7 @@ def parking_tree_from_text(text: str) -> ParkingTree:
 
 def iter_functions(n: int) -> Iterator[tuple[int, ...]]:
     """All n^n functions [n] -> [n]."""
+    require_ints("iter_functions", n)
     return itertools.product(range(1, n + 1), repeat=n)
 
 

@@ -418,6 +418,7 @@ def _insertion_walk(count: int, max_children: int | None) -> Iterator[tuple[Plan
     """The trees of :func:`increasing_plane_trees`, each with its fork count
     (vertices with at least two children) kept as the vertices are inserted:
     inserting under a parent that has exactly one child makes a new fork."""
+    require_ints("increasing_plane_trees", count)
     if count < 0:
         raise PreconditionError("count must be >= 0")
     if count == 0:

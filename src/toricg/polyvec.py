@@ -212,11 +212,13 @@ def _shift(coeffs: Sequence[int], a: int) -> list[int]:
 
 def f_to_h(fvec: Sequence[int]) -> tuple[int, ...]:
     """h-vector from the face-count vector: sum h_i x^i = sum f_i (x-1)^i."""
+    require_ints("f_to_h", *fvec)
     return tuple(_shift(fvec, -1))
 
 
 def h_to_f(hvec: Sequence[int]) -> tuple[int, ...]:
     """Inverse of f_to_h: substitute x -> x + 1."""
+    require_ints("h_to_f", *hvec)
     return tuple(_shift(hvec, 1))
 
 
@@ -228,6 +230,7 @@ def h_to_gamma(hvec: Sequence[int]) -> tuple[int, ...]:
     """Coordinates of a palindromic h-polynomial in the basis
     x^j (1+x)^{n-2j}, whose x^i coefficient is binom(n-2j, i-j);
     triangular, hence unique."""
+    require_ints("h_to_gamma", *hvec)
     if not hvec:
         raise PreconditionError("empty h-vector")
     if not is_palindromic(hvec):
@@ -248,6 +251,7 @@ def h_to_gamma(hvec: Sequence[int]) -> tuple[int, ...]:
 def gamma_to_h(gamma: Sequence[int], n: int) -> tuple[int, ...]:
     """h-vector of dimension n with the given gamma coordinates:
     h_i = sum_j gamma_j binom(n-2j, i-j)."""
+    require_ints("gamma_to_h", n, *gamma)
     if len(gamma) > n // 2 + 1 and any(gamma[n // 2 + 1 :]):
         raise PreconditionError(f"gamma has entries beyond index {n // 2}")
     hvec = [0] * (n + 1)
@@ -333,7 +337,8 @@ def toric_g_from_h(n: int, hvec: Sequence[int]) -> IntPoly:
 def narayana(k: int) -> IntPoly:
     """Narayana polynomial (1/k) sum_j binom(k,j) binom(k,j-1) x^j for k > 0,
     with the boundary value N_0(x) = x; N_k(1) = catalan(k) for k >= 1."""
-    if k < 0:
+    if type(k) is not int or k < 0:  # _peak calls it once per term
+        require_ints("narayana", k)
         raise PreconditionError("narayana needs k >= 0")
     if k == 0:
         return X
@@ -384,6 +389,7 @@ def gamma_family(family: str, n: int) -> tuple[int, ...]:
     cyclohedron     gamma_j = binom(2j, j) * binom(n, 2j)
     permutahedron   gamma_{n,j} = (j+1) gamma_{n-1,j} + (2n+2-4j) gamma_{n-1,j-1}
     """
+    require_ints("gamma_family", n)
     if n < 1:
         raise PreconditionError("gamma_family needs n >= 1")
     if family == "cube":
@@ -457,6 +463,7 @@ def sturm_real_rooted(p: IntPoly) -> bool:
 
 def kk_pseudopower(m: int, k: int) -> int:
     """Greedy cascade bound: largest legal successor of m sets of size k."""
+    require_ints("kk_pseudopower", m, k)
     if k < 1:
         raise PreconditionError("kk_pseudopower needs k >= 1")
     if m < 0:
@@ -494,6 +501,7 @@ def kruskal_katona_ok(v: Sequence[int]) -> bool:
     """True when v_0 = 1 and v_{k+1} <= kk_pseudopower(v_k, k) for all
     k >= 1; trailing zeros are ignored."""
     vec = list(v)
+    require_ints("kruskal_katona_ok", *vec)
     if not vec or vec[0] != 1:
         raise PreconditionError("vector must start with v_0 = 1")
     if any(x < 0 for x in vec):

@@ -12,7 +12,7 @@ import re
 from math import comb
 from typing import Iterator, Sequence
 
-from .errors import PreconditionError, StructuralError
+from .errors import PreconditionError, StructuralError, require_ints
 
 U = "U"
 D = "D"
@@ -26,13 +26,17 @@ _TAIL = 10
 
 def catalan(n: int) -> int:
     """n-th Catalan number C_n = binom(2n, n) / (n + 1)."""
-    if n < 0:
+    # the type test shares the range guard, since the toric g sums call
+    # catalan once per coefficient
+    if type(n) is not int or n < 0:
+        require_ints("catalan", n)
         raise PreconditionError("catalan requires n >= 0")
     return comb(2 * n, n) // (n + 1)
 
 
 def motzkin(n: int) -> int:
     """n-th Motzkin number M_n = sum_j binom(n, 2j) * C_j."""
+    require_ints("motzkin", n)
     if n < 0:
         raise PreconditionError("motzkin requires n >= 0")
     return sum(comb(n, 2 * j) * catalan(j) for j in range(n // 2 + 1))
@@ -44,6 +48,7 @@ def catalan_triangle(n: int, k: int) -> int:
     Counts nonnegative {U,D}-paths with n steps from the origin to height
     n - 2k.  Out-of-range k (k < 0 or 2k > n) gives 0.
     """
+    require_ints("catalan_triangle", n, k)
     if n < 0:
         raise PreconditionError("catalan_triangle requires n >= 0")
     if k < 0 or 2 * k > n:
@@ -143,6 +148,7 @@ def enumerate_words(n: int, kind: str = "dyck", height: int | None = None) -> It
         ``height`` (catalan_triangle(n, (n - height) // 2) of them);
         n and height must have equal parity.
     """
+    require_ints("enumerate_words", n)
     if n < 0:
         raise PreconditionError("enumerate_words requires n >= 0")
     if kind == "dyck":
@@ -150,8 +156,8 @@ def enumerate_words(n: int, kind: str = "dyck", height: int | None = None) -> It
     elif kind == "balanced":
         steps, target, nonneg = 2 * n, 0, False
     elif kind == "nonneg_to_height":
-        if height is None or height < 0:
-            raise PreconditionError("nonneg_to_height needs height >= 0")
+        if type(height) is not int or height < 0:
+            raise PreconditionError(f"nonneg_to_height needs an int height >= 0, got {height!r}")
         if (n - height) % 2:
             raise PreconditionError("height must have the parity of the step count")
         steps, target, nonneg = n, height, True
@@ -275,6 +281,7 @@ def is_sparse(elements) -> bool:
 
 def sparse_subsets(limit: int) -> Iterator[tuple[int, ...]]:
     """All sparse subsets of {1, ..., limit}, in lexicographic order."""
+    require_ints("sparse_subsets", limit)
 
     def rec(start: int) -> Iterator[tuple[int, ...]]:
         yield ()

@@ -348,9 +348,32 @@ def test_from_counts():
     lambda: polyvec.g_contrib(3.5, 1),
     lambda: polyvec.peak_poly(2, 1.5),
     lambda: polyvec.cnix(True, 0),
-], ids=["h-entry", "h-size", "gamma-entry", "g_contrib", "peak_poly", "cnix-bool"])
+    lambda: polyvec.gamma_to_h((1, "a"), 2),
+    lambda: polyvec.gamma_to_h((1,), 2.5),
+    lambda: polyvec.h_to_gamma((1, "a", 1)),
+    lambda: polyvec.f_to_h((1, "a")),
+    lambda: polyvec.h_to_f((1, "a")),
+    lambda: polyvec.narayana(1.5),
+    lambda: polyvec.gamma_family("cube", 2.5),
+    lambda: polyvec.gamma_family("cube", True),
+    lambda: words.catalan(2.5),
+    lambda: words.catalan(True),
+    lambda: words.motzkin(2.5),
+    lambda: words.catalan_triangle(3, 1.5),
+    lambda: polyvec.kruskal_katona_ok([1, 2.5]),
+    lambda: polyvec.kk_pseudopower(True, 1),
+    lambda: polyvec.kk_pseudopower(2.5, 1),
+], ids=[
+    "h-entry", "h-size", "gamma-entry", "g_contrib", "peak_poly", "cnix-bool",
+    "gamma_to_h-entry", "gamma_to_h-n", "h_to_gamma", "f_to_h", "h_to_f", "narayana",
+    "gamma_family", "gamma_family-bool", "catalan", "catalan-bool", "motzkin",
+    "catalan_triangle", "kruskal_katona_ok", "kk_pseudopower-bool", "kk_pseudopower-float",
+])
 def test_integer_arguments_are_checked(call):
-    """Each raised a raw TypeError, except cnix(True, 0), which returned
-    IntPoly([1])."""
+    """Most raised a raw TypeError.  Some answered instead: cnix(True, 0)
+    returned IntPoly([1]), kruskal_katona_ok([1, 2.5]) True,
+    gamma_family('cube', True) (1,), catalan(True) 1 and
+    kk_pseudopower(True, 1) 0; kk_pseudopower(2.5, 1) failed its
+    termination invariant."""
     with pytest.raises(PreconditionError, match="needs int arguments"):
         call()

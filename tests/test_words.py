@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from toricg import words
+from toricg import compat, nestohedra, parking, perms, words
 from toricg.errors import PreconditionError, StructuralError
 
 from helpers import (
@@ -213,3 +213,21 @@ def test_is_motzkin_matches_oracle(length):
     for letters in itertools.product("UDHX", repeat=length):
         w = "".join(letters)
         assert words.is_motzkin(w) == ("X" not in w and naive_is_motzkin(w))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: list(words.enumerate_words(2.5)),
+    lambda: list(words.sparse_subsets(2.5)),
+    lambda: parking.iter_functions(2.5),
+    lambda: list(parking.enumerate_parking_trees(1.5)),
+    lambda: list(perms.increasing_plane_trees(2.5)),
+    lambda: compat.enumerate_nc(2.5),
+    lambda: nestohedra.named_family("interpolation", 3, 1.5),
+], ids=[
+    "enumerate_words", "sparse_subsets", "iter_functions", "enumerate_parking_trees",
+    "increasing_plane_trees", "enumerate_nc", "named_family",
+])
+def test_enumerators_need_int_arguments(call):
+    """Each raised a raw TypeError."""
+    with pytest.raises(PreconditionError, match="needs int arguments"):
+        call()
