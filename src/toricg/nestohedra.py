@@ -384,7 +384,6 @@ def _b_walk(bs: BuildingSet, unsafe: bool, right_adjusted: bool) -> list[tuple[i
     if m == 1:
         return [(1,)] if comp[1] else []
     depth = m - 1 if m < (7 if right_adjusted else 6) else max(3, m // 2)
-    keep = full if right_adjusted else 0  # the values low may hold
     shared: dict[int, list[tuple[int, ...]]] = {}
 
     def completions(t: int, low: int, desc: int) -> list[tuple[int, ...]]:
@@ -393,7 +392,7 @@ def _b_walk(bs: BuildingSet, unsafe: bool, right_adjusted: bool) -> list[tuple[i
         if got is None:
             got = []
             free = full ^ t
-            kept = free & keep
+            kept = free if right_adjusted else 0  # the values low may hold
             allowed = free & ~low if desc else free
             while allowed:
                 bit = allowed & -allowed
@@ -433,7 +432,7 @@ def _b_walk(bs: BuildingSet, unsafe: bool, right_adjusted: bool) -> list[tuple[i
                 out.append(p + (last.bit_length(),))
     else:
         for t, p in zip(masks, prefixes):
-            low = (full ^ t) & ((1 << (p[-1] - 1)) - 1) & keep
+            low = (full ^ t) & ((1 << (p[-1] - 1)) - 1) if right_adjusted else 0
             desc = 1 if right_adjusted and p[-2] > p[-1] else 0
             out += map(p.__add__, completions(t, low, desc))
     shared.clear()  # completions is a reference cycle; free its lists now
