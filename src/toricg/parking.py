@@ -344,7 +344,6 @@ def enumerate_123_parking_trees(n: int, unsafe: bool = False) -> Iterator[Parkin
     keeps, in the same order, without listing the others.  Each 0-1-2 shape
     takes the functions whose fiber sizes are its child counts, ordered by
     their fibers in parent order (the Garsia-Haiman permutation)."""
-    require_ints("enumerate_123_parking_trees", n)
     if n < 0:
         raise PreconditionError("n must be >= 0")
     check_capacity("parking_trees", n, unsafe)

@@ -156,8 +156,8 @@ def enumerate_words(n: int, kind: str = "dyck", height: int | None = None) -> It
     elif kind == "balanced":
         steps, target, nonneg = 2 * n, 0, False
     elif kind == "nonneg_to_height":
-        if type(height) is not int or height < 0:
-            raise PreconditionError(f"nonneg_to_height needs an int height >= 0, got {height!r}")
+        if height is None or height < 0:
+            raise PreconditionError("nonneg_to_height needs height >= 0")
         if (n - height) % 2:
             raise PreconditionError("height must have the parity of the step count")
         steps, target, nonneg = n, height, True
