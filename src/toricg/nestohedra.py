@@ -366,10 +366,11 @@ def _b_walk(bs: BuildingSet, unsafe: bool, right_adjusted: bool) -> list[tuple[i
     v may follow a prefix with mask T iff v lies in comp[T | v]; the first
     element follows the empty prefix and the last one completes [m].  With
     ``right_adjusted`` a value after a descent, and the last value, must
-    also be above the value before it.  All prefixes of one length are
-    extended at once, down to a split depth; extending a lexicographic
-    list of prefixes by increasing values keeps it lexicographic.  Below
-    the split what may follow depends only on the prefix's state, so each
+    also be above the value before it.  The prefixes of each first element
+    in turn are extended by increasing values down to a split depth, which
+    keeps them in lexicographic order; holding every first element's
+    prefixes at once costs a fresh process more than it saves.  Below the
+    split what may follow depends only on the prefix's state, so each
     state's completions are listed once per call, in lexicographic order,
     and every output is prefix + completion.  The state is the mask T, the
     free values below the last one and whether the prefix ends in a
@@ -408,33 +409,35 @@ def _b_walk(bs: BuildingSet, unsafe: bool, right_adjusted: bool) -> list[tuple[i
             shared[key] = got
         return got
 
-    masks = [1 << v for v in range(m) if comp[1 << v]]
-    prefixes = [(t.bit_length(),) for t in masks]
-    for _ in range(depth - 1):
-        grown_masks: list[int] = []
-        grown: list[tuple[int, ...]] = []
-        for t, p in zip(masks, prefixes):
-            free = full ^ t
-            if right_adjusted and len(p) > 1 and p[-2] > p[-1]:
-                free &= -1 << p[-1]
-            while free:
-                bit = free & -free
-                free ^= bit
-                if comp[t | bit] & bit:
-                    grown_masks.append(t | bit)
-                    grown.append(p + (bit.bit_length(),))
-        masks, prefixes = grown_masks, grown
     out = []
-    if depth == m - 1:
-        for t, p in zip(masks, prefixes):
-            last = full ^ t
-            if comp[full] & last and (not right_adjusted or last.bit_length() > p[-1]):
-                out.append(p + (last.bit_length(),))
-    else:
-        for t, p in zip(masks, prefixes):
-            low = (full ^ t) & ((1 << (p[-1] - 1)) - 1) if right_adjusted else 0
-            desc = 1 if right_adjusted and p[-2] > p[-1] else 0
-            out += map(p.__add__, completions(t, low, desc))
+    for first in range(m):
+        if not comp[1 << first]:
+            continue
+        masks, prefixes = [1 << first], [(first + 1,)]
+        for _ in range(depth - 1):
+            grown_masks: list[int] = []
+            grown: list[tuple[int, ...]] = []
+            for t, p in zip(masks, prefixes):
+                free = full ^ t
+                if right_adjusted and len(p) > 1 and p[-2] > p[-1]:
+                    free &= -1 << p[-1]
+                while free:
+                    bit = free & -free
+                    free ^= bit
+                    if comp[t | bit] & bit:
+                        grown_masks.append(t | bit)
+                        grown.append(p + (bit.bit_length(),))
+            masks, prefixes = grown_masks, grown
+        if depth == m - 1:
+            for t, p in zip(masks, prefixes):
+                last = full ^ t
+                if comp[full] & last and (not right_adjusted or last.bit_length() > p[-1]):
+                    out.append(p + (last.bit_length(),))
+        else:
+            for t, p in zip(masks, prefixes):
+                low = (full ^ t) & ((1 << (p[-1] - 1)) - 1) if right_adjusted else 0
+                desc = 1 if right_adjusted and p[-2] > p[-1] else 0
+                out += map(p.__add__, completions(t, low, desc))
     shared.clear()  # completions is a reference cycle; free its lists now
     return out
 
