@@ -43,7 +43,9 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .config import check_capacity
-from .errors import BuildingSetError, ChordalityError, PreconditionError, StructuralError, require_ints
+from .errors import (
+    BuildingSetError, ChordalityError, PreconditionError, StructuralError, require_ints,
+)
 from .polyvec import IntPoly, h_to_gamma, toric_g_from_gamma
 
 _NAMED_KINDS = (
