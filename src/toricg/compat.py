@@ -359,6 +359,7 @@ def fillers(p: NoncrossingPartition) -> tuple[int, ...]:
 def nc_complex_faces(n: int, k: int) -> int:
     """Number of k-element collections of >=2-element subsets of [n] that
     occur as the nonsingleton blocks of a noncrossing partition."""
+    require_ints("nc_complex_faces", n, k)
     if k < 0:
         raise PreconditionError("k must be >= 0")
     faces = {p.nonsingleton_blocks() for p in enumerate_nc(n)}

@@ -419,6 +419,8 @@ def _insertion_walk(count: int, max_children: int | None) -> Iterator[tuple[Plan
     (vertices with at least two children) kept as the vertices are inserted:
     inserting under a parent that has exactly one child makes a new fork."""
     require_ints("increasing_plane_trees", count)
+    if max_children is not None:
+        require_ints("increasing_plane_trees", max_children)
     if count < 0:
         raise PreconditionError("count must be >= 0")
     if count == 0:

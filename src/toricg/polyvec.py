@@ -10,8 +10,9 @@ gamma-vector (gamma_0, ..., gamma_{n//2}) is
 
     sum_j gamma_j * g_contrib(n, j),
 
-where g_contrib(n, j) = sum_k C_{n-k-j} binom(n-k, k) (x-1)^k.  The same
-polynomial also comes out of the h-vector route
+where g_contrib(n, j) = sum_k C_{n-k-j} binom(n-k, k) (x-1)^k; a row is
+summed as binom(n-k, k) * sum_j gamma_j C_{n-k-j} over one Catalan list.
+The same polynomial also comes out of the h-vector route
 
     h_0 + sum_i (h_i - h_{i-1}) * cnix(n, i),
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, gcd
+from operator import add, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import PreconditionError, StructuralError, require_ints
@@ -72,6 +74,7 @@ class IntPoly:
 
     @classmethod
     def monomial(cls, power: int, coeff: int = 1) -> "IntPoly":
+        require_ints("IntPoly.monomial", power)
         return cls([0] * power + [coeff])
 
     @classmethod
@@ -152,6 +155,7 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
+        require_ints("IntPoly power", k)
         if k < 0:
             raise PreconditionError("negative power")
         out = IntPoly((1,))
@@ -200,13 +204,12 @@ X_MINUS_1 = IntPoly((-1, 1))
 
 
 def _shift(coeffs: Sequence[int], a: int) -> list[int]:
-    """Coefficients of sum_i coeffs[i] (x+a)^i, as many as given, by
-    Horner's rule: out <- out * (x+a) + c from the top coefficient down."""
-    out = [0] * len(coeffs)
+    """Coefficients of sum_i coeffs[i] (x+a)^i for a = 1 or -1, as many as
+    given, by Horner's rule: out <- out * (x+a) + c from the top down."""
+    step = add if a == 1 else sub
+    out: list[int] = []
     for c in reversed(coeffs):
-        for k in range(len(out) - 1, 0, -1):
-            out[k] = out[k - 1] + a * out[k]
-        out[0] = a * out[0] + c
+        out = list(map(step, [c] + out, out + [0]))
     return out
 
 
@@ -293,12 +296,14 @@ def g_contrib(n: int, j: int) -> IntPoly:
         raise PreconditionError("g_contrib needs n >= 0 and j >= 0")
     if j > n:
         return IntPoly()
-    return IntPoly(_shift(_g_by_power(n, j), -1))
+    return IntPoly._trusted(_shift(_by_power(n, [0] * j + [1]), -1))
 
 
-def _g_by_power(n: int, j: int) -> list[int]:
-    """The (x-1)-coefficients C_{n-k-j} binom(n-k, k) of g_contrib(n, j)."""
-    return [catalan(n - k - j) * comb(n - k, k) for k in range(min(n // 2, n - j) + 1)]
+def _by_power(n: int, weights: Sequence[int]) -> list[int]:
+    """(x-1)-coefficients binom(n-k, k) * sum_j weights[j] C_{n-k-j}, k <= n/2,
+    of sum_j weights[j] * g_contrib(n, j); cats[k:] reads C_{n-k}, ..., C_0."""
+    cats = [catalan(m) for m in range(n, -1, -1)]
+    return [comb(n - k, k) * sum(map(mul, weights, cats[k:])) for k in range(n // 2 + 1)]
 
 
 def toric_g_from_gamma(n: int, gamma: Sequence[int]) -> IntPoly:
@@ -307,12 +312,7 @@ def toric_g_from_gamma(n: int, gamma: Sequence[int]) -> IntPoly:
     require_ints("toric_g_from_gamma", n, *gamma)
     if len(gamma) > n // 2 + 1 and any(gamma[n // 2 + 1 :]):
         raise PreconditionError(f"gamma has entries beyond index {n // 2}")
-    by_power = [0] * (n // 2 + 1)
-    for j, g in enumerate(gamma[: n // 2 + 1]):
-        if g:
-            for k, c in enumerate(_g_by_power(n, j)):
-                by_power[k] += g * c
-    return IntPoly(_shift(by_power, -1))
+    return IntPoly._trusted(_shift(_by_power(n, gamma[: n // 2 + 1]), -1))
 
 
 def toric_g_from_h(n: int, hvec: Sequence[int]) -> IntPoly:
@@ -326,12 +326,12 @@ def toric_g_from_h(n: int, hvec: Sequence[int]) -> IntPoly:
         raise PreconditionError(f"h-vector must have length {n + 1}")
     if not is_palindromic(hvec):
         raise StructuralError(f"h-vector is not palindromic: {list(hvec)!r}")
-    out = IntPoly((hvec[0],))
-    for i in range(1, n // 2 + 1):
-        diff = hvec[i] - hvec[i - 1]
+    out = [hvec[0]] + [0] * (n // 2)
+    for i, diff in enumerate(map(sub, hvec[1 : n // 2 + 1], hvec), 1):
         if diff:
-            out = out + cnix(n, i) * diff
-    return out
+            for k, c in enumerate(cnix(n, i).coeffs):
+                out[k] += diff * c
+    return IntPoly._trusted(out)
 
 
 def narayana(k: int) -> IntPoly:

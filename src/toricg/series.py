@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .errors import PreconditionError, SeriesIdentityError
+from .errors import PreconditionError, SeriesIdentityError, require_ints
 from .polyvec import IntPoly, X, X_MINUS_1, g_contrib, narayana, peak_poly
 from .words import catalan
 
@@ -237,6 +237,7 @@ def verify_series(order: int) -> dict:
     Returns a report dict; raises SeriesIdentityError naming the first
     offending coefficient when an identity fails.
     """
+    require_ints("verify_series", order)
     if order < 1:
         raise PreconditionError("order must be >= 1")
     checks = []

@@ -29,7 +29,7 @@ from collections import Counter
 from math import comb
 
 from . import compat, nestohedra, parking, perms, polyvec, series, words
-from .errors import PreconditionError, ToricgError
+from .errors import PreconditionError, ToricgError, require_ints
 from .polyvec import IntPoly
 
 _FAMILIES = ("cube", "associahedron", "cyclohedron", "permutahedron")
@@ -49,6 +49,7 @@ def _expect(cond, detail="") -> None:
 def _run(suite: str, table, n_max: int, unsafe: bool) -> dict:
     """Run every row of ``table`` at its bound and report.  A cap of None
     marks an uncapped check whose bound is the series order max(n_max, 1)."""
+    require_ints(f"suite_{suite}", n_max)
     if n_max < 0:
         raise PreconditionError(f"n_max must be >= 0, got {n_max}")
     checks = []
@@ -125,10 +126,11 @@ def _garsia_haiman(b: int) -> None:
 def _search_trees(b: int) -> None:
     for n in range(1, b + 1):
         for f in parking.iter_parking_functions(n):
+            perm = parking.garsia_haiman(f).perm
             for build in (parking.dfs_tree, parking.bfs_tree):
                 t = build(f)
                 _expect(parking.tree_to_function(t) == f)
-                _expect(parking.edge_perm(t) == parking.garsia_haiman(f).perm)
+                _expect(parking.edge_perm(t) == perm)
 
 
 def _nc_roundtrip(b: int) -> None:
@@ -262,6 +264,7 @@ def peak_poly_oracles(n: int) -> list[IntPoly]:
     (e_{-1} = 0) up to e_i - 1, so it adds one range per factor to a
     difference row over m.
     """
+    require_ints("peak_poly_oracles", n)
     length = 2 * n
     diff = [[0] * (length + 2) for _ in range(n + 1)]  # diff[i][m]: by factor count i
     for w in words.enumerate_words(n, "dyck"):
@@ -312,6 +315,7 @@ def suite_series(n_max: int, unsafe: bool = False) -> dict:
 
 def eulerian_hvec(n: int) -> tuple[int, ...]:
     """Descent histogram of all permutations of [n+1], by enumeration."""
+    require_ints("eulerian_hvec", n)
     hist = Counter(
         sum(1 for i in range(n) if p[i] > p[i + 1])
         for p in itertools.permutations(range(n + 1))

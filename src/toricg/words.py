@@ -156,6 +156,8 @@ def enumerate_words(n: int, kind: str = "dyck", height: int | None = None) -> It
     elif kind == "balanced":
         steps, target, nonneg = 2 * n, 0, False
     elif kind == "nonneg_to_height":
+        if height is not None:
+            require_ints("enumerate_words", height)
         if height is None or height < 0:
             raise PreconditionError("nonneg_to_height needs height >= 0")
         if (n - height) % 2:

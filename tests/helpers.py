@@ -11,7 +11,7 @@ from collections import Counter
 from functools import lru_cache
 from math import comb
 
-from toricg import compat, parking, perms, words
+from toricg import compat, parking, perms, polyvec, words
 from toricg.polyvec import IntPoly
 
 
@@ -118,6 +118,15 @@ def power_sum(coeffs, a: int) -> IntPoly:
     out = IntPoly()
     for i, c in enumerate(coeffs):
         out = out + IntPoly((a, 1)) ** i * c
+    return out
+
+
+def toric_g_by_cnix_products(n: int, hvec) -> IntPoly:
+    """h_0 + sum_i (h_i - h_{i-1}) * cnix(n, i), one IntPoly product and
+    sum per term."""
+    out = IntPoly((hvec[0],))
+    for i in range(1, n // 2 + 1):
+        out = out + polyvec.cnix(n, i) * (hvec[i] - hvec[i - 1])
     return out
 
 

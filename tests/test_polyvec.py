@@ -17,6 +17,7 @@ from helpers import (
     naive_peaks_in_prefix,
     nonneg_paths_to_height,
     power_sum,
+    toric_g_by_cnix_products,
 )
 
 
@@ -107,6 +108,31 @@ def test_toric_g_from_gamma_is_the_g_contrib_sum(n, data):
     assert polyvec.toric_g_from_gamma(n, gamma) == expected
 
 
+@pytest.mark.parametrize("n", range(61))
+def test_toric_g_from_gamma_matches_the_definition(n):
+    """Each row against sum_j gamma_j sum_k C_{n-k-j} binom(n-k, k) (x-1)^k,
+    with naive Catalan numbers and IntPoly powers, on a random gamma with
+    negative and zero entries and zero padding past n//2."""
+    rng = random.Random(n)
+    gamma = [rng.choice((0, rng.randint(-10**6, 10**6))) for _ in range(rng.randint(0, n // 2 + 1))]
+    gamma += [0] * rng.randint(0, 3)
+    by_power = [
+        sum(g * naive_catalan(n - k - j) * comb(n - k, k) for j, g in enumerate(gamma) if j <= n - k)
+        for k in range(n // 2 + 1)
+    ]
+    assert polyvec.toric_g_from_gamma(n, gamma) == power_sum(by_power, -1)
+
+
+@pytest.mark.parametrize("n", range(61))
+def test_toric_g_from_h_is_the_cnix_product_sum(n):
+    """The h route against an IntPoly sum of cnix(n, i) * (h_i - h_{i-1}),
+    on a random palindromic h with negative and zero entries."""
+    rng = random.Random(n)
+    half = [rng.choice((0, rng.randint(-10**6, 10**6))) for _ in range(n // 2 + 1)]
+    h = half + half[: (n + 1) // 2][::-1]
+    assert polyvec.toric_g_from_h(n, h) == toric_g_by_cnix_products(n, h)
+
+
 def test_cnix_examples():
     assert polyvec.cnix(5, 0) == IntPoly([1])
     assert polyvec.cnix(4, 2) == IntPoly([0, 1, 1])
@@ -173,7 +199,7 @@ def test_toric_g_from_h_examples():
 
 
 @pytest.mark.parametrize("family", ["cube", "associahedron", "cyclohedron", "permutahedron"])
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 61))
 def test_route_agreement(family, n):
     gamma = polyvec.gamma_family(family, n)
     h = polyvec.gamma_to_h(gamma, n)
@@ -363,17 +389,21 @@ def test_from_counts():
     lambda: polyvec.kruskal_katona_ok([1, 2.5]),
     lambda: polyvec.kk_pseudopower(True, 1),
     lambda: polyvec.kk_pseudopower(2.5, 1),
+    lambda: IntPoly.monomial(2.5),
+    lambda: IntPoly((1, 1)) ** 2.5,
 ], ids=[
     "h-entry", "h-size", "gamma-entry", "g_contrib", "peak_poly", "cnix-bool",
     "gamma_to_h-entry", "gamma_to_h-n", "h_to_gamma", "f_to_h", "h_to_f", "narayana",
     "gamma_family", "gamma_family-bool", "catalan", "catalan-bool", "motzkin",
     "catalan_triangle", "kruskal_katona_ok", "kk_pseudopower-bool", "kk_pseudopower-float",
+    "monomial", "power",
 ])
 def test_integer_arguments_are_checked(call):
     """Most raised a raw TypeError.  Some answered instead: cnix(True, 0)
     returned IntPoly([1]), kruskal_katona_ok([1, 2.5]) True,
     gamma_family('cube', True) (1,), catalan(True) 1 and
     kk_pseudopower(True, 1) 0; kk_pseudopower(2.5, 1) failed its
-    termination invariant."""
+    termination invariant; IntPoly.monomial(2.5) and IntPoly((1, 1)) ** 2.5
+    raised a raw TypeError."""
     with pytest.raises(PreconditionError, match="needs int arguments"):
         call()

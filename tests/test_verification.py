@@ -9,7 +9,8 @@ from collections import Counter
 
 import pytest
 
-from toricg import config, nestohedra, perms, verification, words
+from toricg import config, nestohedra, perms, series, verification, words
+from toricg.errors import PreconditionError
 from toricg.nestohedra import BuildingSet
 
 from helpers import naive_peaks_in_prefix
@@ -34,6 +35,20 @@ def test_suites_pass(suite, n_max):
     for check in report["checks"]:
         assert check["ok"], check
         assert check["bound"] <= max(n_max, 1) or suite == "series"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: series.verify_series(2.5),
+    lambda: verification.suite_gamma(2.5),
+    lambda: verification.suite_series(True),
+    lambda: verification.eulerian_hvec(2.5),
+    lambda: verification.peak_poly_oracles(2.5),
+], ids=["verify_series", "suite_gamma", "suite_series-bool", "eulerian_hvec", "peak_poly_oracles"])
+def test_suites_and_oracles_need_int_arguments(call):
+    """suite_series(True) reported every check ok; the others raised a raw
+    TypeError."""
+    with pytest.raises(PreconditionError, match="needs int arguments"):
+        call()
 
 
 def test_caps_are_applied(monkeypatch):
