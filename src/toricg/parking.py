@@ -12,15 +12,17 @@ to the label of the parent vertex of the edge labeled i always yields a
 parking function, and the vertex labelings following the depth-first or
 breadth-first search order give two bijective encodings.  Every tree is
 built from a vertex-labeled shape and its fibers, the edge labels at each
-vertex; the 123 walk is the 0-1-2 shapes times the table of 123-avoiding
-functions by fiber sizes (:func:`avoiding_functions_by_fibers`).
+vertex: a search tree in one bottom-up pass over its labels, a listed tree
+by attaching fibers to a shape; the 123 walk is the 0-1-2 shapes times the
+table of 123-avoiding functions by fiber sizes
+(:func:`avoiding_functions_by_fibers`).
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter, deque
-from operator import itemgetter
+from operator import gt, itemgetter, le
 from typing import Iterator, NamedTuple, Sequence
 
 from . import perms
@@ -49,7 +51,7 @@ def validate_fn(f) -> None:
 def is_parking(f) -> bool:
     """True when the k-th smallest value is at most k for every k."""
     validate_fn(f)
-    return all(v <= k for k, v in enumerate(sorted(f), start=1))
+    return all(map(le, sorted(f), range(1, len(f) + 1)))
 
 
 def fn_ascent_set(f) -> tuple[int, ...]:
@@ -71,34 +73,54 @@ class GHPair(NamedTuple):
 
 
 def is_compatible_pair(perm, word: str) -> bool:
-    """Descents of ``perm`` must sit at fiber boundaries of ``word``."""
+    """Descents of ``perm`` must sit at fiber boundaries of ``word``: cut
+    into runs of the fiber sizes, ``perm`` has no descent inside a run (a
+    permutation increases inside each); the word is split once."""
+    return _compatible_runs(perm, word) is not None
+
+
+def _compatible_runs(perm, word: str) -> list[int] | None:
+    """The run lengths q_i of ``word`` = U^{q_1} D ... U^{q_n} D when there
+    are n = len(perm) of them summing to n and no descent of ``perm`` falls
+    inside a run, that is, every descent is a partial sum of the q_i;
+    None otherwise."""
     runs = u_runs(word)
-    if runs is None or len(runs) != len(perm) or sum(runs) != len(perm):
-        return False
-    boundaries = set(itertools.accumulate(runs[:-1]))
-    return set(perms.descent_set(perm)) <= boundaries
+    n = len(perm)
+    if runs is None or len(runs) != n or sum(runs) != n:
+        return None
+    pos = 0
+    for q in runs:
+        if q > 1:
+            run = perm[pos : pos + q]
+            if any(map(gt, run, run[1:])):
+                return None
+        pos += q
+    return runs
 
 
 def garsia_haiman(f) -> GHPair:
     """Encode a function as a (permutation, balanced word) pair.
 
     The word records the fiber sizes and the permutation concatenates the
-    fibers f^{-1}(1), ..., f^{-1}(n), each listed increasingly.  f is a
-    parking function exactly when the word is a Dyck word.
+    fibers f^{-1}(1), ..., f^{-1}(n), each listed increasingly: a stable
+    sort of the positions by value.  f is a parking function exactly when
+    the word is a Dyck word.
     """
     validate_fn(f)
-    fibers = _fibers(f)
-    perm = tuple(i for v in sorted(fibers) for i in fibers[v])
-    word = "".join(U * len(fibers.get(v, ())) + D for v in range(1, len(f) + 1))
-    return GHPair(perm, word)
+    n = len(f)
+    perm = tuple(sorted(range(1, n + 1), key=lambda i: f[i - 1]))
+    sizes = [0] * (n + 1)
+    for v in f:
+        sizes[v] += 1
+    return GHPair(perm, "".join([U * q + D for q in sizes[1:]]))
 
 
 def garsia_haiman_inv(perm, word: str) -> tuple[int, ...]:
     """Inverse encoding; the pair must be compatible."""
     perms.validate_perm(perm)
-    if not is_compatible_pair(perm, word):
+    runs = _compatible_runs(perm, word)
+    if runs is None:
         raise PreconditionError(f"incompatible pair: {perm!r}, {word!r}")
-    runs = u_runs(word)
     f = [0] * len(perm)
     pos = 0
     for value, q in enumerate(runs, start=1):
@@ -197,18 +219,25 @@ def _validate_parking_tree(root: Node) -> int:
 def tree_to_function(t: ParkingTree) -> tuple[int, ...]:
     """f(i) = label of the parent vertex of the edge labeled i."""
     f = [0] * t.n
-    for v, e, _ in _edges(t.root):
-        f[e - 1] = v
+    stack = [t.root]
+    while stack:
+        v, edges = stack.pop()
+        for e, child in edges:
+            f[e - 1] = v
+            stack.append(child)
     return tuple(f)
 
 
 def edge_perm(t: ParkingTree) -> tuple[int, ...]:
     """Edge labels grouped by parent vertex label (ascending), left to right
     within a group; equals the fiber permutation of the encoded function."""
-    groups: dict[int, list[int]] = {}
-    for v, e, _ in _edges(t.root):
-        groups.setdefault(v, []).append(e)
-    return tuple(e for v in sorted(groups) for e in groups[v])
+    groups = [()] * (t.n + 2)
+    stack = [t.root]
+    while stack:
+        v, edges = stack.pop()
+        groups[v] = edges
+        stack.extend([child for _, child in edges])
+    return tuple([e for edges in groups for e, _ in edges])
 
 
 def is_123_parking_tree(t: ParkingTree) -> bool:
@@ -266,26 +295,32 @@ def bfs_tree(f) -> ParkingTree:
 
 
 def _search_tree(f, bfs: bool) -> ParkingTree:
+    """Label the vertices in search order, each taking the next free edge of
+    the first (breadth-first) or last (depth-first) vertex with one left;
+    then build the nodes from the last label up, since children carry larger
+    labels, zipping each vertex's fiber with its children."""
     if not is_parking(f):
         raise PreconditionError(f"not a parking function: {f!r}")
     n = len(f)
-    children: list[list[int]] = [[] for _ in range(n + 1)]
+    fibers: list[list[int]] = [[] for _ in range(n + 2)]
+    for i, v in enumerate(f, start=1):
+        fibers[v].append(i)
+    remaining = list(map(len, fibers))
+    children: list[list[int]] = [[] for _ in range(n + 2)]
     pending = deque([1])
-    remaining = [0] * (n + 1)
-    for v in f:
-        remaining[v - 1] += 1
     for label in range(2, n + 2):
         v = pending[0] if bfs else pending[-1]
-        children[v - 1].append(label)
-        remaining[v - 1] -= 1
-        if remaining[v - 1] == 0:
+        children[v].append(label)
+        remaining[v] -= 1
+        if not remaining[v]:
             pending.popleft() if bfs else pending.pop()
-        if remaining[label - 1] > 0:
+        if remaining[label]:
             pending.append(label)
     nodes: list = [None] * (n + 2)
-    for v in range(n + 1, 0, -1):  # children carry larger labels
-        nodes[v] = (v, tuple([nodes[c] for c in children[v - 1]]))
-    return _attach(nodes[1], _fibers(f), n)
+    for v in range(n + 1, 0, -1):
+        kids = children[v]
+        nodes[v] = (v, tuple(zip(fibers[v], [nodes[c] for c in kids])) if kids else ())
+    return ParkingTree._unchecked(nodes[1], n)
 
 
 def enumerate_parking_trees(n: int, unsafe: bool = False) -> Iterator[ParkingTree]:
@@ -482,7 +517,32 @@ def iter_functions(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def iter_parking_functions(n: int) -> Iterator[tuple[int, ...]]:
-    return (f for f in iter_functions(n) if is_parking(f))
+    """The parking functions [n] -> [n] in the lexicographic order of
+    :func:`iter_functions`, grown by prefix without listing the others."""
+    require_ints("iter_parking_functions", n)
+    if n < 0:
+        raise PreconditionError("iter_parking_functions requires n >= 0")
+    return _parking_walk(n)
+
+
+def _parking_walk(n: int) -> Iterator[tuple[int, ...]]:
+    """A prefix of k values, c_j of them at most j, extends to a parking
+    function iff its slack s_j = c_j + (n - k) - j is >= 0 for every j (the
+    rest may all be 1).  Appending v lowers s_j by one for j < v only, so v
+    may rise to the first j with s_j = 0; s_n is always 0."""
+    if n == 0:
+        yield ()
+        return
+    stack = [((), tuple(range(n - 1, -1, -1)))]
+    while stack:
+        prefix, slack = stack.pop()
+        top = slack.index(0) + 1
+        if len(prefix) == n - 1:
+            yield from [prefix + (v,) for v in range(1, top + 1)]
+            continue
+        for v in range(top, 0, -1):  # the least value is walked first
+            lowered = tuple([s - 1 for s in slack[: v - 1]])
+            stack.append((prefix + (v,), lowered + slack[v - 1 :]))
 
 
 def iter_123_avoiding_functions(n: int, parking_only: bool = False) -> Iterator[tuple[int, ...]]:

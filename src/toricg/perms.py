@@ -9,6 +9,7 @@ Plane trees with increasing vertex labels are nested tuples
 
 from __future__ import annotations
 
+from operator import gt, lt
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import PreconditionError, StructuralError, require_ints
@@ -49,11 +50,11 @@ def descent_set(p) -> tuple[int, ...]:
 
 
 def asc(p) -> int:
-    return len(ascent_set(p))
+    return sum(map(lt, p, p[1:]))
 
 
 def des(p) -> int:
-    return len(descent_set(p))
+    return sum(map(gt, p, p[1:]))
 
 
 class PermStats(NamedTuple):
@@ -426,12 +427,23 @@ def _insertion_walk(count: int, max_children: int | None) -> Iterator[tuple[Plan
     if count == 0:
         return
     children: list[list[int]] = [[] for _ in range(count + 1)]
-    nodes: list = [None] * (count + 1)
+    nodes: list = [(v, ()) for v in range(count + 1)]
+    parent_of = [0] * (count + 1)
+    # stale[v]: v's children changed since the last tree, or a descendant's
+    # did; a stale vertex's parent is stale too
+    stale = [False] * (count + 1)
+
+    def touch(v: int) -> None:
+        while v and not stale[v]:
+            stale[v] = True
+            v = parent_of[v]
 
     def freeze() -> PlaneTree:
-        # children carry larger labels, so build from the last vertex up
+        # children carry larger labels, so rebuild from the last vertex up
         for v in range(count, 0, -1):
-            nodes[v] = (v, tuple([nodes[c] for c in children[v]]))
+            if stale[v]:
+                nodes[v] = (v, tuple([nodes[c] for c in children[v]]))
+                stale[v] = False
         return nodes[1]
 
     def rec(next_label: int, forks: int) -> Iterator[tuple[PlaneTree, int]]:
@@ -442,11 +454,14 @@ def _insertion_walk(count: int, max_children: int | None) -> Iterator[tuple[Plan
             cs = children[parent]
             if max_children is not None and len(cs) >= max_children:
                 continue
+            parent_of[next_label] = parent
             more = forks + (len(cs) == 1)
             for slot in range(len(cs) + 1):
                 cs.insert(slot, next_label)
+                touch(parent)
                 yield from rec(next_label + 1, more)
                 cs.pop(slot)
+                touch(parent)
 
     yield from rec(2, 0)
 

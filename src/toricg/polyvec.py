@@ -75,6 +75,8 @@ class IntPoly:
     @classmethod
     def monomial(cls, power: int, coeff: int = 1) -> "IntPoly":
         require_ints("IntPoly.monomial", power)
+        if power < 0:
+            raise PreconditionError("negative power")
         return cls([0] * power + [coeff])
 
     @classmethod
@@ -129,9 +131,7 @@ class IntPoly:
         return IntPoly._trusted([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = IntPoly((other,))
-        if not isinstance(other, IntPoly):
+        if not isinstance(other, (int, IntPoly)):
             return NotImplemented
         return self + (-other)
 
@@ -296,13 +296,15 @@ def g_contrib(n: int, j: int) -> IntPoly:
         raise PreconditionError("g_contrib needs n >= 0 and j >= 0")
     if j > n:
         return IntPoly()
-    return IntPoly._trusted(_shift(_by_power(n, [0] * j + [1]), -1))
+    return IntPoly._trusted(_shift(_by_power(n, [1], j), -1))
 
 
-def _by_power(n: int, weights: Sequence[int]) -> list[int]:
-    """(x-1)-coefficients binom(n-k, k) * sum_j weights[j] C_{n-k-j}, k <= n/2,
-    of sum_j weights[j] * g_contrib(n, j); cats[k:] reads C_{n-k}, ..., C_0."""
-    cats = [catalan(m) for m in range(n, -1, -1)]
+def _by_power(n: int, weights: Sequence[int], first: int = 0) -> list[int]:
+    """(x-1)-coefficients binom(n-k, k) * sum_j w_j C_{n-k-j}, k <= n/2, of
+    sum_j w_j * g_contrib(n, j), where w_{first+i} = weights[i] and the other
+    w_j are 0; cats[k:] reads C_{n-first-k} down to the last C they reach."""
+    top = n - first
+    cats = [catalan(m) for m in range(top, max(top - n // 2 - len(weights), -1), -1)]
     return [comb(n - k, k) * sum(map(mul, weights, cats[k:])) for k in range(n // 2 + 1)]
 
 

@@ -314,12 +314,10 @@ def suite_series(n_max: int, unsafe: bool = False) -> dict:
 
 
 def eulerian_hvec(n: int) -> tuple[int, ...]:
-    """Descent histogram of all permutations of [n+1], by enumeration."""
+    """Descent histogram of all permutations of [n+1], by enumeration:
+    :func:`toricg.perms.des` of each."""
     require_ints("eulerian_hvec", n)
-    hist = Counter(
-        sum(1 for i in range(n) if p[i] > p[i + 1])
-        for p in itertools.permutations(range(n + 1))
-    )
+    hist = Counter(map(perms.des, itertools.permutations(range(n + 1))))
     return tuple(hist.get(i, 0) for i in range(n + 1))
 
 

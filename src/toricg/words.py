@@ -118,19 +118,17 @@ def run_length_text(w: str) -> str:
 
 def is_balanced(w: str) -> bool:
     """True when w uses only U/D with equally many of each."""
-    return all(ch in "UD" for ch in w) and 2 * w.count(U) == len(w)
+    return {U, D}.issuperset(w) and 2 * w.count(U) == len(w)
 
 
 def is_dyck(w: str) -> bool:
     """True when w is balanced and no prefix has more D's than U's."""
-    if any(ch not in "UD" for ch in w):
-        return False
     height = 0
     for ch in w:
         height += 1 if ch == U else -1
         if height < 0:
             return False
-    return height == 0
+    return height == 0 and {U, D}.issuperset(w)
 
 
 def is_motzkin(w: str) -> bool:
@@ -197,7 +195,10 @@ def factor_count(w: str, f: str) -> int:
     """Number of (possibly overlapping) occurrences of f as a factor of w."""
     if not f:
         raise PreconditionError("factor must be nonempty")
-    return sum(1 for i in range(len(w) - len(f) + 1) if w[i : i + len(f)] == f)
+    count, i = 0, w.find(f)
+    while i >= 0:
+        count, i = count + 1, w.find(f, i + 1)
+    return count
 
 
 def is_lukasiewicz(word: Sequence[int]) -> bool:
@@ -226,9 +227,9 @@ def dyck_to_lukasiewicz(w: str) -> tuple[int, ...]:
 def u_runs(w: str) -> list[int] | None:
     """Run lengths q_i of w = U^{q_1} D ... U^{q_n} D, or None when w has a
     letter other than U, D or ends inside a U run."""
-    if any(ch not in "UD" for ch in w) or w.endswith(U):
+    if not {U, D}.issuperset(w) or w.endswith(U):
         return None
-    return [len(run) for run in w.split(D)[:-1]]
+    return list(map(len, w.split(D)[:-1]))
 
 
 def lukasiewicz_to_dyck(word: Sequence[int]) -> str:

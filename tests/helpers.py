@@ -75,6 +75,72 @@ def parks_by_simulation(f) -> bool:
     return True
 
 
+def parking_functions_filter(n: int) -> list[tuple[int, ...]]:
+    """The parking functions of [n], in lexicographic order, by simulating
+    every one of the n^n functions."""
+    return [f for f in parking.iter_functions(n) if parks_by_simulation(f)]
+
+
+def naive_garsia_haiman(f) -> tuple[tuple[int, ...], str]:
+    """The fibers f^{-1}(1), ..., f^{-1}(n), read value by value: their
+    concatenation and the word U^{|f^{-1}(1)|} D ... U^{|f^{-1}(n)|} D."""
+    n = len(f)
+    fibers = [[i for i in range(1, n + 1) if f[i - 1] == v] for v in range(1, n + 1)]
+    return tuple(i for fiber in fibers for i in fiber), "".join("U" * len(b) + "D" for b in fibers)
+
+
+def naive_is_compatible_pair(perm, word: str) -> bool:
+    """The word reads U^{q_1} D ... U^{q_n} D with n = len(perm) runs summing
+    to n, and every descent of perm is a partial sum q_1 + ... + q_i."""
+    n = len(perm)
+    if set(word) - {"U", "D"} or word.count("D") != n or word.count("U") != n:
+        return False
+    if word and word[-1] != "D":
+        return False
+    runs, q = [], 0
+    for ch in word:
+        if ch == "U":
+            q += 1
+        else:
+            runs.append(q)
+            q = 0
+    partial_sums = {sum(runs[:i]) for i in range(1, n + 1)}
+    descents = {i for i in range(1, n) if perm[i - 1] > perm[i]}
+    return descents <= partial_sums
+
+
+def naive_factor_count(w: str, f: str) -> int:
+    """Occurrences of f in w, overlapping ones included, by slicing at every
+    start."""
+    return sum(1 for i in range(len(w) - len(f) + 1) if w[i : i + len(f)] == f)
+
+
+def increasing_plane_trees_by_rebuild(count: int, max_children=None):
+    """Insert vertex k under every vertex in (parent, slot) order, as the
+    library's walk does, and build each finished tree afresh from its child
+    lists by recursion."""
+    children = [[] for _ in range(count + 1)]
+
+    def build(v):
+        return (v, tuple(build(c) for c in children[v]))
+
+    def rec(k):
+        if k > count:
+            yield build(1)
+            return
+        for parent in range(1, k):
+            cs = children[parent]
+            if max_children is not None and len(cs) >= max_children:
+                continue
+            for slot in range(len(cs) + 1):
+                cs.insert(slot, k)
+                yield from rec(k + 1)
+                cs.pop(slot)
+
+    if count:
+        yield from rec(2)
+
+
 def naive_peaks_in_prefix(w: str, m: int) -> int:
     return sum(1 for i in range(min(m, len(w)) - 1) if w[i : i + 2] == "UD")
 

@@ -1,10 +1,19 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
 from toricg import compat, parking, perms, polyvec, words
 from toricg.errors import CapacityError, PreconditionError, StructuralError
 
-from helpers import contains_pattern_123, parks_by_simulation
+from helpers import (
+    all_ud_words,
+    contains_pattern_123,
+    naive_garsia_haiman,
+    naive_is_compatible_pair,
+    parking_functions_filter,
+    parks_by_simulation,
+)
 
 FIG_FN = (7, 5, 10, 7, 3, 6, 1, 4, 3, 1)
 FIG_PERM = (7, 10, 5, 9, 8, 2, 6, 1, 4, 3)
@@ -65,6 +74,68 @@ def test_garsia_haiman_round_trip(n):
         assert parking.garsia_haiman_inv(*pair) == f
         assert parking.is_parking(f) == words.is_dyck(pair.word)
         assert perms.is_123_avoiding(f) == perms.is_123_avoiding(pair.perm)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_garsia_haiman_matches_the_fiber_oracle(n):
+    """The stable sort of the positions by value and the count per value
+    against the fibers read value by value, on all n^n functions."""
+    for f in parking.iter_functions(n):
+        assert parking.garsia_haiman(f) == naive_garsia_haiman(f)
+        assert parking.garsia_haiman(list(f)) == naive_garsia_haiman(f)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_is_compatible_pair_matches_the_descent_oracle(n):
+    """Every permutation against every {U,D} word of length 2n - 1 to
+    2n + 1, the balanced ones with n runs among them: compatible exactly
+    when every descent is a partial sum of the runs, and the inverse
+    answers exactly on the compatible pairs."""
+    for perm in itertools.permutations(range(1, n + 1)):
+        for length in range(max(0, 2 * n - 1), 2 * n + 2):
+            for word in all_ud_words(length):
+                expected = naive_is_compatible_pair(perm, word)
+                assert parking.is_compatible_pair(perm, word) == expected
+                if expected:
+                    f = parking.garsia_haiman_inv(perm, word)
+                    assert parking.garsia_haiman(f) == (perm, word)
+                else:
+                    with pytest.raises(PreconditionError, match="incompatible pair"):
+                        parking.garsia_haiman_inv(perm, word)
+
+
+def test_is_compatible_pair_on_other_inputs():
+    """A repeated value is no descent, and a letter other than U, D or a
+    word ending inside a U run is no pair."""
+    assert parking.is_compatible_pair((1, 1), "UUDD")
+    assert parking.is_compatible_pair([2, 1], "UDUD")
+    assert not parking.is_compatible_pair((2, 1), "UUDD")
+    assert not parking.is_compatible_pair((1, 2), "UHDD")
+    assert not parking.is_compatible_pair((1, 2), "UDDU")
+    assert parking.is_compatible_pair((), "")
+    assert not parking.is_compatible_pair((), "D")
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_iter_parking_functions_matches_the_filter(n):
+    """Grown by prefix, the stream is the filter of all n^n functions, in
+    the same order."""
+    assert list(parking.iter_parking_functions(n)) == parking_functions_filter(n)
+
+
+def test_iter_parking_functions_lists_no_other_function(monkeypatch):
+    """The n = 6 stream calls is_parking on none of the 46,656 functions."""
+    monkeypatch.setattr(parking, "is_parking", None)
+    assert sum(1 for _ in parking.iter_parking_functions(6)) == 7 ** 5
+
+
+@pytest.mark.parametrize("n", [2.5, True, -1], ids=["float", "bool", "negative"])
+def test_iter_parking_functions_refuses_at_call_time(n):
+    """Refused when called, before the first item, under its own name; at
+    the parent -1 raised a raw ValueError from itertools.product and the
+    others named iter_functions."""
+    with pytest.raises(PreconditionError, match="iter_parking_functions"):
+        parking.iter_parking_functions(n)
 
 
 def test_search_trees_figure():

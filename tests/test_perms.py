@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from toricg import perms, polyvec, words
 from toricg.errors import PreconditionError, StructuralError
 
-from helpers import contains_pattern_123
+from helpers import contains_pattern_123, increasing_plane_trees_by_rebuild
 
 
 FIG_PERM = (7, 10, 5, 9, 8, 2, 6, 1, 4, 3)
@@ -206,6 +206,29 @@ def test_increasing_012_fork_tags_match_count_forks(m):
     assert [t for t, _ in tagged] == list(perms.increasing_plane_trees(m, max_children=2))
     for tree, forks in tagged:
         assert forks == perms.count_forks(tree)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_des_asc_count_the_position_sets(n):
+    """des and asc against the lengths of descent_set and ascent_set, on
+    every permutation of [n] and on random sequences with repeated values."""
+    rng = random.Random(n)
+    seqs = list(itertools.permutations(range(1, n + 1)))
+    seqs += [[rng.randint(1, 3) for _ in range(n)] for _ in range(200)]
+    for p in seqs:
+        assert perms.des(p) == len(perms.descent_set(p))
+        assert perms.asc(p) == len(perms.ascent_set(p))
+
+
+@pytest.mark.parametrize("max_children", [None, 1, 2, 3])
+@pytest.mark.parametrize("count", range(8))
+def test_insertion_walk_matches_the_rebuild_oracle(count, max_children):
+    """Rebuilding only the vertices changed since the previous tree gives
+    the trees that a fresh build of every tree gives, in the same order."""
+    expected = list(increasing_plane_trees_by_rebuild(count, max_children))
+    assert list(perms.increasing_plane_trees(count, max_children)) == expected
+    if max_children == 2:
+        assert [t for t, _ in perms.enumerate_increasing_012(count)] == expected
 
 
 def test_plane_trees_are_increasing():

@@ -156,6 +156,34 @@ def test_cnix_peak_oracle(n):
         assert sum(hist.values()) == words.catalan_triangle(n, i)
 
 
+def test_monomial_refuses_a_negative_power():
+    """IntPoly.monomial(-1) returned IntPoly([1]), since [0] * -1 is empty;
+    x^-1 is no polynomial, and IntPoly powers refuse it too."""
+    with pytest.raises(PreconditionError, match="negative power"):
+        IntPoly.monomial(-1)
+    with pytest.raises(PreconditionError, match="negative power"):
+        IntPoly.monomial(-3, 5)
+    assert IntPoly.monomial(0) == IntPoly([1])
+    assert IntPoly.monomial(2, 5) == IntPoly([0, 0, 5])
+
+
+def test_g_contrib_builds_only_the_catalan_numbers_it_reaches(monkeypatch):
+    """g_contrib(n, j) reads C_{n-k-j} for k <= n/2 only, so it builds at
+    most n//2 + 1 Catalan numbers, not the n + 1 of a whole row."""
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return words.catalan(m)
+
+    monkeypatch.setattr(polyvec, "catalan", counted)
+    for n in range(25):
+        for j in range(n + 1):
+            calls.clear()
+            polyvec.g_contrib(n, j)
+            assert sorted(calls) == list(range(max(n - j - n // 2, 0), n - j + 1)), (n, j)
+
+
 def test_g_contrib_examples():
     assert polyvec.g_contrib(2, 1) == IntPoly([0, 1])
     assert polyvec.g_contrib(4, 0) == IntPoly([1, 11, 2])

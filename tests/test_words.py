@@ -10,6 +10,7 @@ from toricg.errors import PreconditionError, StructuralError
 from helpers import (
     all_ud_words,
     naive_catalan,
+    naive_factor_count,
     naive_is_dyck,
     naive_is_motzkin,
     nonneg_paths_to_height,
@@ -104,6 +105,35 @@ def test_factor_count():
     assert words.factor_count("UUU", "UU") == 2
     with pytest.raises(PreconditionError):
         words.factor_count("UD", "")
+
+
+@pytest.mark.parametrize("length", range(8))
+def test_factor_count_matches_the_slice_scan(length):
+    """Every word over U, D, H of the length against every factor over U, D
+    of length 1 to 3 and one longer than the word."""
+    factors = ["".join(t) for k in range(1, 4) for t in itertools.product("UD", repeat=k)]
+    factors.append("U" * (length + 1))
+    for letters in itertools.product("UDH", repeat=length):
+        w = "".join(letters)
+        for f in factors:
+            assert words.factor_count(w, f) == naive_factor_count(w, f)
+
+
+@pytest.mark.parametrize("length", range(9))
+def test_letter_checks_refuse_a_stray_letter(length):
+    """is_dyck, is_balanced and u_runs on every word over U, D and a stray
+    letter X: a word holding X is neither Dyck nor balanced and has no
+    runs."""
+    for letters in itertools.product("UDX", repeat=length):
+        w = "".join(letters)
+        clean = "X" not in w
+        assert words.is_dyck(w) == (clean and naive_is_dyck(w))
+        assert words.is_balanced(w) == (clean and w.count("U") == w.count("D"))
+        runs = words.u_runs(w)
+        if clean and not w.endswith("U"):
+            assert runs is not None and "".join("U" * q + "D" for q in runs) == w
+        else:
+            assert runs is None
 
 
 def test_word_text_round_trip():
