@@ -131,7 +131,9 @@ class IntPoly:
         return IntPoly._trusted([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if not isinstance(other, (int, IntPoly)):
+        if isinstance(other, int):
+            other = IntPoly((other,))
+        if not isinstance(other, IntPoly):
             return NotImplemented
         return self + (-other)
 
