@@ -513,6 +513,8 @@ def parking_tree_from_text(text: str) -> ParkingTree:
 def iter_functions(n: int) -> Iterator[tuple[int, ...]]:
     """All n^n functions [n] -> [n]."""
     require_ints("iter_functions", n)
+    if n < 0:
+        raise PreconditionError("iter_functions requires n >= 0")
     return itertools.product(range(1, n + 1), repeat=n)
 
 

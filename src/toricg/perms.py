@@ -418,7 +418,9 @@ def increasing_plane_trees(count: int, max_children: int | None = None) -> Itera
 def _insertion_walk(count: int, max_children: int | None) -> Iterator[tuple[PlaneTree, int]]:
     """The trees of :func:`increasing_plane_trees`, each with its fork count
     (vertices with at least two children) kept as the vertices are inserted:
-    inserting under a parent that has exactly one child makes a new fork."""
+    inserting under a parent that has exactly one child makes a new fork.
+    Each tree rebuilds only the nodes whose subtree changed since the
+    previous tree and shares the others with it."""
     require_ints("increasing_plane_trees", count)
     if max_children is not None:
         require_ints("increasing_plane_trees", max_children)

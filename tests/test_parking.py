@@ -130,12 +130,13 @@ def test_iter_parking_functions_lists_no_other_function(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [2.5, True, -1], ids=["float", "bool", "negative"])
-def test_iter_parking_functions_refuses_at_call_time(n):
-    """Refused when called, before the first item, under its own name; at
-    the parent -1 raised a raw ValueError from itertools.product and the
-    others named iter_functions."""
-    with pytest.raises(PreconditionError, match="iter_parking_functions"):
-        parking.iter_parking_functions(n)
+@pytest.mark.parametrize("name", ["iter_functions", "iter_parking_functions"])
+def test_function_streams_refuse_at_call_time(name, n):
+    """Refused when called, before the first item, under the stream's own
+    name.  n = -1 raised a raw ValueError from itertools.product in both,
+    and iter_parking_functions named iter_functions for the others."""
+    with pytest.raises(PreconditionError, match=name + " "):
+        getattr(parking, name)(n)
 
 
 def test_search_trees_figure():
