@@ -95,6 +95,12 @@ def _load_building_set(path: str) -> nestohedra.BuildingSet:
         raise ToricgError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ToricgError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    except UnicodeDecodeError as exc:
+        raise ToricgError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except RecursionError as exc:
+        raise ToricgError(f"{path}: JSON nests too deeply to read") from exc
+    except ValueError as exc:  # an integer with more digits than int() converts
+        raise ToricgError(f"{path}: JSON holds an integer too long to read") from exc
     from . import nestohedra
 
     return nestohedra.BuildingSet.from_json(data)

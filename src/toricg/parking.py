@@ -21,7 +21,7 @@ table of 123-avoiding functions by fiber sizes
 from __future__ import annotations
 
 import itertools
-from collections import Counter, deque
+from collections import deque
 from operator import gt, itemgetter, le
 from typing import Iterator, NamedTuple, Sequence
 
@@ -72,32 +72,6 @@ class GHPair(NamedTuple):
     word: str
 
 
-def is_compatible_pair(perm, word: str) -> bool:
-    """Descents of ``perm`` must sit at fiber boundaries of ``word``: cut
-    into runs of the fiber sizes, ``perm`` has no descent inside a run (a
-    permutation increases inside each); the word is split once."""
-    return _compatible_runs(perm, word) is not None
-
-
-def _compatible_runs(perm, word: str) -> list[int] | None:
-    """The run lengths q_i of ``word`` = U^{q_1} D ... U^{q_n} D when there
-    are n = len(perm) of them summing to n and no descent of ``perm`` falls
-    inside a run, that is, every descent is a partial sum of the q_i;
-    None otherwise."""
-    runs = u_runs(word)
-    n = len(perm)
-    if runs is None or len(runs) != n or sum(runs) != n:
-        return None
-    pos = 0
-    for q in runs:
-        if q > 1:
-            run = perm[pos : pos + q]
-            if any(map(gt, run, run[1:])):
-                return None
-        pos += q
-    return runs
-
-
 def garsia_haiman(f) -> GHPair:
     """Encode a function as a (permutation, balanced word) pair.
 
@@ -116,18 +90,26 @@ def garsia_haiman(f) -> GHPair:
 
 
 def garsia_haiman_inv(perm, word: str) -> tuple[int, ...]:
-    """Inverse encoding; the pair must be compatible."""
+    """Inverse encoding.  The pair must be compatible: ``word`` reads
+    U^{q_1} D ... U^{q_n} D with n = len(perm) runs summing to n, and no
+    descent of ``perm`` falls inside a run (a fiber increases), that is,
+    every descent is a partial sum of the q_i; the word is split once."""
     perms.validate_perm(perm)
-    runs = _compatible_runs(perm, word)
-    if runs is None:
-        raise PreconditionError(f"incompatible pair: {perm!r}, {word!r}")
-    f = [0] * len(perm)
-    pos = 0
-    for value, q in enumerate(runs, start=1):
-        for i in perm[pos : pos + q]:
-            f[i - 1] = value
-        pos += q
-    return tuple(f)
+    runs = u_runs(word)
+    n = len(perm)
+    if runs is not None and len(runs) == n and sum(runs) == n:
+        f = [0] * n
+        pos = 0
+        for value, q in enumerate(runs, start=1):
+            run = perm[pos : pos + q]
+            if q > 1 and any(map(gt, run, run[1:])):
+                break
+            for i in run:
+                f[i - 1] = value
+            pos += q
+        else:
+            return tuple(f)
+    raise PreconditionError(f"incompatible pair: {perm!r}, {word!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +152,6 @@ class ParkingTree:
 
     def __repr__(self):
         return f"parking_tree_from_text({parking_tree_to_text(self)!r})"
-
-    def vertex_count(self) -> int:
-        return self.n + 1
 
 
 def _edges(node: Node) -> list[tuple[int, int, Node]]:
@@ -238,14 +217,6 @@ def edge_perm(t: ParkingTree) -> tuple[int, ...]:
         groups[v] = edges
         stack.extend([child for _, child in edges])
     return tuple([e for edges in groups for e, _ in edges])
-
-
-def is_123_parking_tree(t: ParkingTree) -> bool:
-    """True when every vertex has at most two children and the edge
-    permutation is 123-avoiding; equivalently the encoded parking function
-    is 123-avoiding."""
-    children = Counter(v for v, _, _ in _edges(t.root))
-    return max(children.values(), default=0) <= 2 and perms.is_123_avoiding(edge_perm(t))
 
 
 def _attach(shape: perms.PlaneTree, fibers: dict, n: int) -> ParkingTree:
@@ -375,10 +346,11 @@ def _labelled_shapes(n: int, unsafe: bool) -> Iterator[tuple]:
 
 def enumerate_123_parking_trees(n: int, unsafe: bool = False) -> Iterator[ParkingTree]:
     """The parking trees of the 123-avoiding parking functions on [n]: those
-    of :func:`enumerate_parking_trees` that :func:`is_123_parking_tree`
-    keeps, in the same order, without listing the others.  Each 0-1-2 shape
-    takes the functions whose fiber sizes are its child counts, ordered by
-    their fibers in parent order (the Garsia-Haiman permutation)."""
+    of :func:`enumerate_parking_trees` with at most two children per vertex
+    and a 123-avoiding edge permutation, in the same order, without listing
+    the others.  Each 0-1-2 shape takes the functions whose fiber sizes are
+    its child counts, ordered by their fibers in parent order (the
+    Garsia-Haiman permutation)."""
     if n < 0:
         raise PreconditionError("n must be >= 0")
     check_capacity("parking_trees", n, unsafe)
@@ -425,35 +397,6 @@ def _ordered_groups(labels: tuple[int, ...], sizes: Sequence[int]) -> Iterator[t
         rest = tuple(x for x in labels if x not in chosen)
         for tail in _ordered_groups(rest, sizes[1:]):
             yield (combo,) + tail
-
-
-def sibling_type(tree012: perms.PlaneTree) -> tuple[int, ...]:
-    """For a plane 0-1-2 tree with increasing vertex labels, label the edges
-    by the identity rule (vertices in label order, left to right) and return
-    the sparse set {b : edges b and b+1 share a parent}; its size is the
-    number of forks."""
-    out = []
-    k = 0
-    for c in _counts_012(tree012):
-        if c == 2:
-            out.append(k + 1)
-        k += c
-    return tuple(out)
-
-
-def tree_motzkin_word(tree012: perms.PlaneTree) -> str:
-    """Word x_1 ... x_n over {U,D,H}: vertex i maps to U if it is a fork,
-    D if a leaf, H otherwise; the result encodes a Motzkin path."""
-    counts = _counts_012(tree012)[:-1]
-    return "".join(U if c == 2 else D if c == 0 else "H" for c in counts)
-
-
-def _counts_012(tree012: perms.PlaneTree) -> tuple[int, ...]:
-    """Child counts of a plane 0-1-2 tree; more than two children is an error."""
-    counts = perms.child_counts(tree012)
-    if max(counts) > 2:
-        raise StructuralError("vertex has more than two children")
-    return counts
 
 
 def parking_tree_to_text(t: ParkingTree) -> str:

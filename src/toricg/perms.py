@@ -1,6 +1,6 @@
 """Permutations of [n]: ascent/descent statistics, 123-avoidance, the
-Krattenthaler bijection with Dyck words, and min-rooted binary trees
-("increasing binary trees") carrying the child-swap group actions.
+Krattenthaler bijection with Dyck words, min-rooted binary trees
+("increasing binary trees") and increasing plane trees.
 
 A permutation is a tuple of the integers 1..n in one-line notation.
 Plane trees with increasing vertex labels are nested tuples
@@ -10,7 +10,7 @@ Plane trees with increasing vertex labels are nested tuples
 from __future__ import annotations
 
 from operator import gt, lt
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 from .errors import PreconditionError, StructuralError, require_ints
 from .words import D, U, is_dyck, read_int, read_ints
@@ -55,43 +55,6 @@ def asc(p) -> int:
 
 def des(p) -> int:
     return sum(map(gt, p, p[1:]))
-
-
-class PermStats(NamedTuple):
-    """Ascent/descent sets plus the interior classification of positions
-    2 <= i <= n-1 into peaks, valleys, double descents and double ascents."""
-
-    asc: tuple[int, ...]
-    des: tuple[int, ...]
-    peaks: tuple[int, ...]
-    valleys: tuple[int, ...]
-    double_descents: tuple[int, ...]
-    double_ascents: tuple[int, ...]
-
-
-def asc_des(p) -> PermStats:
-    if len(p) < 1:
-        raise PreconditionError("asc_des requires n >= 1")
-    validate_perm(p)
-    peaks, valleys, dds, das = [], [], [], []
-    for i in range(2, len(p)):
-        a, b, c = p[i - 2], p[i - 1], p[i]
-        if a < b > c:
-            peaks.append(i)
-        elif a > b < c:
-            valleys.append(i)
-        elif a > b > c:
-            dds.append(i)
-        else:
-            das.append(i)
-    return PermStats(
-        ascent_set(p), descent_set(p),
-        tuple(peaks), tuple(valleys), tuple(dds), tuple(das),
-    )
-
-
-def has_final_descent(p) -> bool:
-    return len(p) >= 2 and p[-2] > p[-1]
 
 
 def is_123_avoiding(seq) -> bool:
@@ -228,9 +191,6 @@ class FSTree:
     def __repr__(self) -> str:
         return f"fs_tree_from_text({fs_tree_to_text(self)!r})"
 
-    def labels(self) -> set[int]:
-        return {node.label for node in _preorder(self)}
-
 
 def _preorder(t: FSTree | None) -> list[FSTree]:
     """The vertices of t, root, left subtree, right subtree, walked on an
@@ -284,67 +244,6 @@ def fs_inorder(t: FSTree) -> tuple[int, ...]:
 def fs_preorder(t: FSTree | None) -> tuple[int, ...]:
     """Root, left subtree, right subtree."""
     return tuple(node.label for node in _preorder(t))
-
-
-def _rebuild(t: FSTree | None, swap) -> FSTree | None:
-    """A copy of t, built children first, in which each vertex for which
-    ``swap(vertex)`` holds has its two child slots exchanged.  Reversed,
-    the preorder puts a vertex after its right and then its left subtree,
-    so its children's copies are on top of the stack, the left one first."""
-    built: list[FSTree] = []
-    for node in reversed(_preorder(t)):
-        left = built.pop() if node.left is not None else None
-        right = built.pop() if node.right is not None else None
-        if swap(node):
-            left, right = right, left
-        built.append(FSTree(node.label, left, right))
-    return built[0] if built else None
-
-
-def fs_phi(t: FSTree, x: int) -> FSTree:
-    """Exchange the left and right subtrees of the vertex labeled x."""
-    if x not in t.labels():
-        raise PreconditionError(f"no vertex labeled {x}")
-    return _rebuild(t, lambda node: node.label == x)
-
-
-def fs_psi(t: FSTree, x: int) -> FSTree:
-    """Restricted swap: acts like fs_phi when the vertex labeled x has
-    exactly one child and as the identity otherwise."""
-    if x not in t.labels():
-        raise PreconditionError(f"no vertex labeled {x}")
-    return _rebuild(
-        t, lambda node: node.label == x and (node.left is None) != (node.right is None)
-    )
-
-
-def is_right_adjusted(t: FSTree | None) -> bool:
-    """True when no vertex has an only child sitting in the left slot."""
-    return all(node.left is None or node.right is not None for node in _preorder(t))
-
-
-def right_adjusted_rep(p) -> tuple[int, ...]:
-    """The unique member of p's restricted-swap orbit whose tree is
-    right-adjusted; it has no double descents and no final descent."""
-    tree = _rebuild(fs_tree(p), lambda node: node.left is not None and node.right is None)
-    return fs_inorder(tree)
-
-
-def restricted_orbit(p) -> frozenset[tuple[int, ...]]:
-    """Closure of p under all single-child swaps, as a set of permutations."""
-    validate_perm(p)
-    n = len(p)
-    seen = {tuple(p)}
-    frontier = [tuple(p)]
-    while frontier:
-        q = frontier.pop()
-        t = fs_tree(q)
-        for x in range(1, n + 1):
-            r = fs_inorder(fs_psi(t, x))
-            if r not in seen:
-                seen.add(r)
-                frontier.append(r)
-    return frozenset(seen)
 
 
 def fs_tree_to_text(t: FSTree | None) -> str:
@@ -480,17 +379,12 @@ def child_counts(tree: PlaneTree) -> tuple[int, ...]:
     return tuple(counts[v] for v in sorted(counts))
 
 
-def count_forks(tree: PlaneTree) -> int:
-    """Number of vertices with at least two children."""
-    return sum(c >= 2 for c in child_counts(tree))
-
-
 def enumerate_increasing_012(vertex_count: int) -> Iterator[tuple[PlaneTree, int]]:
     """All increasing plane trees on ``vertex_count`` vertices in which every
     vertex has at most two children, in the order of
     :func:`increasing_plane_trees`, tagged with their fork count.  The count
-    is kept during the insertion walk, not recomputed per tree, so
-    :func:`count_forks` stays its independent oracle."""
+    is kept during the insertion walk, not recomputed per tree, so a count
+    read off each finished tree stays its independent oracle."""
     return _insertion_walk(vertex_count, 2)
 
 

@@ -28,7 +28,9 @@ class TruncSeries:
 
     def __init__(self, variables: tuple[str, ...], order: int,
                  terms: Mapping[tuple[int, ...], IntPoly] | None = None):
-        if order < 0:
+        # the type test shares the range guard: every sum and product builds a series
+        if type(order) is not int or order < 0:
+            require_ints("TruncSeries order", order)
             raise PreconditionError("truncation order must be >= 0")
         self.variables = variables
         self.order = order
@@ -65,6 +67,8 @@ class TruncSeries:
     def __add__(self, other):
         if isinstance(other, (int, IntPoly)):
             other = TruncSeries.constant(self.variables, self.order, other)
+        elif not isinstance(other, TruncSeries):
+            return NotImplemented
         self._compatible(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
@@ -82,9 +86,13 @@ class TruncSeries:
     def __sub__(self, other):
         if isinstance(other, (int, IntPoly)):
             other = TruncSeries.constant(self.variables, self.order, other)
+        elif not isinstance(other, TruncSeries):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, (int, IntPoly)):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
@@ -94,6 +102,8 @@ class TruncSeries:
                 self.variables, self.order,
                 {e: c * poly for e, c in self.terms.items()},
             )
+        if not isinstance(other, TruncSeries):
+            return NotImplemented
         self._compatible(other)
         out: dict[tuple[int, ...], IntPoly] = {}
         for e1, c1 in self.terms.items():
@@ -108,6 +118,7 @@ class TruncSeries:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
+        require_ints("TruncSeries power", k)
         if k < 0:
             raise PreconditionError("negative power")
         out = TruncSeries.constant(self.variables, self.order, 1)

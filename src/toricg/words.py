@@ -8,7 +8,6 @@ streams are in lexicographic order with U < D and are deterministic.
 
 from __future__ import annotations
 
-import re
 from math import comb
 from typing import Iterator, Sequence
 
@@ -17,8 +16,6 @@ from .errors import PreconditionError, StructuralError, require_ints
 U = "U"
 D = "D"
 H = "H"
-
-_RUN_TOKEN = re.compile(r"([UDH])(?:\^?([0-9]+))?")
 
 # enumerate_words completes each prefix from a table of its last _TAIL steps
 _TAIL = 10
@@ -81,39 +78,6 @@ def read_ints(text: str, sep: str | None = None, signed: bool = False) -> tuple[
             raise StructuralError(f"not an integer: {tok!r} in {text!r}")
         out.append(value)
     return tuple(out)
-
-
-def word_from_text(text: str) -> str:
-    """Parse a word from plain ("UUDD") or run-length ("U^4 D^2", "U4D2") text."""
-    compact = text.strip().replace(" ", "").replace("\t", "")
-    out = []
-    pos = 0
-    while pos < len(compact):
-        m = _RUN_TOKEN.match(compact, pos)
-        if m is None:
-            raise StructuralError(f"cannot parse word text {text!r} at position {pos}")
-        letter, count = m.group(1), m.group(2)
-        try:
-            out.append(letter * (read_int(count)[0] if count else 1))
-        except OverflowError as exc:
-            raise StructuralError(f"run of {count} letters is too long in {text!r}") from exc
-        pos = m.end()
-    return "".join(out)
-
-
-def run_length_text(w: str) -> str:
-    """Render a word as "U^4 D^2 ..." (exponents of 1 are left implicit)."""
-    if not w:
-        return ""
-    parts = []
-    i = 0
-    while i < len(w):
-        j = i
-        while j < len(w) and w[j] == w[i]:
-            j += 1
-        parts.append(w[i] if j - i == 1 else f"{w[i]}^{j - i}")
-        i = j
-    return " ".join(parts)
 
 
 def is_balanced(w: str) -> bool:

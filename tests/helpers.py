@@ -10,8 +10,10 @@ import itertools
 from collections import Counter
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from toricg import compat, parking, perms, polyvec, words
+from toricg.errors import PreconditionError
 from toricg.polyvec import IntPoly
 
 
@@ -141,6 +143,124 @@ def increasing_plane_trees_by_rebuild(count: int, max_children=None):
         yield from rec(2)
 
 
+class PermStats(NamedTuple):
+    """Ascent/descent sets plus the interior classification of positions
+    2 <= i <= n-1 into peaks, valleys, double descents and double ascents."""
+
+    asc: tuple[int, ...]
+    des: tuple[int, ...]
+    peaks: tuple[int, ...]
+    valleys: tuple[int, ...]
+    double_descents: tuple[int, ...]
+    double_ascents: tuple[int, ...]
+
+
+def asc_des(p) -> PermStats:
+    if len(p) < 1:
+        raise PreconditionError("asc_des requires n >= 1")
+    perms.validate_perm(p)
+    peaks, valleys, dds, das = [], [], [], []
+    for i in range(2, len(p)):
+        a, b, c = p[i - 2], p[i - 1], p[i]
+        if a < b > c:
+            peaks.append(i)
+        elif a > b < c:
+            valleys.append(i)
+        elif a > b > c:
+            dds.append(i)
+        else:
+            das.append(i)
+    return PermStats(
+        perms.ascent_set(p), perms.descent_set(p),
+        tuple(peaks), tuple(valleys), tuple(dds), tuple(das),
+    )
+
+
+def has_final_descent(p) -> bool:
+    return len(p) >= 2 and p[-2] > p[-1]
+
+
+def count_forks(tree) -> int:
+    """Number of vertices with at least two children, read off the finished
+    tree: the oracle of the fork count perms.enumerate_increasing_012 keeps."""
+    return sum(c >= 2 for c in perms.child_counts(tree))
+
+
+# The modified Foata-Strehl action on min-rooted binary trees
+# (Postnikov-Reiner-Williams, arXiv:math/0609184): each orbit holds one
+# right-adjusted permutation, with no double descent and no final descent,
+# the kind nestohedra.right_adjusted_b_permutations keeps.
+
+
+def _rebuild(t, swap):
+    """A copy of t, built children first, in which each vertex for which
+    ``swap(vertex)`` holds has its two child slots exchanged.  Reversed,
+    the preorder puts a vertex after its right and then its left subtree,
+    so its children's copies are on top of the stack, the left one first."""
+    built: list = []
+    for node in reversed(perms._preorder(t)):
+        left = built.pop() if node.left is not None else None
+        right = built.pop() if node.right is not None else None
+        if swap(node):
+            left, right = right, left
+        built.append(perms.FSTree(node.label, left, right))
+    return built[0] if built else None
+
+
+def fs_phi(t, x: int):
+    """Exchange the left and right subtrees of the vertex labeled x."""
+    if x not in perms.fs_preorder(t):
+        raise PreconditionError(f"no vertex labeled {x}")
+    return _rebuild(t, lambda node: node.label == x)
+
+
+def fs_psi(t, x: int):
+    """Restricted swap: acts like fs_phi when the vertex labeled x has
+    exactly one child and as the identity otherwise."""
+    if x not in perms.fs_preorder(t):
+        raise PreconditionError(f"no vertex labeled {x}")
+    return _rebuild(
+        t, lambda node: node.label == x and (node.left is None) != (node.right is None)
+    )
+
+
+def is_right_adjusted(t) -> bool:
+    """True when no vertex has an only child sitting in the left slot."""
+    return all(node.left is None or node.right is not None for node in perms._preorder(t))
+
+
+def right_adjusted_rep(p) -> tuple[int, ...]:
+    """The unique member of p's restricted-swap orbit whose tree is
+    right-adjusted; it has no double descents and no final descent."""
+    tree = _rebuild(perms.fs_tree(p), lambda node: node.left is not None and node.right is None)
+    return perms.fs_inorder(tree)
+
+
+def restricted_orbit(p) -> frozenset:
+    """Closure of p under all single-child swaps, as a set of permutations."""
+    perms.validate_perm(p)
+    n = len(p)
+    seen = {tuple(p)}
+    frontier = [tuple(p)]
+    while frontier:
+        q = frontier.pop()
+        t = perms.fs_tree(q)
+        for x in range(1, n + 1):
+            r = perms.fs_inorder(fs_psi(t, x))
+            if r not in seen:
+                seen.add(r)
+                frontier.append(r)
+    return frozenset(seen)
+
+
+def is_123_parking_tree(t) -> bool:
+    """True when every vertex has at most two children and the edge
+    permutation is 123-avoiding; equivalently the encoded parking function
+    is 123-avoiding."""
+    children = Counter(v for v, _, _ in parking._edges(t.root))
+    return max(children.values(), default=0) <= 2 and perms.is_123_avoiding(parking.edge_perm(t))
+
+
 def naive_peaks_in_prefix(w: str, m: int) -> int:
     return sum(1 for i in range(min(m, len(w)) - 1) if w[i : i + 2] == "UD")
 
@@ -234,10 +354,10 @@ def b_permutations_filter(bs) -> list[tuple[int, ...]]:
 
 def right_adjusted_filter(bs) -> list[tuple[int, ...]]:
     """The filter's B-permutations with no double descent and no final
-    descent, read off perms.asc_des, in lexicographic order."""
+    descent, read off asc_des, in lexicographic order."""
     return [
         pi for pi in b_permutations_filter(bs)
-        if not perms.asc_des(pi).double_descents and not perms.has_final_descent(pi)
+        if not asc_des(pi).double_descents and not has_final_descent(pi)
     ]
 
 

@@ -434,6 +434,29 @@ def test_malformed_building_set_exits_2(name, tmp_path, capsys):
     assert err.startswith("toricg: error: malformed building-set JSON")
 
 
+UNREADABLE = {
+    "utf16-mark": (b"\xff\xfe" + json.dumps({"ground_size": 1, "sets": [[1]]}).encode(),
+                   "not UTF-8 text"),
+    "nested-2000-deep": (b"[" * 2000 + b"]" * 2000, "nests too deeply"),
+    "5000-digit-int": (b'{"ground_size": ' + b"9" * 5000 + b', "sets": [[1]]}', "too long"),
+}
+
+
+@pytest.mark.parametrize("command", [["table"], ["enumerate", "b_perms", "1"]],
+                         ids=["table", "enumerate"])
+@pytest.mark.parametrize("name", sorted(UNREADABLE))
+def test_unreadable_building_set_file_exits_2(name, command, tmp_path, capsys):
+    """json.load raised UnicodeDecodeError, RecursionError and the
+    int-digit limit's ValueError past the handler, which caught only
+    OSError and JSONDecodeError, and the command printed a traceback."""
+    data, message = UNREADABLE[name]
+    path = tmp_path / "bs.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, *command, "--building-set", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"toricg: error: {path}: ") and message in err
+
+
 @pytest.mark.parametrize("suite", sorted(verification.SUITES))
 def test_verify_negative_n_exits_2(suite, capsys):
     """The command refuses a negative bound itself, with the message the
@@ -464,6 +487,12 @@ _DOCUMENTS = st.one_of(
     }),
     _JSON_VALUES,
 )
+# Files json.load cannot read: any bytes, a UTF-16 mark, nesting past the
+# recursion limit and an integer past the digit limit.
+_RAW_FILES = (st.binary(max_size=12)
+              | _DOCUMENTS.map(lambda d: b"\xff\xfe" + json.dumps(d).encode())
+              | st.integers(1000, 3000).map(lambda k: b"[" * k + b"]" * k)
+              | st.integers(4300, 6000).map(lambda k: b'{"ground_size": ' + b"7" * k + b"}"))
 _SMALL_N = st.integers(-3, 4).map(str) | st.sampled_from(["x", "1.5"])
 
 
@@ -509,17 +538,18 @@ _ARGV = st.one_of(
 
 
 @settings(max_examples=150, deadline=None)
-@given(document=_DOCUMENTS, truncated=st.booleans(), argv=_ARGV)
+@given(document=_DOCUMENTS | _RAW_FILES, truncated=st.booleans(), argv=_ARGV)
 def test_exit_code_property(document, truncated, argv):
     """Whatever the building-set file and the arguments, the exit code is
     one of 0-3 and no exception escapes (a command-line run would print a
-    traceback); "@bs" stands for the file's path, and a file cut short by
-    one character is mostly not JSON at all."""
+    traceback); "@bs" stands for the file's path, a document is written as
+    JSON and raw bytes as they are, and a file cut short by one byte is
+    mostly not JSON at all."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "bs.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            text = json.dumps(document)
-            handle.write(text[:-1] if truncated else text)
+        with open(path, "wb") as handle:
+            data = document if isinstance(document, bytes) else json.dumps(document).encode()
+            handle.write(data[:-1] if truncated else data)
         argv = [path if arg == "@bs" else arg for arg in argv]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

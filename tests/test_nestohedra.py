@@ -9,7 +9,14 @@ import types
 from collections import Counter
 
 import pytest
-from helpers import b_permutations_filter, right_adjusted_filter, toric_g_by_parking_trees
+from helpers import (
+    asc_des,
+    b_permutations_filter,
+    has_final_descent,
+    is_123_parking_tree,
+    right_adjusted_filter,
+    toric_g_by_parking_trees,
+)
 
 from toricg import nestohedra, parking, perms, polyvec, words
 from toricg.errors import (
@@ -210,7 +217,7 @@ def test_permutahedron_brute_force_over_parking_trees():
     for n in range(1, 6):
         hist: Counter = Counter()
         for t in parking.enumerate_parking_trees(n):
-            if parking.is_123_parking_tree(t):
+            if is_123_parking_tree(t):
                 hist[parking.fn_ascents(parking.tree_to_function(t))] += 1
         got = polyvec.IntPoly([hist.get(k, 0) for k in range(max(hist) + 1)])
         expected = polyvec.toric_g_from_gamma(n, polyvec.gamma_family("permutahedron", n))
@@ -327,9 +334,9 @@ def enumerated_h_gamma(bs: BuildingSet) -> tuple[tuple[int, ...], tuple[int, ...
     h: Counter = Counter()
     gamma: Counter = Counter()
     for pi in nestohedra.b_permutations(bs):
-        stats = perms.asc_des(pi)
+        stats = asc_des(pi)
         h[len(stats.des)] += 1
-        if not stats.double_descents and not perms.has_final_descent(pi):
+        if not stats.double_descents and not has_final_descent(pi):
             gamma[len(stats.des)] += 1
     return (
         tuple(h.get(i, 0) for i in range(n + 1)),
@@ -710,7 +717,7 @@ def test_shared_completions_match_the_filters_at_ground_8():
         assert nestohedra.b_permutations(bs, unsafe=True) == listed
         assert nestohedra.right_adjusted_b_permutations(bs, unsafe=True) == [
             pi for pi in listed
-            if not perms.asc_des(pi).double_descents and not perms.has_final_descent(pi)
+            if not asc_des(pi).double_descents and not has_final_descent(pi)
         ]
 
 

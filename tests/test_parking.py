@@ -9,6 +9,7 @@ from toricg.errors import CapacityError, PreconditionError, StructuralError
 from helpers import (
     all_ud_words,
     contains_pattern_123,
+    is_123_parking_tree,
     naive_garsia_haiman,
     naive_is_compatible_pair,
     parking_functions_filter,
@@ -70,7 +71,6 @@ def test_garsia_haiman_examples():
 def test_garsia_haiman_round_trip(n):
     for f in parking.iter_functions(n):
         pair = parking.garsia_haiman(f)
-        assert parking.is_compatible_pair(*pair)
         assert parking.garsia_haiman_inv(*pair) == f
         assert parking.is_parking(f) == words.is_dyck(pair.word)
         assert perms.is_123_avoiding(f) == perms.is_123_avoiding(pair.perm)
@@ -88,15 +88,13 @@ def test_garsia_haiman_matches_the_fiber_oracle(n):
 @pytest.mark.parametrize("n", range(5))
 def test_is_compatible_pair_matches_the_descent_oracle(n):
     """Every permutation against every {U,D} word of length 2n - 1 to
-    2n + 1, the balanced ones with n runs among them: compatible exactly
-    when every descent is a partial sum of the runs, and the inverse
-    answers exactly on the compatible pairs."""
+    2n + 1, the balanced ones with n runs among them: the inverse answers
+    exactly on the pairs whose every descent is a partial sum of the runs,
+    and refuses the others."""
     for perm in itertools.permutations(range(1, n + 1)):
         for length in range(max(0, 2 * n - 1), 2 * n + 2):
             for word in all_ud_words(length):
-                expected = naive_is_compatible_pair(perm, word)
-                assert parking.is_compatible_pair(perm, word) == expected
-                if expected:
+                if naive_is_compatible_pair(perm, word):
                     f = parking.garsia_haiman_inv(perm, word)
                     assert parking.garsia_haiman(f) == (perm, word)
                 else:
@@ -105,15 +103,17 @@ def test_is_compatible_pair_matches_the_descent_oracle(n):
 
 
 def test_is_compatible_pair_on_other_inputs():
-    """A repeated value is no descent, and a letter other than U, D or a
-    word ending inside a U run is no pair."""
-    assert parking.is_compatible_pair((1, 1), "UUDD")
-    assert parking.is_compatible_pair([2, 1], "UDUD")
-    assert not parking.is_compatible_pair((2, 1), "UUDD")
-    assert not parking.is_compatible_pair((1, 2), "UHDD")
-    assert not parking.is_compatible_pair((1, 2), "UDDU")
-    assert parking.is_compatible_pair((), "")
-    assert not parking.is_compatible_pair((), "D")
+    """garsia_haiman_inv takes a list and the empty pair, refuses a
+    descent inside a run, a letter other than U, D and a word ending
+    inside a U run as incompatible, and a repeated value as no
+    permutation."""
+    assert parking.garsia_haiman_inv([2, 1], "UDUD") == (2, 1)
+    assert parking.garsia_haiman_inv((), "") == ()
+    for perm, word in [((2, 1), "UUDD"), ((1, 2), "UHDD"), ((1, 2), "UDDU"), ((), "D")]:
+        with pytest.raises(PreconditionError, match="incompatible pair"):
+            parking.garsia_haiman_inv(perm, word)
+    with pytest.raises(StructuralError, match="not a permutation"):
+        parking.garsia_haiman_inv((1, 1), "UUDD")
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -148,7 +148,7 @@ def test_search_trees_figure():
     assert parking.tree_to_function(bt) == FIG_FN
     assert parking.edge_perm(dt) == FIG_PERM
     assert parking.edge_perm(bt) == FIG_PERM
-    assert parking.is_123_parking_tree(dt)
+    assert is_123_parking_tree(dt)
     assert parking.parking_tree_from_text(FIG_DFS_TEXT) == dt
 
 
@@ -209,7 +209,7 @@ def test_parking_trees_deeper_than_the_recursion_limit(f):
         assert parking.ParkingTree(t.root).n == len(f)
         assert parking.tree_to_function(t) == f
         assert parking.edge_perm(t) == parking.garsia_haiman(f).perm
-        assert parking.is_123_parking_tree(t) == perms.is_123_avoiding(f)
+        assert is_123_parking_tree(t) == perms.is_123_avoiding(f)
         text = parking.parking_tree_to_text(t)
         assert text.count("(v=") == len(f) + 1
         if f[0] == 1 and len(set(f)) == len(f):
@@ -220,7 +220,6 @@ def test_edge_perm_star():
     star = parking.ParkingTree((1, ((1, (2, ())), (2, (3, ())))))
     assert parking.edge_perm(star) == (1, 2)
     assert parking.tree_to_function(star) == (1, 1)
-    assert parking.sibling_type((1, ((2, ()), (3, ())))) == (1,)
 
 
 def test_parking_tree_validation():
@@ -233,13 +232,13 @@ def test_parking_tree_validation():
 
 
 def test_is_123_parking_tree():
-    assert parking.is_123_parking_tree(parking.dfs_tree((1,)))
+    assert is_123_parking_tree(parking.dfs_tree((1,)))
     wide = parking.ParkingTree(
         (1, ((1, (2, ())), (2, (3, ())), (3, (4, ()))))
     )
-    assert not parking.is_123_parking_tree(wide)
+    assert not is_123_parking_tree(wide)
     for f in parking.iter_parking_functions(4):
-        assert parking.is_123_parking_tree(parking.dfs_tree(f)) == perms.is_123_avoiding(f)
+        assert is_123_parking_tree(parking.dfs_tree(f)) == perms.is_123_avoiding(f)
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -276,7 +275,7 @@ def test_tree_texts_capacity():
 @pytest.mark.parametrize("n", range(6))
 def test_123_parking_tree_walk_matches_filtered_listing(n):
     """The pruned walk lists exactly the trees the filter keeps, in order."""
-    expected = [t for t in parking.enumerate_parking_trees(n) if parking.is_123_parking_tree(t)]
+    expected = [t for t in parking.enumerate_parking_trees(n) if is_123_parking_tree(t)]
     assert list(parking.enumerate_123_parking_trees(n)) == expected
 
 
@@ -291,7 +290,7 @@ def test_123_parking_tree_counts_are_toric_g_at_one(n):
     assert len(set(trees)) == len(trees)
     for t in trees:
         assert parking.ParkingTree(t.root) == t
-        assert parking.is_123_parking_tree(t)
+        assert is_123_parking_tree(t)
 
 
 def test_123_parking_tree_walk_refuses_before_any_work(monkeypatch):
@@ -332,25 +331,6 @@ def test_every_parking_function_has_trees():
     for f in parking.iter_parking_functions(n):
         dt, bt = parking.dfs_tree(f), parking.bfs_tree(f)
         assert parking.tree_to_function(dt) == parking.tree_to_function(bt) == f
-
-
-def test_sibling_type_and_motzkin_word():
-    path = (1, ((2, ((3, ()),)),))
-    assert parking.sibling_type(path) == ()
-    assert parking.tree_motzkin_word((1, ((2, ()),))) == "H"
-    assert parking.tree_motzkin_word((1, ((2, ()), (3, ())))) == "UD"
-    for count in range(2, 8):
-        for tree, forks in perms.enumerate_increasing_012(count):
-            b = parking.sibling_type(tree)
-            assert len(b) == forks
-            assert words.is_sparse(b)
-            mw = parking.tree_motzkin_word(tree)
-            assert len(mw) == count - 1
-            # every prefix has at least as many U as D
-            height = 0
-            for ch in mw:
-                height += {"U": 1, "D": -1, "H": 0}[ch]
-                assert height >= 0
 
 
 def test_gh_compatibility_criterion():

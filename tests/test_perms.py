@@ -8,7 +8,18 @@ from hypothesis import given, strategies as st
 from toricg import perms, polyvec, words
 from toricg.errors import PreconditionError, StructuralError
 
-from helpers import contains_pattern_123, increasing_plane_trees_by_rebuild
+from helpers import (
+    asc_des,
+    contains_pattern_123,
+    count_forks,
+    fs_phi,
+    fs_psi,
+    has_final_descent,
+    increasing_plane_trees_by_rebuild,
+    is_right_adjusted,
+    restricted_orbit,
+    right_adjusted_rep,
+)
 
 
 FIG_PERM = (7, 10, 5, 9, 8, 2, 6, 1, 4, 3)
@@ -16,11 +27,11 @@ FIG_WORD = "UUUUDDUUDDDUUUDDUDDD"
 
 
 def test_asc_des_examples():
-    stats = perms.asc_des((1, 2, 3))
+    stats = asc_des((1, 2, 3))
     assert stats.asc == (1, 2) and stats.des == ()
-    assert perms.asc_des(FIG_PERM).asc == (1, 3, 6, 8)
-    assert perms.asc_des((2, 1)).des == (1,)
-    s = perms.asc_des((2, 1, 4, 5, 6, 8, 7, 9, 3, 10, 11))
+    assert asc_des(FIG_PERM).asc == (1, 3, 6, 8)
+    assert asc_des((2, 1)).des == (1,)
+    s = asc_des((2, 1, 4, 5, 6, 8, 7, 9, 3, 10, 11))
     assert s.valleys == (2, 7, 9)
     assert s.peaks == (6, 8)
     assert s.double_descents == ()
@@ -41,7 +52,6 @@ def test_avoidance_matches_bruteforce(n):
 
 def test_krattenthaler_examples():
     assert perms.krattenthaler(FIG_PERM) == FIG_WORD
-    assert words.run_length_text(FIG_WORD) == "U^4 D^2 U^2 D^3 U^3 D^2 U D^3"
     assert perms.krattenthaler((1,)) == "UD"
     assert perms.krattenthaler((3, 2, 1)) == "UDUDUD"
     with pytest.raises(PreconditionError):
@@ -91,9 +101,9 @@ def test_fs_tree_figure():
     assert perms.fs_tree_to_text(t) == "(1 L(2) R(3 L(4 R(5 R(6 R(7 L(8) R(9))))) R(10 R(11))))"
     assert perms.fs_inorder(t) == tau
     assert perms.fs_tree_from_text(perms.fs_tree_to_text(t)) == t
-    t5 = perms.fs_phi(t, 5)
+    t5 = fs_phi(t, 5)
     assert perms.fs_inorder(t5) == (2, 1, 4, 6, 8, 7, 9, 5, 3, 10, 11)
-    assert perms.fs_inorder(perms.fs_phi(t5, 1)) == (4, 6, 8, 7, 9, 5, 3, 10, 11, 1, 2)
+    assert perms.fs_inorder(fs_phi(t5, 1)) == (4, 6, 8, 7, 9, 5, 3, 10, 11, 1, 2)
 
 
 @pytest.mark.parametrize("text", [
@@ -119,7 +129,7 @@ def test_fs_tree_small():
     assert perms.fs_tree_to_text(perms.fs_tree((1,))) == "(1)"
     assert perms.fs_tree_to_text(perms.fs_tree((1, 2, 3))) == "(1 R(2 R(3)))"
     with pytest.raises(PreconditionError):
-        perms.fs_phi(perms.fs_tree((1, 2)), 9)
+        fs_phi(perms.fs_tree((1, 2)), 9)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -133,25 +143,23 @@ def test_phi_psi_properties():
         for p in itertools.permutations(range(1, n + 1)):
             t = perms.fs_tree(p)
             for x in range(1, n + 1):
-                assert perms.fs_phi(perms.fs_phi(t, x), x) == t
-                assert perms.fs_psi(perms.fs_psi(t, x), x) == t
+                assert fs_phi(fs_phi(t, x), x) == t
+                assert fs_psi(fs_psi(t, x), x) == t
             for x, y in itertools.combinations(range(1, n + 1), 2):
-                assert perms.fs_phi(perms.fs_phi(t, x), y) == perms.fs_phi(
-                    perms.fs_phi(t, y), x
-                )
+                assert fs_phi(fs_phi(t, x), y) == fs_phi(fs_phi(t, y), x)
 
 
 def test_psi_fixes_forks():
     t = perms.fs_tree((2, 1, 3))  # root 1 with two children
-    assert perms.fs_psi(t, 1) == t
-    assert perms.fs_phi(t, 1) != t
+    assert fs_psi(t, 1) == t
+    assert fs_phi(t, 1) != t
 
 
 def test_right_adjusted():
-    assert perms.is_right_adjusted(perms.fs_tree((1, 2, 3)))
-    assert not perms.is_right_adjusted(perms.fs_tree((3, 2, 1)))
+    assert is_right_adjusted(perms.fs_tree((1, 2, 3)))
+    assert not is_right_adjusted(perms.fs_tree((3, 2, 1)))
     # computed by the orbit oracle: the representative of (3,2,1) is (1,2,3)
-    assert perms.right_adjusted_rep((3, 2, 1)) == (1, 2, 3)
+    assert right_adjusted_rep((3, 2, 1)) == (1, 2, 3)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -161,15 +169,15 @@ def test_restricted_orbits_partition(n):
     for p in itertools.permutations(range(1, n + 1)):
         if p in seen:
             continue
-        orbit = perms.restricted_orbit(p)
+        orbit = restricted_orbit(p)
         assert not (orbit & seen)
         seen |= orbit
         orbit_count += 1
-        reps = [q for q in orbit if perms.is_right_adjusted(perms.fs_tree(q))]
+        reps = [q for q in orbit if is_right_adjusted(perms.fs_tree(q))]
         assert len(reps) == 1
-        assert all(perms.right_adjusted_rep(q) == reps[0] for q in orbit)
-        stats = perms.asc_des(reps[0])
-        assert not stats.double_descents and not perms.has_final_descent(reps[0])
+        assert all(right_adjusted_rep(q) == reps[0] for q in orbit)
+        stats = asc_des(reps[0])
+        assert not stats.double_descents and not has_final_descent(reps[0])
     import math
 
     assert len(seen) == math.factorial(n)
@@ -181,8 +189,8 @@ def test_no_double_descent_vs_trees(n):
     descents, match increasing plane 0-1-2 trees counted by forks."""
     by_des: Counter = Counter()
     for p in itertools.permutations(range(1, n + 1)):
-        stats = perms.asc_des(p)
-        if not stats.double_descents and not perms.has_final_descent(p):
+        stats = asc_des(p)
+        if not stats.double_descents and not has_final_descent(p):
             by_des[len(stats.des)] += 1
     by_forks = Counter(f for _, f in perms.enumerate_increasing_012(n))
     assert by_des == by_forks
@@ -205,7 +213,7 @@ def test_increasing_012_fork_tags_match_count_forks(m):
     tagged = list(perms.enumerate_increasing_012(m))
     assert [t for t, _ in tagged] == list(perms.increasing_plane_trees(m, max_children=2))
     for tree, forks in tagged:
-        assert forks == perms.count_forks(tree)
+        assert forks == count_forks(tree)
 
 
 @pytest.mark.parametrize("n", range(8))
@@ -270,11 +278,11 @@ def test_fs_trees_deeper_than_the_recursion_limit(p):
     t = perms.fs_tree(p)
     assert perms.fs_inorder(t) == p
     assert t == perms.fs_tree(p) and hash(t) == hash(perms.fs_tree(p))
-    assert t.labels() == set(p)
-    assert perms.fs_phi(perms.fs_phi(t, n - 1), n - 1) == t
-    rep = perms.right_adjusted_rep(p)
-    assert perms.is_right_adjusted(t) == (rep == p)
-    assert perms.is_right_adjusted(perms.fs_tree(rep)) and sorted(rep) == sorted(p)
+    assert set(perms.fs_preorder(t)) == set(p)
+    assert fs_phi(fs_phi(t, n - 1), n - 1) == t
+    rep = right_adjusted_rep(p)
+    assert is_right_adjusted(t) == (rep == p)
+    assert is_right_adjusted(perms.fs_tree(rep)) and sorted(rep) == sorted(p)
     if p[0] == 1 or p[0] == n:
         assert rep == tuple(range(1, n + 1))
     text = perms.fs_tree_to_text(t)
@@ -283,7 +291,7 @@ def test_fs_trees_deeper_than_the_recursion_limit(p):
         assert text == "".join(f"({v} R" for v in range(1, n)) + f"({n}" + ")" * n
         assert perms.fs_preorder(t) == p
         # psi swaps the only child of n - 1 into its left slot, n levels down
-        assert perms.fs_inorder(perms.fs_psi(t, n - 1)) == p[:-2] + (n, n - 1)
+        assert perms.fs_inorder(fs_psi(t, n - 1)) == p[:-2] + (n, n - 1)
     elif p[0] == n:
         assert text == "".join(f"({v} L" for v in range(1, n)) + f"({n}" + ")" * n
     else:
@@ -294,9 +302,9 @@ def test_fs_trees_deeper_than_the_recursion_limit(p):
 def test_fs_round_trip_random(p):
     p = tuple(p)
     assert perms.fs_inorder(perms.fs_tree(p)) == p
-    rep = perms.right_adjusted_rep(p)
-    stats = perms.asc_des(rep)
-    assert not stats.double_descents and not perms.has_final_descent(rep)
+    rep = right_adjusted_rep(p)
+    stats = asc_des(rep)
+    assert not stats.double_descents and not has_final_descent(rep)
 
 
 @pytest.mark.parametrize("n", [2.5, True, "3"])

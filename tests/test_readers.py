@@ -7,12 +7,10 @@ entries that are not ints (floats and bools included) with a
 StructuralError.
 """
 
-import re
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toricg import compat, parking, perms, words
+from toricg import compat, parking, perms
 from toricg.errors import StructuralError, ToricgError
 from toricg.polyvec import IntPoly
 
@@ -81,14 +79,6 @@ def test_parking_tree_from_text_reads_back(text):
     _reads_back(parking.parking_tree_from_text, parking.parking_tree_to_text, text)
 
 
-@settings(max_examples=200, deadline=None)
-@given(_texts(["U^4 D^2 U^2 D^3 U^3 D^2 U D^3", "UUDD", "U4D2", "UHD", ""], "UDH^0123456789")
-       # a run of k digits spells up to 10^k letters: keep the words small
-       .filter(lambda t: all(len(run) <= 3 for run in re.findall("[0-9]+", t))))
-def test_word_from_text_reads_back(text):
-    _reads_back(words.word_from_text, words.run_length_text, text)
-
-
 @pytest.mark.parametrize("read,text", [
     (parking.fn_from_text, "a"),
     (perms.perm_from_text, "x"),
@@ -102,8 +92,6 @@ def test_word_from_text_reads_back(text):
     (IntPoly.from_text, "+1"),
     (parking.fn_from_text, "١"),  # int() and str.isdigit() read this as 1
     (IntPoly.from_text, "1" * 5000),  # more digits than int() converts
-    pytest.param(words.word_from_text, "U" + "9" * 5000, id="word-5000-digit-run"),
-    pytest.param(words.word_from_text, "U" + "9" * 25, id="word-run-past-any-str"),
 ])
 def test_reader_probes_raise_structural_errors(read, text):
     with pytest.raises(StructuralError):

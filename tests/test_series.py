@@ -26,6 +26,34 @@ def test_trunc_series_guards():
         TruncSeries(("t",), 3, {(1, 1): IntPoly([1])})
 
 
+@pytest.mark.parametrize("order", [1.5, True], ids=["float", "bool"])
+def test_trunc_series_refuses_an_order_that_is_not_an_int(order):
+    """A float or bool order was accepted and kept."""
+    with pytest.raises(PreconditionError, match="TruncSeries order needs int arguments"):
+        TruncSeries(("t",), order)
+
+
+@pytest.mark.parametrize("k", [2.0, True], ids=["float", "bool"])
+def test_trunc_series_refuses_a_power_that_is_not_an_int(k):
+    """s ** 2.0 raised a raw TypeError from range() and s ** True was taken
+    as s ** 1."""
+    t = TruncSeries.monomial(("t",), 4, (1,))
+    with pytest.raises(PreconditionError, match="TruncSeries power needs int arguments"):
+        t ** k
+
+
+@pytest.mark.parametrize("op", [
+    lambda s: s + 1.5, lambda s: 1.5 + s, lambda s: s - 1.5, lambda s: 1.5 - s,
+    lambda s: s * 1.5, lambda s: 1.5 * s, lambda s: s + "t",
+], ids=["add", "radd", "sub", "rsub", "mul", "rmul", "add-str"])
+def test_trunc_series_foreign_operand_is_a_type_error(op):
+    """A foreign operand gets NotImplemented back, as IntPoly gives it, so
+    Python raises its own TypeError; s + 1.5 raised an AttributeError."""
+    t = TruncSeries.monomial(("t",), 4, (1,))
+    with pytest.raises(TypeError, match="unsupported operand"):
+        op(t)
+
+
 def test_verify_series_passes():
     report = series.verify_series(7)
     assert report["ok"]

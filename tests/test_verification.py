@@ -13,7 +13,7 @@ from toricg import config, nestohedra, perms, series, verification, words
 from toricg.errors import PreconditionError
 from toricg.nestohedra import BuildingSet
 
-from helpers import naive_peaks_in_prefix
+from helpers import asc_des, has_final_descent, naive_peaks_in_prefix
 
 
 @pytest.mark.parametrize(
@@ -103,8 +103,8 @@ def test_descent_census_matches_asc_des_filter(m):
     B-permutations of the permutahedron on [m], counted by descents."""
     expected: Counter = Counter()
     for p in itertools.permutations(range(1, m + 1)):
-        stats = perms.asc_des(p)
-        if not stats.double_descents and not perms.has_final_descent(p):
+        stats = asc_des(p)
+        if not stats.double_descents and not has_final_descent(p):
             expected[len(stats.des)] += 1
     everyone = BuildingSet(1, [[1]]) if m == 1 else nestohedra.named_family("permutahedron", m - 1)
     got = Counter(map(perms.des, nestohedra.right_adjusted_b_permutations(everyone, unsafe=True)))

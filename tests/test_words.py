@@ -98,7 +98,7 @@ def test_enumeration_examples():
 
 def test_factor_count():
     assert words.factor_count("UDUD", "UD") == 2
-    fig = words.word_from_text("U^4 D^2 U^2 D^3 U^3 D^2 U D^3")
+    fig = "UUUUDDUUDDDUUUDDUDDD"
     assert words.factor_count(fig, "UD") == 4
     assert words.factor_count("UUDUDD", "UU") == 1
     # overlapping occurrences both count
@@ -134,16 +134,6 @@ def test_letter_checks_refuse_a_stray_letter(length):
             assert runs is not None and "".join("U" * q + "D" for q in runs) == w
         else:
             assert runs is None
-
-
-def test_word_text_round_trip():
-    assert words.word_from_text("UUDD") == "UUDD"
-    assert words.word_from_text("U^4 D^2") == "UUUUDD"
-    assert words.word_from_text("U4D2") == "UUUUDD"
-    assert words.run_length_text("UUUUDD") == "U^4 D^2"
-    assert words.word_from_text("") == ""
-    with pytest.raises(StructuralError):
-        words.word_from_text("UXD")
 
 
 def test_lukasiewicz_examples():
