@@ -51,8 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--family", choices=_TABLE_FAMILIES)
     source.add_argument("--building-set", metavar="PATH",
                         help="building-set JSON file (one row)")
-    p_table.add_argument("--max", type=int, default=8, dest="max_n",
-                         help="largest dimension (default 8)")
+    p_table.add_argument("--max", type=int, default=None, dest="max_n",
+                         help="largest dimension of a --family table (default 8)")
     p_table.add_argument("--route", choices=("gamma", "hetyei", "direct", "all"),
                          default="gamma")
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -143,16 +143,19 @@ def _table_rows(args) -> list[tuple[int, list[int]]]:
     routes = ("gamma", "hetyei", "direct") if args.route == "all" else (args.route,)
     rows = []
     if args.building_set:
+        if args.max_n is not None:
+            raise ToricgError("--max needs --family")
         bs = _load_building_set(args.building_set)
         dims = [bs.ground_size - 1]
         compute = lambda n, route: _bs_row(bs, route, args.unsafe_max)
     else:
         if not args.family:
             raise ToricgError("table needs --family or --building-set")
-        if args.max_n < 1:
+        max_n = 8 if args.max_n is None else args.max_n
+        if max_n < 1:
             raise ToricgError("--max must be >= 1")
-        check_capacity("table", args.max_n, args.unsafe_max)
-        dims = list(range(1, args.max_n + 1))
+        check_capacity("table", max_n, args.unsafe_max)
+        dims = list(range(1, max_n + 1))
         compute = lambda n, route: _family_row(args.family, n, route, args.unsafe_max)
     for n in dims:
         results = {}
@@ -227,6 +230,8 @@ def _enumerate_stream(args):
     n = args.n
     if args.r is not None and args.bs_family != "interpolation":
         raise ToricgError("--r needs --bs-family interpolation")
+    if args.object != "b_perms" and (args.bs_family or args.building_set):
+        raise ToricgError("--bs-family, --building-set and --r are for b_perms only")
     if n < 0:
         raise ToricgError("n must be >= 0")
     if args.object == "dyck":

@@ -9,10 +9,10 @@ U D_b D_{b+1} is a factor for each b in B.
 
 Both conditions are read off two bitmasks per word (:func:`factor_masks`):
 the word is (A,B)-compatible iff A lies in its U-mask and B in its
-D-mask.  :func:`compatible_counts` therefore scans the words of a
-semilength once and answers every sparse pair by superset sums, instead of
-rescanning the words per pair; :func:`is_compatible` is the per-pair
-oracle of the masks.
+D-mask.  :func:`is_compatible` answers one pair from them, and
+:func:`compatible_counts` scans the words of a semilength once and answers
+every sparse pair by superset sums, instead of rescanning the words per
+pair.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import itertools
 from typing import Iterable, Iterator
 
 from .errors import PreconditionError, StructuralError, require_ints
-from .words import D, U, enumerate_words, is_dyck, is_sparse, read_ints
+from .words import D, U, enumerate_words, is_dyck, is_sparse, read_ints, sparse_subsets
 
 
 def u_positions(w: str) -> list[int]:
@@ -45,22 +45,11 @@ def _check_sparse_subsets(n: int, A: Iterable[int], B: Iterable[int]) -> tuple[t
 
 
 def is_compatible(w: str, A: Iterable[int], B: Iterable[int]) -> bool:
-    """Check the (A,B) factor conditions on a balanced word."""
-    if any(ch not in "UD" for ch in w) or 2 * w.count(U) != len(w):
-        raise StructuralError(f"not a balanced word: {w!r}")
-    n = len(w) // 2
-    A, B = _check_sparse_subsets(n, A, B)
-    upos = u_positions(w)
-    dpos = d_positions(w)
-    for a in A:
-        p = upos[a - 1]
-        if upos[a] != p + 1 or w[p + 2 : p + 3] != D:
-            return False
-    for b in B:
-        q = dpos[b - 1]
-        if dpos[b] != q + 1 or q == 0 or w[q - 1] != U:
-            return False
-    return True
+    """Check the (A,B) factor conditions on a balanced word: A must lie in
+    its U-mask and B in its D-mask (:func:`factor_masks`)."""
+    alpha, beta = factor_masks(w)
+    A, B = _check_sparse_subsets(len(w) // 2, A, B)
+    return set_mask(A) & ~alpha == 0 and set_mask(B) & ~beta == 0
 
 
 def compress(w: str, A: Iterable[int], B: Iterable[int]) -> str:
@@ -368,7 +357,5 @@ def nc_complex_faces(n: int, k: int) -> int:
 
 def sparse_pairs(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All pairs of sparse subsets of [n-1] (plumbing for the sweeps)."""
-    from .words import sparse_subsets
-
     subsets = list(sparse_subsets(n - 1))
     return itertools.product(subsets, subsets)

@@ -54,13 +54,9 @@ def is_parking(f) -> bool:
     return all(map(le, sorted(f), range(1, len(f) + 1)))
 
 
-def fn_ascent_set(f) -> tuple[int, ...]:
-    """Positions i with f(i) <= f(i+1) (weak ascents)."""
-    return tuple(i for i in range(1, len(f)) if f[i - 1] <= f[i])
-
-
 def fn_ascents(f) -> int:
-    return len(fn_ascent_set(f))
+    """Number of positions i with f(i) <= f(i+1) (weak ascents)."""
+    return sum(map(le, f, f[1:]))
 
 
 class GHPair(NamedTuple):

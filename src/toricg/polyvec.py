@@ -73,13 +73,6 @@ class IntPoly:
         raise AttributeError("IntPoly is immutable")
 
     @classmethod
-    def monomial(cls, power: int, coeff: int = 1) -> "IntPoly":
-        require_ints("IntPoly.monomial", power)
-        if power < 0:
-            raise PreconditionError("negative power")
-        return cls([0] * power + [coeff])
-
-    @classmethod
     def from_counts(cls, counts: Mapping[int, int]) -> "IntPoly":
         """sum_k counts[k] x^k, from a histogram of exponents."""
         return cls([counts.get(k, 0) for k in range(max(counts, default=-1) + 1)])
@@ -106,14 +99,16 @@ class IntPoly:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = IntPoly((other,))
+        if isinstance(other, int):  # bools too, as 1 == True
+            other = IntPoly._trusted([other])
         if not isinstance(other, IntPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant equals its int, so it hashes as that int
+        cs = self.coeffs
+        return hash(cs) if len(cs) > 1 else hash(cs[0] if cs else 0)
 
     def __add__(self, other):
         if isinstance(other, int):

@@ -50,9 +50,8 @@ class TruncSeries:
 
     @classmethod
     def monomial(cls, variables: tuple[str, ...], order: int,
-                 exps: tuple[int, ...], coeff=_ONE) -> "TruncSeries":
-        poly = coeff if isinstance(coeff, IntPoly) else IntPoly((coeff,))
-        return cls(variables, order, {exps: poly})
+                 exps: tuple[int, ...]) -> "TruncSeries":
+        return cls(variables, order, {exps: _ONE})
 
     def _compatible(self, other: "TruncSeries") -> None:
         if self.variables != other.variables or self.order != other.order:

@@ -32,7 +32,9 @@ from . import compat, nestohedra, parking, perms, polyvec, series, words
 from .errors import PreconditionError, ToricgError, require_ints
 from .polyvec import IntPoly
 
-_FAMILIES = ("cube", "associahedron", "cyclohedron", "permutahedron")
+_FAMILIES = polyvec._FAMILIES
+# the named chordal building sets without a parameter
+_KINDS = ("permutahedron", "stanley_pitman", "associahedron_intervals")
 
 
 class _Mismatch(ToricgError):
@@ -438,15 +440,18 @@ def _is_unimodal(p) -> bool:
     )
 
 
+def _named_sets(n: int):
+    """(label, building set) for each named chordal set on [n+1]: the
+    three of _KINDS, then the interpolation family for every r."""
+    for kind in _KINDS:
+        yield kind, nestohedra.named_family(kind, n)
+    for r in range(1, n + 1):
+        yield f"interpolation[{r}]", nestohedra.named_family("interpolation", n, r)
+
+
 def _families_valid(b: int) -> None:
     for n in range(1, b + 1):
-        sets = [
-            nestohedra.named_family("permutahedron", n),
-            nestohedra.named_family("stanley_pitman", n),
-            nestohedra.named_family("associahedron_intervals", n),
-        ]
-        sets += [nestohedra.named_family("interpolation", n, r) for r in range(1, n + 1)]
-        for bs in sets:
+        for _, bs in _named_sets(n):
             report = nestohedra.validate(bs)
             _expect(report.connected and report.chordal)
         _expect(
@@ -471,15 +476,7 @@ def _b_perm_shapes(b: int) -> None:
 
 def _pipeline(b: int) -> None:
     for n in range(1, b + 1):
-        family_sets = [
-            ("permutahedron", nestohedra.named_family("permutahedron", n)),
-            ("stanley_pitman", nestohedra.named_family("stanley_pitman", n)),
-            ("intervals", nestohedra.named_family("associahedron_intervals", n)),
-        ] + [
-            (f"interpolation[{r}]", nestohedra.named_family("interpolation", n, r))
-            for r in range(1, n + 1)
-        ]
-        for label, bs in family_sets:
+        for label, bs in _named_sets(n):
             h = nestohedra.h_chordal(bs, unsafe=True)
             _expect(polyvec.is_palindromic(h), (label, n))
             walk = nestohedra.right_adjusted_b_permutations(bs, unsafe=True)
@@ -500,7 +497,7 @@ def _pipeline(b: int) -> None:
 
 def _gamma_trees(b: int) -> None:
     for n in range(1, b + 1):
-        for kind in ("permutahedron", "stanley_pitman", "associahedron_intervals"):
+        for kind in _KINDS:
             bs = nestohedra.named_family(kind, n)
             allowed = set(nestohedra.right_adjusted_b_permutations(bs, unsafe=True))
             hist: Counter[int] = Counter()
@@ -513,7 +510,7 @@ def _gamma_trees(b: int) -> None:
 
 def _direct_routes(b: int) -> None:
     for n in range(1, b + 1):
-        for kind in ("permutahedron", "stanley_pitman", "associahedron_intervals"):
+        for kind in _KINDS:
             bs = nestohedra.named_family(kind, n)
             direct = nestohedra.toric_g_direct(bs, unsafe=True)
             _expect(direct == nestohedra.toric_g_chordal(bs, unsafe=True), (kind, n))

@@ -265,10 +265,27 @@ def naive_peaks_in_prefix(w: str, m: int) -> int:
     return sum(1 for i in range(min(m, len(w)) - 1) if w[i : i + 2] == "UD")
 
 
+def naive_is_compatible(w: str, A, B) -> bool:
+    """The (A,B) factor conditions by a scan of the letter positions: U_a
+    U_{a+1} D must be a factor for each a in A and U D_b D_{b+1} for each b
+    in B.  The oracle of compat.is_compatible and its factor masks."""
+    upos = compat.u_positions(w)
+    dpos = compat.d_positions(w)
+    for a in A:
+        p = upos[a - 1]
+        if upos[a] != p + 1 or w[p + 2 : p + 3] != "D":
+            return False
+    for b in B:
+        q = dpos[b - 1]
+        if dpos[b] != q + 1 or q == 0 or w[q - 1] != "U":
+            return False
+    return True
+
+
 def count_compatible_brute(n: int, A, B, kind: str = "dyck") -> int:
-    """(A,B)-compatible words of semilength n, one is_compatible call per
-    word: the oracle of compat.count_compatible and its table."""
-    return sum(1 for w in words.enumerate_words(n, kind) if compat.is_compatible(w, A, B))
+    """(A,B)-compatible words of semilength n, one position scan per word:
+    the oracle of compat.count_compatible and its table."""
+    return sum(1 for w in words.enumerate_words(n, kind) if naive_is_compatible(w, A, B))
 
 
 def nonneg_paths_to_height(steps: int, height: int):
@@ -320,7 +337,7 @@ def gamma_basis_sum(gamma, n: int) -> IntPoly:
     """sum_j gamma_j x^j (x+1)^(n-2j), one IntPoly power at a time."""
     out = IntPoly()
     for j, g in enumerate(gamma):
-        out = out + IntPoly.monomial(j, g) * IntPoly((1, 1)) ** (n - 2 * j)
+        out = out + IntPoly([0] * j + [g]) * IntPoly((1, 1)) ** (n - 2 * j)
     return out
 
 

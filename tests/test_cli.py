@@ -11,7 +11,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toricg import cli, nestohedra, parking, perms, verification, words
+from toricg import cli, nestohedra, parking, perms, polyvec, verification, words
 from toricg.errors import PreconditionError
 from toricg.polyvec import IntPoly
 
@@ -161,6 +161,29 @@ def test_family_usage_errors_come_before_the_cap(argv, capsys):
 def test_enumerate_refuses_r_without_interpolation(argv, capsys):
     code, out, err = run(capsys, "enumerate", *argv)
     assert (code, out) == (2, "") and "--r needs --bs-family interpolation" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("dyck", "3", "--bs-family", "interpolation", "--r", "2"),
+    ("parking_trees", "2", "--building-set", "/nonexistent.json"),
+    ("parking_functions_123", "3", "--bs-family", "stanley_pitman"),
+], ids=["dyck", "parking_trees", "parking_functions_123"])
+def test_enumerate_refuses_a_building_set_outside_b_perms(argv, capsys):
+    """Each of these exited 0 and listed the objects without the flag."""
+    code, out, err = run(capsys, "enumerate", *argv)
+    assert (code, out) == (2, "") and "for b_perms only" in err
+
+
+def test_table_refuses_max_with_a_building_set(tmp_path, capsys):
+    """--max was read only for --family and ignored with a file, so --max 0
+    printed the file's row and exited 0."""
+    path = tmp_path / "bs.json"
+    path.write_text(json.dumps(nestohedra.named_family("stanley_pitman", 3).to_json()))
+    for bound in ("0", "8"):
+        code, out, err = run(capsys, "table", "--building-set", str(path), "--max", bound)
+        assert (code, out) == (2, "") and "--max needs --family" in err
+    assert run(capsys, "table", "--family", "cube", "--max", "0")[0] == 2
+    assert run(capsys, "table", "--family", "associahedron")[1] == TABLE_1
 
 
 def test_table_routes_agree(capsys):
@@ -603,3 +626,10 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
 
 def test_verify_parser_lists_every_suite_in_sorted_order():
     assert cli._SUITES == tuple(sorted(verification.SUITES))
+
+
+def test_parser_family_choices_are_the_library_lists():
+    """The parser spells its family choices out so that parsing loads no
+    library module; a family added to the library must reach them too."""
+    assert cli._BS_FAMILIES == nestohedra._NAMED_KINDS
+    assert sorted(cli._TABLE_FAMILIES) == sorted(polyvec._FAMILIES)

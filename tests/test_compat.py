@@ -5,7 +5,7 @@ import pytest
 from toricg import compat, perms, polyvec, words
 from toricg.errors import PreconditionError, StructuralError
 
-from helpers import count_compatible_brute
+from helpers import count_compatible_brute, naive_is_compatible
 
 
 def test_is_compatible_examples():
@@ -87,14 +87,17 @@ def test_factor_masks_examples():
 @pytest.mark.parametrize("n", range(7))
 def test_factor_masks_match_is_compatible(n):
     """A balanced word is (A,B)-compatible iff A lies in its U-mask and B
-    in its D-mask: every balanced word against every sparse pair."""
+    in its D-mask: every balanced word against every sparse pair, with the
+    position scan of the helpers as the oracle of both the masks and
+    is_compatible, which reads them."""
     pairs = [(A, B, compat.set_mask(A), compat.set_mask(B)) for A, B in compat.sparse_pairs(n)]
     for w in words.enumerate_words(n, "balanced"):
         alpha, beta = compat.factor_masks(w)
         assert alpha < 1 << max(n - 1, 0) and beta < 1 << max(n - 1, 0)
         for A, B, a_mask, b_mask in pairs:
             by_masks = alpha & a_mask == a_mask and beta & b_mask == b_mask
-            assert by_masks == compat.is_compatible(w, A, B), (w, A, B)
+            expected = naive_is_compatible(w, A, B)
+            assert by_masks == compat.is_compatible(w, A, B) == expected, (w, A, B)
 
 
 @pytest.mark.parametrize("n", range(7))

@@ -43,27 +43,60 @@ def test_no_module_imports_fractions():
             assert not any(m.split(".")[0] == "fractions" for m in modules), path.name
 
 
+def _bound(fn) -> set[str]:
+    """The parameters of a function and the names it stores to."""
+    args = fn.args
+    params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+    return {a.arg for a in params if a} | {
+        n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+
+
+def _refs(node, classes, out=None, shadowed=frozenset()) -> Counter:
+    """The references under ``node``: a loaded name by itself unless an
+    enclosing function binds it, a loaded attribute by its name, and
+    ``Cls.name`` for a class ``Cls`` in ``classes`` by (Cls, name)."""
+    out = Counter() if out is None else out
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        shadowed = shadowed | _bound(node)
+    elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        if node.id not in shadowed:
+            out[node.id] += 1
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        owner = node.value.id if isinstance(node.value, ast.Name) else None
+        out[(owner, node.attr) if owner in classes else node.attr] += 1
+    for child in ast.iter_child_nodes(node):
+        _refs(child, classes, out, shadowed)
+    return out
+
+
+def _unreferenced_definitions(src: pathlib.Path, named: set[str]) -> list[str]:
+    """The top-level functions and classes and the public methods under
+    ``src`` that nothing else there refers to and ``named`` lacks; a method
+    ``m`` of class ``C`` is referred to by ``x.m`` or by ``C.m``, never by
+    ``D.m`` for another class ``D`` of ``src``, and dunders are exempt."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))]
+    tops = [d for tree in trees for d in tree.body if isinstance(d, (ast.FunctionDef, ast.ClassDef))]
+    classes = {d.name for d in tops if isinstance(d, ast.ClassDef)}
+    everywhere = Counter()
+    for tree in trees:
+        _refs(tree, classes, everywhere)
+    defs = [(d.name, (d.name,), d) for d in tops]
+    defs += [(f"{c.name}.{m.name}", (m.name, (c.name, m.name)), m)
+             for c in tops if isinstance(c, ast.ClassDef) for m in c.body
+             if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+    return [label for label, keys, d in defs
+            if not (d.name.startswith("__") and d.name.endswith("__")) and d.name not in named
+            and all(everywhere[k] == _refs(d, classes)[k] for k in keys)]
+
+
 def test_every_definition_is_referenced_or_named():
     """Each top-level function and class and each public method of the
     package is referred to elsewhere in it, is in ``__all__`` or is named in
     backticks in the README (`name`, `module.name` or `Class.method`); its
-    references to itself do not count, and dunder names are exempt."""
+    references to itself do not count, nor does a name that a parameter or
+    local shadows, or another class's method of the same name."""
     readme = pathlib.Path(__file__).parents[1].joinpath("README.md").read_text(encoding="utf-8")
     named = set(toricg.__all__)
     named |= {span.split(".")[-1] for span in re.findall(r"`([\w.]+)(?:\(\))?`", readme)}
-    trees = [ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(pathlib.Path(toricg.__file__).parent.glob("*.py"))]
-
-    def refs(node):
-        return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-                       if isinstance(n, (ast.Name, ast.Attribute)))
-
-    everywhere = sum(map(refs, trees), Counter())
-    kinds = (ast.FunctionDef, ast.ClassDef)
-    defs = [d for tree in trees for d in tree.body if isinstance(d, kinds)]
-    defs += [m for d in defs if isinstance(d, ast.ClassDef) for m in d.body
-             if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
-    uncalled = [d.name for d in defs
-                if not (d.name.startswith("__") and d.name.endswith("__"))
-                and d.name not in named and everywhere[d.name] == refs(d)[d.name]]
+    uncalled = _unreferenced_definitions(pathlib.Path(toricg.__file__).parent, named)
     assert not uncalled, "referred to nowhere else and not named: " + ", ".join(uncalled)

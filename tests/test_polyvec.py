@@ -41,6 +41,31 @@ def test_intpoly_rejects_non_int_coefficients(bad):
         IntPoly([1, bad])
 
 
+def test_intpoly_hash_agrees_with_int_equality():
+    """IntPoly((3,)) == 3 held, yet IntPoly((3,)) in {3} and IntPoly() in
+    {0} were False and {3: "x"}.get(IntPoly((3,))) None: the hash read the
+    coefficient tuple, which no int shares.  A constant hashes as its int."""
+    assert IntPoly((3,)) in {3}
+    assert {3: "x"}.get(IntPoly((3,))) == "x"
+    assert IntPoly() in {0}
+    assert 2**70 in {IntPoly((2**70,))}
+    assert hash(IntPoly((-1,))) == hash(-1)
+    assert IntPoly((1,)) in {True}  # as 1 in {True}; the comparison raised on a bool
+    assert len({IntPoly((1, 2)), IntPoly([1, 2, 0]), IntPoly((1, 2, 1))}) == 2
+
+
+def test_intpoly_dunders():
+    p = IntPoly((1, 2))
+    assert p and not IntPoly()
+    assert sum([p, p, IntPoly((0, 0, 1))]) == IntPoly((2, 4, 1))  # 0 + p is __radd__
+    assert 5 - p == IntPoly((4, -2))
+    for q in (IntPoly(), IntPoly((0, -3, 1))):
+        assert eval(repr(q), {"IntPoly": IntPoly}) == q
+    with pytest.raises(AttributeError, match="immutable"):
+        p.coeffs = (5,)
+    assert p.coeffs == (1, 2)
+
+
 def test_f_to_h_examples():
     assert polyvec.f_to_h((4, 4, 1)) == (1, 2, 1)
     assert polyvec.f_to_h((4, 6, 4, 1)) == (1, 1, 1, 1)
@@ -154,17 +179,6 @@ def test_cnix_peak_oracle(n):
         for k in range(max([poly.degree] + list(hist)) + 1):
             assert hist.get(k, 0) == poly.coeff(k)
         assert sum(hist.values()) == words.catalan_triangle(n, i)
-
-
-def test_monomial_refuses_a_negative_power():
-    """IntPoly.monomial(-1) returned IntPoly([1]), since [0] * -1 is empty;
-    x^-1 is no polynomial, and IntPoly powers refuse it too."""
-    with pytest.raises(PreconditionError, match="negative power"):
-        IntPoly.monomial(-1)
-    with pytest.raises(PreconditionError, match="negative power"):
-        IntPoly.monomial(-3, 5)
-    assert IntPoly.monomial(0) == IntPoly([1])
-    assert IntPoly.monomial(2, 5) == IntPoly([0, 0, 5])
 
 
 def test_g_contrib_builds_only_the_catalan_numbers_it_reaches(monkeypatch):
@@ -417,21 +431,19 @@ def test_from_counts():
     lambda: polyvec.kruskal_katona_ok([1, 2.5]),
     lambda: polyvec.kk_pseudopower(True, 1),
     lambda: polyvec.kk_pseudopower(2.5, 1),
-    lambda: IntPoly.monomial(2.5),
     lambda: IntPoly((1, 1)) ** 2.5,
 ], ids=[
     "h-entry", "h-size", "gamma-entry", "g_contrib", "peak_poly", "cnix-bool",
     "gamma_to_h-entry", "gamma_to_h-n", "h_to_gamma", "f_to_h", "h_to_f", "narayana",
     "gamma_family", "gamma_family-bool", "catalan", "catalan-bool", "motzkin",
     "catalan_triangle", "kruskal_katona_ok", "kk_pseudopower-bool", "kk_pseudopower-float",
-    "monomial", "power",
+    "power",
 ])
 def test_integer_arguments_are_checked(call):
     """Most raised a raw TypeError.  Some answered instead: cnix(True, 0)
     returned IntPoly([1]), kruskal_katona_ok([1, 2.5]) True,
     gamma_family('cube', True) (1,), catalan(True) 1 and
     kk_pseudopower(True, 1) 0; kk_pseudopower(2.5, 1) failed its
-    termination invariant; IntPoly.monomial(2.5) and IntPoly((1, 1)) ** 2.5
-    raised a raw TypeError."""
+    termination invariant; IntPoly((1, 1)) ** 2.5 raised a raw TypeError."""
     with pytest.raises(PreconditionError, match="needs int arguments"):
         call()

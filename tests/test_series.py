@@ -17,6 +17,14 @@ def test_trunc_series_arithmetic():
     assert (t * IntPoly([0, 1])).coeff((1,)) == IntPoly([0, 1])
 
 
+def test_trunc_series_repr():
+    t = TruncSeries.monomial(("t",), 4, (1,))
+    assert repr(TruncSeries(("t",), 4)) == "TruncSeries(('t',), order=4, {})"
+    assert repr(3 * t + 1) == (
+        "TruncSeries(('t',), order=4, {(0,): IntPoly([1]), (1,): IntPoly([3])})"
+    )
+
+
 def test_trunc_series_guards():
     t = TruncSeries.monomial(("t",), 4, (1,))
     other = TruncSeries.monomial(("t",), 5, (1,))
