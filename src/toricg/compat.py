@@ -20,8 +20,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator
 
-from .errors import PreconditionError, StructuralError, require_ints
-from .words import D, U, enumerate_words, is_dyck, is_sparse, read_ints, sparse_subsets
+from .errors import PreconditionError, StructuralError, require_ints, require_size
+from .words import D, U, enumerate_words, is_dyck, is_sparse, read_ints, set_mask, sparse_subsets
 
 
 def u_positions(w: str) -> list[int]:
@@ -87,11 +87,15 @@ def compress(w: str, A: Iterable[int], B: Iterable[int]) -> str:
     return "".join(ch for i, ch in enumerate(w) if i not in delete)
 
 
+_FRONT = -1
+
+
 def expand(w: str, n: int, A: Iterable[int], B: Iterable[int]) -> str:
     """Rebuild the unique (A,B)-compatible Dyck word of semilength n that
     compresses to ``w``.
 
-    Minimal elements of A and B are reinserted first.  The case split keys
+    Minimal elements of A and B are reinserted first, one or both per pass
+    of a loop, so no element costs a recursion.  The case split keys
     on the relative order of U_{a-1}, U_a, D_{b-1}, D_b in the current word;
     missing low letters (a = 1 or b = 1) count as standing in front of the
     word and letters beyond the current semilength as standing after it.
@@ -103,54 +107,36 @@ def expand(w: str, n: int, A: Iterable[int], B: Iterable[int]) -> str:
         raise PreconditionError(
             f"expected semilength {n - len(A) - len(B)}, got {len(w) // 2}"
         )
-    return _expand(w, list(A), list(B))
-
-
-_FRONT = -1
-
-
-def _expand(w: str, A: list[int], B: list[int]) -> str:
-    if not A and not B:
-        return w
-    end = len(w) + 1
 
     def pos_of(letter: str, i: int) -> int:
         if i == 0:
             return _FRONT
         ps = [k for k, ch in enumerate(w) if ch == letter]
-        return ps[i - 1] if i <= len(ps) else end
+        return ps[i - 1] if i <= len(ps) else len(w) + 1
 
-    if not A:
-        b = B[0]
-        pos = pos_of(D, b)
-        return _expand(w[:pos] + "UD" + w[pos:], A, B[1:])
-    if not B:
-        a = A[0]
-        pos = pos_of(U, a)
-        return _expand(w[: pos + 1] + "UD" + w[pos + 1 :], A[1:], B)
-
-    a, b = A[0], B[0]
-    pu_prev, pu = pos_of(U, a - 1), pos_of(U, a)
-    pd_prev, pd = pos_of(D, b - 1), pos_of(D, b)
-    if pu < pd_prev:
-        # U_{a-1} ... U_a ... D_{b-1} ... D_b: grow U_a into U_a U_{a+1} D
-        return _expand(w[: pu + 1] + "UD" + w[pu + 1 :], A[1:], B)
-    if pd < pu_prev:
-        # D_{b-1} ... D_b ... U_{a-1} ... U_a: grow D_b into U D_b D_{b+1}
-        return _expand(w[:pd] + "UD" + w[pd:], A, B[1:])
-    # U_{a-1} and D_{b-1} both precede U_a and D_b: the middle two letters
-    # are adjacent, and the factor U_a U_{a+1} D_b D_{b+1} goes between them.
-    pos = sorted((pu_prev, pu, pd_prev, pd))[2]
-    pos = min(pos, len(w))
-    return _expand(w[:pos] + "UUDD" + w[pos:], A[1:], B[1:])
-
-
-def set_mask(S: Iterable[int]) -> int:
-    """Bit x-1 for each x in S, the encoding of :func:`factor_masks`."""
-    out = 0
-    for x in S:
-        out |= 1 << (x - 1)
-    return out
+    while A or B:
+        if not A:
+            pos = pos_of(D, B[0])
+            w, B = w[:pos] + "UD" + w[pos:], B[1:]
+        elif not B:
+            pos = pos_of(U, A[0]) + 1
+            w, A = w[:pos] + "UD" + w[pos:], A[1:]
+        else:
+            a, b = A[0], B[0]
+            pu_prev, pu = pos_of(U, a - 1), pos_of(U, a)
+            pd_prev, pd = pos_of(D, b - 1), pos_of(D, b)
+            if pu < pd_prev:
+                # U_{a-1} ... U_a ... D_{b-1} ... D_b: grow U_a into U_a U_{a+1} D
+                w, A = w[: pu + 1] + "UD" + w[pu + 1 :], A[1:]
+            elif pd < pu_prev:
+                # D_{b-1} ... D_b ... U_{a-1} ... U_a: grow D_b into U D_b D_{b+1}
+                w, B = w[:pd] + "UD" + w[pd:], B[1:]
+            else:
+                # U_{a-1} and D_{b-1} both precede U_a and D_b: the middle two letters
+                # are adjacent, and the factor U_a U_{a+1} D_b D_{b+1} goes between them.
+                pos = min(sorted((pu_prev, pu, pd_prev, pd))[2], len(w))
+                w, A, B = w[:pos] + "UUDD" + w[pos:], A[1:], B[1:]
+    return w
 
 
 def factor_masks(w: str) -> tuple[int, int]:
@@ -220,7 +206,8 @@ def count_compatible(n: int, A: Iterable[int], B: Iterable[int], kind: str = "dy
 
 
 class NoncrossingPartition:
-    """A noncrossing set partition of [n]; blocks are stored sorted."""
+    """A noncrossing set partition of [n]; blocks are stored sorted.
+    Immutable, as a hashable value must be."""
 
     __slots__ = ("blocks", "n")
 
@@ -233,8 +220,11 @@ class NoncrossingPartition:
         bs = tuple(sorted(tuple(sorted(b)) for b in blocks))
         if not _crossing_free(bs):
             raise StructuralError(f"partition is crossing: {bs!r}")
-        self.blocks = bs
-        self.n = n
+        object.__setattr__(self, "blocks", bs)
+        object.__setattr__(self, "n", n)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("NoncrossingPartition is immutable")
 
     def __eq__(self, other):
         if not isinstance(other, NoncrossingPartition):
@@ -348,9 +338,8 @@ def fillers(p: NoncrossingPartition) -> tuple[int, ...]:
 def nc_complex_faces(n: int, k: int) -> int:
     """Number of k-element collections of >=2-element subsets of [n] that
     occur as the nonsingleton blocks of a noncrossing partition."""
-    require_ints("nc_complex_faces", n, k)
-    if k < 0:
-        raise PreconditionError("k must be >= 0")
+    require_ints("nc_complex_faces", n)
+    require_size("nc_complex_faces", k, name="k")
     faces = {p.nonsingleton_blocks() for p in enumerate_nc(n)}
     return sum(1 for face in faces if len(face) == k)
 

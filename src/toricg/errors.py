@@ -1,5 +1,5 @@
 """Exception taxonomy shared by all toricg modules, and the one check of
-integer arguments."""
+integer arguments and of size arguments."""
 
 
 class ToricgError(Exception):
@@ -21,6 +21,14 @@ def require_ints(where: str, *values) -> None:
     for value in values:
         if type(value) is not int:
             raise PreconditionError(f"{where} needs int arguments, got {value!r}")
+
+
+def require_size(where: str, value, least: int = 0, name: str = "n") -> None:
+    """Refuse a size argument as :func:`require_ints` does when it is not an
+    int, and with "<name> must be >= <least>, got <value>" when it is less."""
+    require_ints(where, value)
+    if value < least:
+        raise PreconditionError(f"{name} must be >= {least}, got {value}")
 
 
 class CapacityError(ToricgError, RuntimeError):

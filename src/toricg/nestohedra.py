@@ -45,19 +45,14 @@ from typing import Iterable, NamedTuple, Sequence
 from .config import check_capacity
 from .errors import (
     BuildingSetError, ChordalityError, PreconditionError, StructuralError, require_ints,
+    require_size,
 )
 from .polyvec import IntPoly, h_to_gamma, toric_g_from_gamma
+from .words import set_mask
 
 _NAMED_KINDS = (
     "permutahedron", "stanley_pitman", "associahedron_intervals", "interpolation",
 )
-
-
-def _mask(members: Iterable[int]) -> int:
-    out = 0
-    for i in members:
-        out |= 1 << (i - 1)
-    return out
 
 
 def _unmask(mask: int) -> tuple[int, ...]:
@@ -90,7 +85,7 @@ class BuildingSet:
                     f"member {member} leaves the ground set [{ground_size}]",
                     witness=member,
                 )
-            masks.add(_mask(s))
+            masks.add(set_mask(s))
         object.__setattr__(self, "ground_size", ground_size)
         object.__setattr__(self, "masks", tuple(sorted(masks)))
         object.__setattr__(self, "_memo", {"masks": frozenset(masks)})
@@ -117,7 +112,7 @@ class BuildingSet:
         except TypeError as exc:
             raise BuildingSetError(f"a member is an iterable of ints, got {item!r}") from exc
         _check_member(member)
-        return max(member) <= self.ground_size and _mask(member) in self._memo["masks"]
+        return max(member) <= self.ground_size and set_mask(member) in self._memo["masks"]
 
     def __eq__(self, other):
         if not isinstance(other, BuildingSet):
@@ -296,7 +291,7 @@ def _subset_mask(bs: BuildingSet, T: Iterable[int]) -> int:
         raise BuildingSetError(f"T is an iterable of ints, got {T!r}") from exc
     if elements:
         _check_member(elements)
-    return _mask(i for i in elements if i <= bs.ground_size)
+    return set_mask(i for i in elements if i <= bs.ground_size)
 
 
 def restrict(bs: BuildingSet, T: Iterable[int]) -> tuple[tuple[int, ...], ...]:
@@ -603,9 +598,9 @@ def named_family(kind: str, n: int, r: int | None = None) -> BuildingSet:
 
 def _check_family(kind: str, n: int, r: int | None) -> None:
     """Refuse what named_family refuses, before any member is built."""
-    require_ints("named_family", n, *(() if r is None else (r,)))
-    if n < 1:
-        raise PreconditionError("named_family needs n >= 1")
+    require_size("named_family", n, 1)
+    if r is not None:
+        require_ints("named_family", r)
     _check_ground_size(n + 1)
     if kind not in _NAMED_KINDS:
         raise PreconditionError(f"unknown family {kind!r}; expected one of {_NAMED_KINDS}")

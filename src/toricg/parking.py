@@ -27,7 +27,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from . import perms
 from .config import check_capacity
-from .errors import PreconditionError, StructuralError, require_ints
+from .errors import PreconditionError, StructuralError, require_size
 from .words import D, U, read_int, read_ints, u_runs
 
 
@@ -122,15 +122,18 @@ class ParkingTree:
     __slots__ = ("root", "n")
 
     def __init__(self, root: Node):
-        self.root = root
-        self.n = _validate_parking_tree(root)
+        object.__setattr__(self, "n", _validate_parking_tree(root))
+        object.__setattr__(self, "root", root)
 
     @classmethod
     def _unchecked(cls, root: Node, n: int) -> "ParkingTree":
         tree = object.__new__(cls)
-        tree.root = root
-        tree.n = n
+        object.__setattr__(tree, "root", root)
+        object.__setattr__(tree, "n", n)
         return tree
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ParkingTree is immutable")
 
     def _preorder(self) -> tuple[tuple[int, int, int], ...]:
         """(parent label, edge label, child label) of every edge in preorder.
@@ -215,7 +218,7 @@ def edge_perm(t: ParkingTree) -> tuple[int, ...]:
     return tuple([e for edges in groups for e, _ in edges])
 
 
-def _attach(shape: perms.PlaneTree, fibers: dict, n: int) -> ParkingTree:
+def _attach(shape: perms.PlaneTree, fibers, n: int) -> ParkingTree:
     """The parking tree on ``shape`` (a vertex-labeled plane tree on n+1
     vertices) whose edges at vertex v carry ``fibers[v]``, v's increasing
     edge labels, left to right.
@@ -241,11 +244,12 @@ def _attach(shape: perms.PlaneTree, fibers: dict, n: int) -> ParkingTree:
     return ParkingTree._unchecked(built[0], n)
 
 
-def _fibers(f) -> dict[int, list[int]]:
-    """f^{-1}(v), increasing, for every value v of f."""
-    fibers: dict[int, list[int]] = {}
+def _fibers(f) -> list[list[int]]:
+    """The fibers f^{-1}(v), increasing, in a list indexed by v = 0..len(f)+1,
+    which covers every vertex label of a tree of f."""
+    fibers: list[list[int]] = [[] for _ in range(len(f) + 2)]
     for i, v in enumerate(f, start=1):
-        fibers.setdefault(v, []).append(i)
+        fibers[v].append(i)
     return fibers
 
 
@@ -269,9 +273,7 @@ def _search_tree(f, bfs: bool) -> ParkingTree:
     if not is_parking(f):
         raise PreconditionError(f"not a parking function: {f!r}")
     n = len(f)
-    fibers: list[list[int]] = [[] for _ in range(n + 2)]
-    for i, v in enumerate(f, start=1):
-        fibers[v].append(i)
+    fibers = _fibers(f)
     remaining = list(map(len, fibers))
     children: list[list[int]] = [[] for _ in range(n + 2)]
     pending = deque([1])
@@ -326,9 +328,7 @@ def _labelled_shapes(n: int, unsafe: bool) -> Iterator[tuple]:
     :func:`enumerate_parking_trees`: the labels of its vertices with
     children, increasing, and every split of [n] into their groups of edge
     labels, in order; shapes with the same child counts share one list."""
-    require_ints("enumerate_parking_trees", n)
-    if n < 0:
-        raise PreconditionError("n must be >= 0")
+    require_size("enumerate_parking_trees", n)
     check_capacity("parking_trees", n, unsafe)
     labels = tuple(range(1, n + 1))
     splits: dict[tuple[int, ...], list[tuple]] = {}
@@ -347,12 +347,11 @@ def enumerate_123_parking_trees(n: int, unsafe: bool = False) -> Iterator[Parkin
     the others.  Each 0-1-2 shape takes the functions whose fiber sizes are
     its child counts, ordered by their fibers in parent order (the
     Garsia-Haiman permutation)."""
-    if n < 0:
-        raise PreconditionError("n must be >= 0")
+    require_size("enumerate_123_parking_trees", n)
     check_capacity("parking_trees", n, unsafe)
     table = avoiding_functions_by_fibers(n)
-    layouts: dict[tuple[int, ...], list[dict[int, list[int]]]] = {}
-    for shape in perms.increasing_plane_trees(n + 1, max_children=2):
+    layouts: dict[tuple[int, ...], list[list[list[int]]]] = {}
+    for shape, _ in perms.enumerate_increasing_012(n + 1):
         sizes = perms.child_counts(shape)[:-1]
         if sizes not in layouts:
             group = sorted(table[sizes], key=lambda f: garsia_haiman(f).perm)
@@ -451,18 +450,14 @@ def parking_tree_from_text(text: str) -> ParkingTree:
 
 def iter_functions(n: int) -> Iterator[tuple[int, ...]]:
     """All n^n functions [n] -> [n]."""
-    require_ints("iter_functions", n)
-    if n < 0:
-        raise PreconditionError("iter_functions requires n >= 0")
+    require_size("iter_functions", n, name="n of iter_functions")
     return itertools.product(range(1, n + 1), repeat=n)
 
 
 def iter_parking_functions(n: int) -> Iterator[tuple[int, ...]]:
     """The parking functions [n] -> [n] in the lexicographic order of
     :func:`iter_functions`, grown by prefix without listing the others."""
-    require_ints("iter_parking_functions", n)
-    if n < 0:
-        raise PreconditionError("iter_parking_functions requires n >= 0")
+    require_size("iter_parking_functions", n, name="n of iter_parking_functions")
     return _parking_walk(n)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from operator import gt, lt
 from typing import Iterator, Optional
 
-from .errors import PreconditionError, StructuralError, require_ints
+from .errors import PreconditionError, StructuralError, require_size
 from .words import D, U, is_dyck, read_int, read_ints
 
 PlaneTree = tuple  # (label, (PlaneTree, ...))
@@ -135,9 +135,7 @@ def enumerate_123_avoiding(n: int, distinct: bool = True) -> Iterator[tuple[int,
     ``distinct=False`` all 123-avoiding functions [n] -> [n] (weak pattern,
     see :func:`is_123_avoiding`).  Prefixes holding a pattern are pruned,
     so the sweep stays far below n! or n^n."""
-    require_ints("enumerate_123_avoiding", n)
-    if n < 0:
-        raise PreconditionError("n must be >= 0")
+    require_size("enumerate_123_avoiding", n)
     prefix: list[int] = []
     used = [False] * (n + 1)
 
@@ -301,30 +299,25 @@ def fs_tree_from_text(text: str) -> FSTree:
 # ---------------------------------------------------------------------------
 
 
-def increasing_plane_trees(count: int, max_children: int | None = None) -> Iterator[PlaneTree]:
+def increasing_plane_trees(count: int) -> Iterator[PlaneTree]:
     """All plane trees on ``count`` vertices labeled 1..count with labels
-    increasing away from the root, optionally with at most ``max_children``
-    children per vertex.
+    increasing away from the root.
 
     Built by inserting vertex k as a new child of any existing vertex in any
     position; attachment slots are tried in (parent label, slot) order, so
-    the stream is deterministic, and a bound on the children only skips the
-    full parents, so the bounded stream is a subsequence of the unbounded one.
+    the stream is deterministic.
     """
-    return (tree for tree, _ in _insertion_walk(count, max_children))
+    return (tree for tree, _ in _insertion_walk(count, at_most_two=False))
 
 
-def _insertion_walk(count: int, max_children: int | None) -> Iterator[tuple[PlaneTree, int]]:
+def _insertion_walk(count: int, at_most_two: bool) -> Iterator[tuple[PlaneTree, int]]:
     """The trees of :func:`increasing_plane_trees`, each with its fork count
     (vertices with at least two children) kept as the vertices are inserted:
     inserting under a parent that has exactly one child makes a new fork.
-    Each tree rebuilds only the nodes whose subtree changed since the
-    previous tree and shares the others with it."""
-    require_ints("increasing_plane_trees", count)
-    if max_children is not None:
-        require_ints("increasing_plane_trees", max_children)
-    if count < 0:
-        raise PreconditionError("count must be >= 0")
+    ``at_most_two`` skips the parents with two children.  Each tree rebuilds
+    only the nodes whose subtree changed since the previous tree and shares
+    the others with it."""
+    require_size("increasing_plane_trees", count, name="count")
     if count == 0:
         return
     children: list[list[int]] = [[] for _ in range(count + 1)]
@@ -353,7 +346,7 @@ def _insertion_walk(count: int, max_children: int | None) -> Iterator[tuple[Plan
             return
         for parent in range(1, next_label):
             cs = children[parent]
-            if max_children is not None and len(cs) >= max_children:
+            if at_most_two and len(cs) == 2:
                 continue
             parent_of[next_label] = parent
             more = forks + (len(cs) == 1)
@@ -385,17 +378,25 @@ def enumerate_increasing_012(vertex_count: int) -> Iterator[tuple[PlaneTree, int
     :func:`increasing_plane_trees`, tagged with their fork count.  The count
     is kept during the insertion walk, not recomputed per tree, so a count
     read off each finished tree stays its independent oracle."""
-    return _insertion_walk(vertex_count, 2)
+    return _insertion_walk(vertex_count, at_most_two=True)
 
 
 def plane_to_fs(tree: PlaneTree) -> FSTree:
     """Identify a plane tree with <= 2 children per vertex with the
-    right-adjusted min-rooted tree: an only child goes in the right slot."""
-    label, kids = tree
-    if len(kids) > 2:
-        raise StructuralError("vertex has more than two children")
-    if len(kids) == 0:
-        return FSTree(label)
-    if len(kids) == 1:
-        return FSTree(label, None, plane_to_fs(kids[0]))
-    return FSTree(label, plane_to_fs(kids[0]), plane_to_fs(kids[1]))
+    right-adjusted min-rooted tree: an only child goes in the right slot.
+    Built from the root down on an explicit stack, so no level costs a
+    recursion."""
+    root = FSTree(tree[0])
+    stack = [(root, tree[1])]
+    while stack:
+        node, kids = stack.pop()
+        if not kids:
+            continue
+        if len(kids) > 2:
+            raise StructuralError("vertex has more than two children")
+        node.right = FSTree(kids[-1][0])
+        stack.append((node.right, kids[-1][1]))
+        if len(kids) == 2:
+            node.left = FSTree(kids[0][0])
+            stack.append((node.left, kids[0][1]))
+    return root

@@ -31,7 +31,7 @@ from math import comb, gcd
 from operator import add, mul, sub
 from typing import Iterable, Mapping, Sequence
 
-from .errors import PreconditionError, StructuralError, require_ints
+from .errors import PreconditionError, StructuralError, require_ints, require_size
 from .words import catalan, read_ints
 
 _FAMILIES = ("cube", "associahedron", "cyclohedron", "permutahedron")
@@ -99,9 +99,8 @@ class IntPoly:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, int):  # bools too, as 1 == True
-            other = IntPoly._trusted([other])
-        if not isinstance(other, IntPoly):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
         return self.coeffs == other.coeffs
 
@@ -111,9 +110,8 @@ class IntPoly:
         return hash(cs) if len(cs) > 1 else hash(cs[0] if cs else 0)
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = IntPoly((other,))
-        if not isinstance(other, IntPoly):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -126,9 +124,8 @@ class IntPoly:
         return IntPoly._trusted([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = IntPoly((other,))
-        if not isinstance(other, IntPoly):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
         return self + (-other)
 
@@ -152,9 +149,7 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        require_ints("IntPoly power", k)
-        if k < 0:
-            raise PreconditionError("negative power")
+        require_size("IntPoly power", k, name="k")
         out = IntPoly((1,))
         base = self
         while k:
@@ -189,6 +184,15 @@ class IntPoly:
                 base = "x" if i == 1 else f"x^{i}"
                 parts.append(base if c == 1 else f"-{base}" if c == -1 else f"{c}*{base}")
         return " + ".join(parts).replace("+ -", "- ")
+
+
+def _operand(value) -> IntPoly | None:
+    """value as an IntPoly, an int (a bool too) as an int constant, or None."""
+    if isinstance(value, IntPoly):
+        return value
+    if isinstance(value, int):
+        return IntPoly._trusted([int(value)])
+    return None
 
 
 X = IntPoly((0, 1))
@@ -388,9 +392,7 @@ def gamma_family(family: str, n: int) -> tuple[int, ...]:
     cyclohedron     gamma_j = binom(2j, j) * binom(n, 2j)
     permutahedron   gamma_{n,j} = (j+1) gamma_{n-1,j} + (2n+2-4j) gamma_{n-1,j-1}
     """
-    require_ints("gamma_family", n)
-    if n < 1:
-        raise PreconditionError("gamma_family needs n >= 1")
+    require_size("gamma_family", n, 1)
     if family == "cube":
         return h_to_gamma(tuple(comb(n, i) for i in range(n + 1)))
     if family == "associahedron":
@@ -462,11 +464,8 @@ def sturm_real_rooted(p: IntPoly) -> bool:
 
 def kk_pseudopower(m: int, k: int) -> int:
     """Greedy cascade bound: largest legal successor of m sets of size k."""
-    require_ints("kk_pseudopower", m, k)
-    if k < 1:
-        raise PreconditionError("kk_pseudopower needs k >= 1")
-    if m < 0:
-        raise PreconditionError("m must be >= 0")
+    require_size("kk_pseudopower", m, name="m")
+    require_size("kk_pseudopower", k, 1, "k")
     total = 0
     kk = k
     while m > 0:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .errors import PreconditionError, SeriesIdentityError, require_ints
+from .errors import PreconditionError, SeriesIdentityError, require_ints, require_size
 from .polyvec import IntPoly, X, X_MINUS_1, g_contrib, narayana, peak_poly
 from .words import catalan
 
@@ -32,15 +32,18 @@ class TruncSeries:
         if type(order) is not int or order < 0:
             require_ints("TruncSeries order", order)
             raise PreconditionError("truncation order must be >= 0")
-        self.variables = variables
-        self.order = order
         clean: dict[tuple[int, ...], IntPoly] = {}
         for exps, coeff in (terms or {}).items():
             if len(exps) != len(variables):
                 raise PreconditionError(f"exponent tuple {exps} does not match {variables}")
             if sum(exps) <= order and not coeff.is_zero():
                 clean[exps] = coeff
-        self.terms = clean
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "terms", clean)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TruncSeries is immutable")
 
     @classmethod
     def constant(cls, variables: tuple[str, ...], order: int, value) -> "TruncSeries":
@@ -117,9 +120,7 @@ class TruncSeries:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        require_ints("TruncSeries power", k)
-        if k < 0:
-            raise PreconditionError("negative power")
+        require_size("TruncSeries power", k, name="k")
         out = TruncSeries.constant(self.variables, self.order, 1)
         for _ in range(k):
             out = out * self
@@ -131,7 +132,7 @@ class TruncSeries:
     def __repr__(self):
         keys = sorted(self.terms)
         inner = ", ".join(f"{k}: {self.terms[k]!r}" for k in keys)
-        return f"TruncSeries({self.variables}, order={self.order}, {{{inner}}})"
+        return f"TruncSeries({self.variables}, {self.order}, {{{inner}}})"
 
 
 def assert_series_equal(name: str, lhs: TruncSeries, rhs: TruncSeries) -> None:
@@ -247,9 +248,7 @@ def verify_series(order: int) -> dict:
     Returns a report dict; raises SeriesIdentityError naming the first
     offending coefficient when an identity fails.
     """
-    require_ints("verify_series", order)
-    if order < 1:
-        raise PreconditionError("order must be >= 1")
+    require_size("verify_series", order, 1, "order")
     checks = []
     for name, fn in (
         ("g_recurrence", check_g_recurrence),

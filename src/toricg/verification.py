@@ -29,7 +29,7 @@ from collections import Counter
 from math import comb
 
 from . import compat, nestohedra, parking, perms, polyvec, series, words
-from .errors import PreconditionError, ToricgError, require_ints
+from .errors import ToricgError, require_size
 from .polyvec import IntPoly
 
 _FAMILIES = polyvec._FAMILIES
@@ -51,9 +51,7 @@ def _expect(cond, detail="") -> None:
 def _run(suite: str, table, n_max: int, unsafe: bool) -> dict:
     """Run every row of ``table`` at its bound and report.  A cap of None
     marks an uncapped check whose bound is the series order max(n_max, 1)."""
-    require_ints(f"suite_{suite}", n_max)
-    if n_max < 0:
-        raise PreconditionError(f"n_max must be >= 0, got {n_max}")
+    require_size(f"suite_{suite}", n_max, name="n_max")
     checks = []
     for name, cap, check in table:
         if cap is None:
@@ -179,7 +177,7 @@ def _compress_roundtrips(b: int) -> None:
         masked = [(w, *compat.factor_masks(w)) for w in words.enumerate_words(n, "dyck")]
         for A, B in compat.sparse_pairs(n):
             k = n - len(A) - len(B)
-            a_mask, b_mask = compat.set_mask(A), compat.set_mask(B)
+            a_mask, b_mask = words.set_mask(A), words.set_mask(B)
             images = set()
             for w, alpha, beta in masked:
                 if alpha & a_mask == a_mask and beta & b_mask == b_mask:
@@ -232,7 +230,7 @@ def _g_vs_compatible(b: int) -> None:
             for w in words.enumerate_words(n, "dyck")
         ]
         for B in words.sparse_subsets(n - 1):
-            b_mask = compat.set_mask(B)
+            b_mask = words.set_mask(B)
             hist = Counter(uud for beta, uud in scanned if beta & b_mask == b_mask)
             _expect(IntPoly.from_counts(hist) == polyvec.g_contrib(n, len(B)), (n, B))
 
@@ -266,7 +264,7 @@ def peak_poly_oracles(n: int) -> list[IntPoly]:
     (e_{-1} = 0) up to e_i - 1, so it adds one range per factor to a
     difference row over m.
     """
-    require_ints("peak_poly_oracles", n)
+    require_size("peak_poly_oracles", n)
     length = 2 * n
     diff = [[0] * (length + 2) for _ in range(n + 1)]  # diff[i][m]: by factor count i
     for w in words.enumerate_words(n, "dyck"):
@@ -318,7 +316,7 @@ def suite_series(n_max: int, unsafe: bool = False) -> dict:
 def eulerian_hvec(n: int) -> tuple[int, ...]:
     """Descent histogram of all permutations of [n+1], by enumeration:
     :func:`toricg.perms.des` of each."""
-    require_ints("eulerian_hvec", n)
+    require_size("eulerian_hvec", n)
     hist = Counter(map(perms.des, itertools.permutations(range(n + 1))))
     return tuple(hist.get(i, 0) for i in range(n + 1))
 

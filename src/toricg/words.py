@@ -9,9 +9,9 @@ streams are in lexicographic order with U < D and are deterministic.
 from __future__ import annotations
 
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .errors import PreconditionError, StructuralError, require_ints
+from .errors import PreconditionError, StructuralError, require_ints, require_size
 
 U = "U"
 D = "D"
@@ -33,9 +33,7 @@ def catalan(n: int) -> int:
 
 def motzkin(n: int) -> int:
     """n-th Motzkin number M_n = sum_j binom(n, 2j) * C_j."""
-    require_ints("motzkin", n)
-    if n < 0:
-        raise PreconditionError("motzkin requires n >= 0")
+    require_size("motzkin", n)
     return sum(comb(n, 2 * j) * catalan(j) for j in range(n // 2 + 1))
 
 
@@ -45,9 +43,8 @@ def catalan_triangle(n: int, k: int) -> int:
     Counts nonnegative {U,D}-paths with n steps from the origin to height
     n - 2k.  Out-of-range k (k < 0 or 2k > n) gives 0.
     """
-    require_ints("catalan_triangle", n, k)
-    if n < 0:
-        raise PreconditionError("catalan_triangle requires n >= 0")
+    require_size("catalan_triangle", n)
+    require_ints("catalan_triangle", k)
     if k < 0 or 2 * k > n:
         return 0
     return comb(n, k) - (comb(n, k - 1) if k >= 1 else 0)
@@ -110,18 +107,13 @@ def enumerate_words(n: int, kind: str = "dyck", height: int | None = None) -> It
         ``height`` (catalan_triangle(n, (n - height) // 2) of them);
         n and height must have equal parity.
     """
-    require_ints("enumerate_words", n)
-    if n < 0:
-        raise PreconditionError("enumerate_words requires n >= 0")
+    require_size("enumerate_words", n)
     if kind == "dyck":
         steps, target, nonneg = 2 * n, 0, True
     elif kind == "balanced":
         steps, target, nonneg = 2 * n, 0, False
     elif kind == "nonneg_to_height":
-        if height is not None:
-            require_ints("enumerate_words", height)
-        if height is None or height < 0:
-            raise PreconditionError("nonneg_to_height needs height >= 0")
+        require_size("enumerate_words", height, name="height")
         if (n - height) % 2:
             raise PreconditionError("height must have the parity of the step count")
         steps, target, nonneg = n, height, True
@@ -244,6 +236,14 @@ def is_sparse(elements) -> bool:
     """True when the integer set contains no two consecutive values."""
     xs = sorted(elements)
     return all(b - a >= 2 for a, b in zip(xs, xs[1:]))
+
+
+def set_mask(S: Iterable[int]) -> int:
+    """Bit x-1 for each x in the integer set S."""
+    out = 0
+    for x in S:
+        out |= 1 << (x - 1)
+    return out
 
 
 def sparse_subsets(limit: int) -> Iterator[tuple[int, ...]]:

@@ -398,7 +398,7 @@ def toric_g_by_parking_trees(bs, dfs_only: bool = False) -> IntPoly:
     allowed = set(b_permutations_filter(bs))
     labels = tuple(range(1, n + 1))
     acc: Counter = Counter()
-    for tree in perms.increasing_plane_trees(n + 1, max_children=2):
+    for tree, _ in perms.enumerate_increasing_012(n + 1):
         if dfs_only and not is_dfs_labeled(tree):
             continue
         if perms.fs_inorder(perms.plane_to_fs(tree)) not in allowed:

@@ -130,6 +130,23 @@ def test_nc_repr_evaluates_to_the_partition():
     assert eval(repr(p), vars(compat)) == p
 
 
+def test_nc_partition_is_immutable():
+    """p.blocks = ... was accepted, and p was then lost from its set."""
+    p = compat.dyck_to_nc("UUDUDD")
+    held = {p}
+    for name, value in (("blocks", ((1,), (2,), (3,))), ("n", 4)):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(p, name, value)
+    assert p in held and p.blocks == ((1, 3), (2,))
+
+
+def test_expand_takes_many_elements_without_recursing():
+    """It recursed once per element of A and B and raised RecursionError."""
+    A = range(1, 2400, 2)
+    w = compat.expand("UD" * 1801, 3001, A, ())
+    assert len(w) == 6002 and compat.compress(w, A, ()) == "UD" * 1801
+
+
 @pytest.mark.parametrize("n", range(9))
 def test_nc_bijection_and_statistics(n):
     seen = set()

@@ -392,7 +392,7 @@ def test_component_table_matches_components():
         for t in range(1, 1 << bs.ground_size):
             members = nestohedra._unmask(t)
             (holder,) = [c for c in nestohedra.components(bs, members) if max(members) in c]
-            assert comp[t] == nestohedra._mask(holder)
+            assert comp[t] == nestohedra.set_mask(holder)
 
 
 def test_capacity_is_checked_before_validation(monkeypatch):
@@ -649,7 +649,7 @@ def test_membership_past_the_ground_set_is_false_without_a_mask(monkeypatch):
     def no_mask(members):
         raise AssertionError("masked a set past the ground set")
 
-    monkeypatch.setattr(nestohedra, "_mask", no_mask)
+    monkeypatch.setattr(nestohedra, "set_mask", no_mask)
     assert [2 ** 40] not in bs
     assert (1, 4) not in bs
     monkeypatch.undo()
@@ -801,14 +801,14 @@ def test_restrict_and_components_past_the_ground_set_mask_no_more(monkeypatch):
     """An element like 2**40 built a 2^40-bit mask; no member holds it."""
     bs = nestohedra.named_family("associahedron_intervals", 2)
     masked = []
-    real_mask = nestohedra._mask
+    real_mask = nestohedra.set_mask
 
     def recording_mask(members):
         members = tuple(members)
         masked.append(members)
         return real_mask(members)
 
-    monkeypatch.setattr(nestohedra, "_mask", recording_mask)
+    monkeypatch.setattr(nestohedra, "set_mask", recording_mask)
     assert nestohedra.restrict(bs, [1, 3, 2 ** 40]) == nestohedra.restrict(bs, [1, 3])
     assert nestohedra.components(bs, [3, 2 ** 40, 1]) == ((1,), (3,))
     assert nestohedra.restrict(bs, []) == nestohedra.components(bs, []) == ()

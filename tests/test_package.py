@@ -1,6 +1,7 @@
 """The package root: every public name resolves to its home module's object,
-no module imports ``fractions`` (the closed forms stay in integers), and
-every definition is called or named."""
+no module imports ``fractions`` (the closed forms stay in integers), no
+size argument is checked by hand, and every definition is called or
+named."""
 
 import ast
 import importlib
@@ -41,6 +42,33 @@ def test_no_module_imports_fractions():
             else:
                 continue
             assert not any(m.split(".")[0] == "fractions" for m in modules), path.name
+
+
+def _hand_size_checks(src: pathlib.Path) -> list[str]:
+    """Each ``if <name> < <int literal>:`` under ``src`` whose body raises
+    PreconditionError, as ``module.py:line name``."""
+    sites = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.If) or not isinstance(node.test, ast.Compare):
+                continue
+            test = node.test
+            bound = test.comparators[0]
+            if (isinstance(test.left, ast.Name) and isinstance(test.ops[0], ast.Lt)
+                    and len(test.ops) == 1 and isinstance(bound, ast.Constant)
+                    and type(bound.value) is int
+                    and any(isinstance(s, ast.Raise) and isinstance(s.exc, ast.Call)
+                            and getattr(s.exc.func, "id", None) == "PreconditionError"
+                            for s in node.body)):
+                sites.append(f"{path.name}:{node.lineno} {test.left.id}")
+    return sites
+
+
+def test_no_size_is_checked_by_hand():
+    """A size argument is checked by ``errors.require_size``, the one
+    owner of the rule and of its message; read with ``ast``."""
+    sites = _hand_size_checks(pathlib.Path(toricg.__file__).parent)
+    assert not sites, "size checked by hand, use require_size: " + ", ".join(sites)
 
 
 def _bound(fn) -> set[str]:

@@ -300,7 +300,7 @@ def test_123_parking_tree_walk_refuses_before_any_work(monkeypatch):
     def no_table(*args, **kwargs):
         raise AssertionError("the function table was built")
 
-    monkeypatch.setattr(perms, "increasing_plane_trees", no_shapes)
+    monkeypatch.setattr(perms, "enumerate_increasing_012", no_shapes)
     monkeypatch.setattr(perms, "enumerate_123_avoiding", no_table)
     with pytest.raises(PreconditionError):
         next(parking.enumerate_123_parking_trees(-1))
@@ -322,6 +322,24 @@ def test_avoiding_functions_by_fibers_matches_filtered_functions(n):
 def test_parking_tree_repr_evaluates_to_the_tree():
     t = parking.dfs_tree(FIG_FN)
     assert eval(repr(t), vars(parking)) == t
+
+
+def test_parking_tree_is_immutable():
+    """t.root = u.root was accepted, and t was then lost from its set."""
+    t, u = parking.dfs_tree(FIG_FN), parking.bfs_tree(FIG_FN)
+    held = {t}
+    for name, value in (("root", u.root), ("n", t.n + 1)):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(t, name, value)
+    assert t in held and t != u
+
+
+@pytest.mark.parametrize("n", ["3", 2.5, True], ids=["str", "float", "bool"])
+def test_123_parking_tree_walk_needs_an_int(n):
+    """"3" raised a raw TypeError, and 2.5 and True were refused only under
+    the name of enumerate_123_avoiding."""
+    with pytest.raises(PreconditionError, match="^enumerate_123_parking_trees needs int"):
+        next(parking.enumerate_123_parking_trees(n))
 
 
 def test_every_parking_function_has_trees():

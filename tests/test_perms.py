@@ -125,6 +125,28 @@ def test_fs_tree_repr_evaluates_to_the_tree():
     assert eval(repr(t), vars(perms)) == t
 
 
+def test_plane_to_fs_matches_the_recursive_build():
+    """Built on a stack, it gives what one recursion per vertex gave, takes
+    a 3,000-vertex path (which raised RecursionError) and still refuses a
+    vertex with three children."""
+
+    def by_recursion(tree):
+        label, kids = tree
+        slots = [by_recursion(kid) for kid in kids]
+        return perms.FSTree(label, *([None] + slots)[-2:])
+
+    for count in range(7):
+        for tree, _ in perms.enumerate_increasing_012(count):
+            assert perms.plane_to_fs(tree) == by_recursion(tree)
+    path = (3000, ())
+    for v in range(2999, 0, -1):
+        path = (v, (path,))
+    t = perms.plane_to_fs(path)
+    assert perms.fs_preorder(t) == perms.fs_inorder(t) == tuple(range(1, 3001))
+    with pytest.raises(StructuralError, match="more than two children"):
+        perms.plane_to_fs((1, ((2, ()), (3, ((4, ()), (5, ()), (6, ()))))))
+
+
 def test_fs_tree_small():
     assert perms.fs_tree_to_text(perms.fs_tree((1,))) == "(1)"
     assert perms.fs_tree_to_text(perms.fs_tree((1, 2, 3))) == "(1 R(2 R(3)))"
@@ -209,9 +231,11 @@ def test_increasing_012_examples():
 @pytest.mark.parametrize("m", range(9))
 def test_increasing_012_fork_tags_match_count_forks(m):
     """The fork count kept during the insertion walk is the one read off the
-    finished tree, and the trees are the bounded plane trees in order."""
+    finished tree, and the trees are those of the full stream with at most
+    two children per vertex, in order."""
     tagged = list(perms.enumerate_increasing_012(m))
-    assert [t for t, _ in tagged] == list(perms.increasing_plane_trees(m, max_children=2))
+    assert [t for t, _ in tagged] == [
+        t for t in perms.increasing_plane_trees(m) if max(perms.child_counts(t)) <= 2]
     for tree, forks in tagged:
         assert forks == count_forks(tree)
 
@@ -232,9 +256,12 @@ def test_des_asc_count_the_position_sets(n):
 @pytest.mark.parametrize("count", range(8))
 def test_insertion_walk_matches_the_rebuild_oracle(count, max_children):
     """Rebuilding only the vertices changed since the previous tree gives
-    the trees that a fresh build of every tree gives, in the same order."""
+    the trees that a fresh build of every tree gives, in the same order; the
+    trees with at most ``max_children`` children per vertex come in the
+    order of the oracle that skips the full parents, as the 0-1-2 walk does."""
     expected = list(increasing_plane_trees_by_rebuild(count, max_children))
-    assert list(perms.increasing_plane_trees(count, max_children)) == expected
+    assert [t for t in perms.increasing_plane_trees(count)
+            if max_children is None or max(perms.child_counts(t)) <= max_children] == expected
     if max_children == 2:
         assert [t for t, _ in perms.enumerate_increasing_012(count)] == expected
 

@@ -66,6 +66,18 @@ def test_intpoly_dunders():
     assert p.coeffs == (1, 2)
 
 
+def test_intpoly_takes_a_bool_operand_as_an_int():
+    """IntPoly((1,)) + True raised PreconditionError, while * and == took
+    True as 1."""
+    p = IntPoly((1, 2))
+    results = [IntPoly((1,)) + True, True + IntPoly((1,)), p - True, True - p,
+               p * True, False * p]
+    assert results == [IntPoly((2,)), IntPoly((2,)), IntPoly((0, 2)), IntPoly((0, -2)),
+                       p, IntPoly()]
+    assert all(type(c) is int for q in results for c in q.coeffs)
+    assert IntPoly((1,)) == True and IntPoly() == False and p != True  # noqa: E712
+
+
 def test_f_to_h_examples():
     assert polyvec.f_to_h((4, 4, 1)) == (1, 2, 1)
     assert polyvec.f_to_h((4, 6, 4, 1)) == (1, 1, 1, 1)

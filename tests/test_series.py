@@ -18,11 +18,27 @@ def test_trunc_series_arithmetic():
 
 
 def test_trunc_series_repr():
+    """The text evaluates back; it wrote order=4 before the terms, a
+    positional argument after a keyword one."""
     t = TruncSeries.monomial(("t",), 4, (1,))
-    assert repr(TruncSeries(("t",), 4)) == "TruncSeries(('t',), order=4, {})"
+    assert repr(TruncSeries(("t",), 4)) == "TruncSeries(('t',), 4, {})"
     assert repr(3 * t + 1) == (
-        "TruncSeries(('t',), order=4, {(0,): IntPoly([1]), (1,): IntPoly([3])})"
+        "TruncSeries(('t',), 4, {(0,): IntPoly([1]), (1,): IntPoly([3])})"
     )
+    y = TruncSeries.monomial(("y", "z"), 3, (1, 0))
+    z = TruncSeries.monomial(("y", "z"), 3, (0, 1))
+    names = {"TruncSeries": TruncSeries, "IntPoly": IntPoly}
+    for s in (3 * t + 1, y * z * IntPoly((0, 2)) - y + 5):
+        assert eval(repr(s), names) == s
+
+
+def test_trunc_series_is_immutable():
+    """s.order = 5 was accepted."""
+    t = TruncSeries.monomial(("t",), 4, (1,))
+    for name, value in (("order", 5), ("variables", ("s",)), ("terms", {})):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(t, name, value)
+    assert t == TruncSeries(("t",), 4, {(1,): IntPoly((1,))})
 
 
 def test_trunc_series_guards():

@@ -51,6 +51,13 @@ def test_suites_and_oracles_need_int_arguments(call):
         call()
 
 
+@pytest.mark.parametrize("name", ["eulerian_hvec", "peak_poly_oracles"])
+def test_oracles_refuse_a_negative_size(name):
+    """eulerian_hvec(-2) returned ()."""
+    with pytest.raises(PreconditionError, match="^n must be >= 0, got -2$"):
+        getattr(verification, name)(-2)
+
+
 def test_caps_are_applied(monkeypatch):
     """Each check runs at min(n_max, cap); the checks are stubbed to record
     their bound, so the suite's real sweeps at the caps do not run."""

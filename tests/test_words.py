@@ -244,17 +244,15 @@ def test_is_motzkin_matches_oracle(length):
     lambda: compat.enumerate_nc(2.5),
     lambda: nestohedra.named_family("interpolation", 3, 1.5),
     lambda: list(words.enumerate_words(5, "nonneg_to_height", 1.0)),
-    lambda: list(perms.increasing_plane_trees(3, max_children=1.5)),
     lambda: compat.nc_complex_faces(3, 1.5),
 ], ids=[
     "enumerate_words", "sparse_subsets", "iter_functions", "enumerate_parking_trees",
     "increasing_plane_trees", "enumerate_nc", "named_family", "enumerate_words-height",
-    "increasing_plane_trees-max_children", "nc_complex_faces",
+    "nc_complex_faces",
 ])
 def test_enumerators_need_int_arguments(call):
-    """The first seven raised a raw TypeError.  The last three answered:
-    enumerate_words(5, "nonneg_to_height", 1.0) listed 5 words,
-    increasing_plane_trees(3, max_children=1.5) 3 trees, and
+    """The first seven raised a raw TypeError.  The last two answered:
+    enumerate_words(5, "nonneg_to_height", 1.0) listed 5 words and
     nc_complex_faces(3, 1.5) returned 0."""
     with pytest.raises(PreconditionError, match="needs int arguments"):
         call()
