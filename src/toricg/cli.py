@@ -16,7 +16,6 @@ runs are byte-identical.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import TYPE_CHECKING, Sequence
 
@@ -28,7 +27,9 @@ if TYPE_CHECKING:
 
 # Each command imports the modules it runs where its path runs them, after
 # the usage and capacity checks that come first: a closed-form row needs
-# only polyvec, and a refusal none of the library.
+# only polyvec, a building-set file nestohedra (and polyvec once a row is
+# computed), a refusal none of the library, and only the JSON reader and
+# writers load json.
 
 _SCHEMA = "toricg/1"
 _TABLE_FAMILIES = ("associahedron", "cyclohedron", "permutahedron", "cube")
@@ -88,6 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_building_set(path: str) -> nestohedra.BuildingSet:
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -120,22 +123,24 @@ def _family_row(family: str, n: int, route: str, unsafe: bool) -> polyvec.IntPol
 
         return nestohedra.toric_g_direct(nestohedra.named_family(family, n), unsafe=unsafe)
     check_capacity("functions_route", n, unsafe)
-    from . import nestohedra, parking, perms
+    from . import parking, perms
 
     if family == "cube":
-        return nestohedra.ascent_polynomial(perms.enumerate_123_avoiding(n))
+        return parking.ascent_polynomial(perms.enumerate_123_avoiding(n))
     parking_only = family == "associahedron"
-    return nestohedra.ascent_polynomial(parking.iter_123_avoiding_functions(n, parking_only))
+    return parking.ascent_polynomial(parking.iter_123_avoiding_functions(n, parking_only))
 
 
 def _bs_row(bs: nestohedra.BuildingSet, route: str, unsafe: bool) -> polyvec.IntPoly:
-    from . import nestohedra, polyvec
+    from . import nestohedra
 
-    n = bs.ground_size - 1
     if route == "gamma":
         return nestohedra.toric_g_chordal(bs, unsafe)
     if route == "hetyei":
-        return polyvec.toric_g_from_h(n, nestohedra.h_chordal(bs, unsafe))
+        hvec = nestohedra.h_chordal(bs, unsafe)
+        from . import polyvec
+
+        return polyvec.toric_g_from_h(bs.ground_size - 1, hvec)
     return nestohedra.toric_g_direct(bs, unsafe=unsafe)
 
 
@@ -184,6 +189,8 @@ class RouteDisagreement(ToricgError):
 def _cmd_table(args) -> int:
     rows = _table_rows(args)
     if args.format == "json":
+        import json
+
         payload = {
             "schema": _SCHEMA,
             "kind": "table",
@@ -210,6 +217,8 @@ def _cmd_table(args) -> int:
 def _cmd_verify(args) -> int:
     if args.n_max < 0:  # refused before the suites load; _run checks it for library callers
         raise ToricgError(f"n_max must be >= 0, got {args.n_max}")
+    import json
+
     from . import verification
 
     report = verification.SUITES[args.suite](args.n_max, unsafe=args.unsafe_max)

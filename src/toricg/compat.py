@@ -226,6 +226,9 @@ class NoncrossingPartition:
     def __setattr__(self, name, value):
         raise AttributeError("NoncrossingPartition is immutable")
 
+    def __reduce__(self):
+        return NoncrossingPartition, (self.blocks,)
+
     def __eq__(self, other):
         if not isinstance(other, NoncrossingPartition):
             return NotImplemented

@@ -40,15 +40,17 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .config import check_capacity
 from .errors import (
     BuildingSetError, ChordalityError, PreconditionError, StructuralError, require_ints,
     require_size,
 )
-from .polyvec import IntPoly, h_to_gamma, toric_g_from_gamma
 from .words import set_mask
+
+if TYPE_CHECKING:
+    from .polyvec import IntPoly
 
 _NAMED_KINDS = (
     "permutahedron", "stanley_pitman", "associahedron_intervals", "interpolation",
@@ -500,13 +502,18 @@ def h_chordal(bs: BuildingSet, unsafe: bool = False) -> tuple[int, ...]:
 def gamma_chordal(bs: BuildingSet, unsafe: bool = False) -> tuple[int, ...]:
     """Gamma-vector of the h-vector; it counts the B-permutations with no
     double descents and no final descent by their descents."""
-    return h_to_gamma(h_chordal(bs, unsafe))
+    hvec = h_chordal(bs, unsafe)
+    from . import polyvec
+
+    return polyvec.h_to_gamma(hvec)
 
 
 def toric_g_chordal(bs: BuildingSet, unsafe: bool = False) -> IntPoly:
     """Toric g-polynomial through the gamma route."""
-    n = bs.ground_size - 1
-    return toric_g_from_gamma(n, gamma_chordal(bs, unsafe))
+    gamma = gamma_chordal(bs, unsafe)
+    from . import polyvec
+
+    return polyvec.toric_g_from_gamma(bs.ground_size - 1, gamma)
 
 
 def toric_g_direct(bs: BuildingSet, dfs_only: bool = False, unsafe: bool = False) -> IntPoly:
@@ -526,16 +533,16 @@ def toric_g_direct(bs: BuildingSet, dfs_only: bool = False, unsafe: bool = False
     :func:`toricg.parking.avoiding_functions_by_fibers`.  The b_permutations
     key bounds it, checked before any work (n = 7 takes about 0.1 s).
     """
-    from . import perms
-
     n = bs.ground_size - 1
     _require_chordal(bs, unsafe)
+    from . import perms, polyvec
+
     shapes: Counter[tuple[int, ...]] = Counter()
     preorder = tuple(range(1, n + 2))
     for pi in right_adjusted_b_permutations(bs, unsafe):
         if not dfs_only or perms.fs_preorder(perms.fs_tree(pi)) == preorder:
             shapes[_fiber_sizes(pi)] += 1
-    out = IntPoly()
+    out = polyvec.IntPoly()
     for sizes, times in shapes.items():
         out = out + times * _ascents_by_fibers(n, sizes)
     return out
@@ -546,7 +553,9 @@ def _ascents_by_fibers(n: int, sizes: tuple[int, ...]) -> IntPoly:
     """The weak-ascent polynomial of one group of
     :func:`toricg.parking.avoiding_functions_by_fibers`, summed once, when
     a call first needs it; toric_g_direct checks n first."""
-    return ascent_polynomial(_functions_by_fibers(n)[sizes])
+    from . import parking
+
+    return parking.ascent_polynomial(_functions_by_fibers(n)[sizes])
 
 
 @lru_cache(maxsize=None)
@@ -606,11 +615,3 @@ def _check_family(kind: str, n: int, r: int | None) -> None:
         raise PreconditionError(f"unknown family {kind!r}; expected one of {_NAMED_KINDS}")
     if kind == "interpolation" and (r is None or not (1 <= r <= n)):
         raise PreconditionError("interpolation needs 1 <= r <= n")
-
-
-def ascent_polynomial(functions: Iterable[tuple[int, ...]]) -> IntPoly:
-    """Generating polynomial of the weak ascent statistic over a stream of
-    functions (plumbing for the brute-force routes)."""
-    from . import parking
-
-    return IntPoly.from_counts(Counter(parking.fn_ascents(f) for f in functions))

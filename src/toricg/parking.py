@@ -21,14 +21,17 @@ table of 123-avoiding functions by fiber sizes
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from operator import gt, itemgetter, le
-from typing import Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from . import perms
 from .config import check_capacity
 from .errors import PreconditionError, StructuralError, require_size
 from .words import D, U, read_int, read_ints, u_runs
+
+if TYPE_CHECKING:
+    from . import polyvec
 
 
 def fn_from_text(text: str) -> tuple[int, ...]:
@@ -57,6 +60,14 @@ def is_parking(f) -> bool:
 def fn_ascents(f) -> int:
     """Number of positions i with f(i) <= f(i+1) (weak ascents)."""
     return sum(map(le, f, f[1:]))
+
+
+def ascent_polynomial(functions: Iterable[tuple[int, ...]]) -> polyvec.IntPoly:
+    """Generating polynomial of the weak ascent statistic over a stream of
+    functions (plumbing for the brute-force routes)."""
+    from . import polyvec
+
+    return polyvec.IntPoly.from_counts(Counter(map(fn_ascents, functions)))
 
 
 class GHPair(NamedTuple):
@@ -134,6 +145,10 @@ class ParkingTree:
 
     def __setattr__(self, name, value):
         raise AttributeError("ParkingTree is immutable")
+
+    def __reduce__(self):
+        # copies and pickles rebuild through the constructor, which validates
+        return ParkingTree, (self.root,)
 
     def _preorder(self) -> tuple[tuple[int, int, int], ...]:
         """(parent label, edge label, child label) of every edge in preorder.

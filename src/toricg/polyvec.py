@@ -72,6 +72,9 @@ class IntPoly:
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")
 
+    def __reduce__(self):
+        return IntPoly, (self.coeffs,)
+
     @classmethod
     def from_counts(cls, counts: Mapping[int, int]) -> "IntPoly":
         """sum_k counts[k] x^k, from a histogram of exponents."""

@@ -11,10 +11,11 @@ every retained monomial; the x-direction is never truncated.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Mapping
 
 from .errors import PreconditionError, SeriesIdentityError, require_ints, require_size
-from .polyvec import IntPoly, X, X_MINUS_1, g_contrib, narayana, peak_poly
+from .polyvec import IntPoly, X, X_MINUS_1, _operand, g_contrib, narayana, peak_poly
 from .words import catalan
 
 _ZERO = IntPoly()
@@ -22,7 +23,8 @@ _ONE = IntPoly((1,))
 
 
 class TruncSeries:
-    """Truncated multivariate series; immutable value semantics."""
+    """Truncated multivariate series; immutable value semantics.  ``terms``
+    is a read-only view of the kept monomials."""
 
     __slots__ = ("variables", "order", "terms")
 
@@ -40,16 +42,31 @@ class TruncSeries:
                 clean[exps] = coeff
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncSeries is immutable")
 
+    def __reduce__(self):
+        return TruncSeries, (self.variables, self.order, dict(self.terms))
+
     @classmethod
     def constant(cls, variables: tuple[str, ...], order: int, value) -> "TruncSeries":
-        poly = value if isinstance(value, IntPoly) else IntPoly((value,))
-        zero = (0,) * len(variables)
-        return cls(variables, order, {zero: poly})
+        """value times 1, for an IntPoly or an int (a bool too)."""
+        poly = _operand(value)
+        if poly is None:
+            raise PreconditionError(f"a series constant is an int or an IntPoly, got {value!r}")
+        return cls(variables, order, {(0,) * len(variables): poly})
+
+    def _coerce(self, other) -> "TruncSeries | None":
+        """other as a series like self: a TruncSeries as it is, an IntPoly or
+        an int (a bool too) as a constant, anything else None."""
+        if isinstance(other, TruncSeries):
+            return other
+        poly = _operand(other)
+        if poly is None:
+            return None
+        return TruncSeries(self.variables, self.order, {(0,) * len(self.variables): poly})
 
     @classmethod
     def monomial(cls, variables: tuple[str, ...], order: int,
@@ -67,9 +84,8 @@ class TruncSeries:
                 and self.terms == other.terms)
 
     def __add__(self, other):
-        if isinstance(other, (int, IntPoly)):
-            other = TruncSeries.constant(self.variables, self.order, other)
-        elif not isinstance(other, TruncSeries):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         self._compatible(other)
         out = dict(self.terms)
@@ -86,26 +102,26 @@ class TruncSeries:
         )
 
     def __sub__(self, other):
-        if isinstance(other, (int, IntPoly)):
-            other = TruncSeries.constant(self.variables, self.order, other)
-        elif not isinstance(other, TruncSeries):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        if not isinstance(other, (int, IntPoly)):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, IntPoly)):
-            poly = other if isinstance(other, IntPoly) else IntPoly((other,))
+        if not isinstance(other, TruncSeries):
+            poly = _operand(other)
+            if poly is None:
+                return NotImplemented
             return TruncSeries(
                 self.variables, self.order,
                 {e: c * poly for e, c in self.terms.items()},
             )
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
         self._compatible(other)
         out: dict[tuple[int, ...], IntPoly] = {}
         for e1, c1 in self.terms.items():

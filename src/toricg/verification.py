@@ -201,7 +201,7 @@ def _cube_statistics(b: int) -> None:
             _expect(words.is_sparse(fl))
             nonsing[len(blocks)] += 1
             fill[len(fl)] += 1
-        by_asc = nestohedra.ascent_polynomial(perms.enumerate_123_avoiding(n))
+        by_asc = parking.ascent_polynomial(perms.enumerate_123_avoiding(n))
         _expect(by_asc == g0, ("ascents", n))
         _expect(IntPoly.from_counts(nonsing) == g0, ("nonsingleton", n))
         _expect(IntPoly.from_counts(fill) == g0, ("fillers", n))
@@ -524,7 +524,7 @@ def _dfs_specialization(b: int) -> None:
 def _assoc_parking(b: int) -> None:
     for n in range(1, b + 1):
         expected = polyvec.toric_g_from_gamma(n, polyvec.gamma_family("associahedron", n))
-        got = nestohedra.ascent_polynomial(
+        got = parking.ascent_polynomial(
             parking.iter_123_avoiding_functions(n, parking_only=True)
         )
         _expect(got == expected, n)
@@ -534,14 +534,14 @@ def _perm_parking_trees(b: int) -> None:
     for n in range(1, b + 1):
         expected = polyvec.toric_g_from_gamma(n, polyvec.gamma_family("permutahedron", n))
         trees = parking.enumerate_123_parking_trees(n, unsafe=True)
-        got = nestohedra.ascent_polynomial(map(parking.tree_to_function, trees))
+        got = parking.ascent_polynomial(map(parking.tree_to_function, trees))
         _expect(got == expected, n)
 
 
 def _cyclohedron_functions(b: int) -> None:
     for n in range(1, b + 1):
         expected = polyvec.toric_g_from_gamma(n, polyvec.gamma_family("cyclohedron", n))
-        got = nestohedra.ascent_polynomial(parking.iter_123_avoiding_functions(n))
+        got = parking.ascent_polynomial(parking.iter_123_avoiding_functions(n))
         _expect(got == expected, n)
 
 

@@ -64,13 +64,13 @@ def test_criterion_2_theorem_routes():
     ok = True
     # associahedron: 123-avoiding parking functions by ascents, n <= 6
     for n in range(1, 7):
-        got = nestohedra.ascent_polynomial(
+        got = parking.ascent_polynomial(
             parking.iter_123_avoiding_functions(n, parking_only=True)
         )
         ok = ok and got == IntPoly(TABLE_ASSOCIAHEDRON[n])
     # cyclohedron: all 123-avoiding functions, n <= 7 (7^7 candidates)
     for n in range(1, 8):
-        got = nestohedra.ascent_polynomial(parking.iter_123_avoiding_functions(n))
+        got = parking.ascent_polynomial(parking.iter_123_avoiding_functions(n))
         ok = ok and got == IntPoly(TABLE_CYCLOHEDRON[n])
     # permutahedron: parking trees through the direct route, n <= 5
     for n in range(1, 6):

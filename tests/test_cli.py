@@ -586,7 +586,8 @@ def test_exit_code_property(document, truncated, argv):
 
 def _loaded_modules(*argv):
     """Exit code of one command in a fresh interpreter, and the toricg
-    modules it left loaded, by their short names."""
+    modules it left loaded, by their short names, with ``json`` among them
+    when the command loaded it."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     script = (
@@ -594,7 +595,7 @@ def _loaded_modules(*argv):
         "from toricg.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
         "    code = main(sys.argv[1:])\n"
-        "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'toricg'))\n"
+        "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'toricg' or m == 'json'))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path), check=True)
@@ -603,25 +604,33 @@ def _loaded_modules(*argv):
 
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
-    code, loaded = _loaded_modules("table", "--family", "cube", "--max", "3")
-    assert code == 0 and "polyvec" in loaded
-    assert not loaded & {"nestohedra", "parking", "perms", "series", "compat", "verification"}
-    code, loaded = _loaded_modules("enumerate", "dyck", "3")
-    assert code == 0 and "words" in loaded and "polyvec" not in loaded
-    # the capacity refusal comes before any of the library
-    assert _loaded_modules("table", "--family", "permutahedron", "--max", "13") == (
-        3, {"toricg", "cli", "config", "errors"})
-    # the gamma route of a file, and a malformed file, need neither parking nor perms
-    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    base = {"toricg", "cli", "config", "errors"}
+    # verification imports every library module its suites check when it loads
+    verify = base | {"json", "verification", "compat", "nestohedra", "parking", "perms",
+                     "polyvec", "series", "words"}
+    good, bad, big = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "big.json"
     good.write_text(json.dumps(nestohedra.named_family("stanley_pitman", 3).to_json()))
     bad.write_text(json.dumps(MALFORMED["member-float"]))
-    for path, code in ((good, 0), (bad, 2)):
-        assert _loaded_modules("table", "--building-set", str(path)) == (
-            code, {"toricg", "cli", "config", "errors", "nestohedra", "polyvec", "words"})
-    # a negative bound is refused before the suites load
-    assert _loaded_modules("verify", "gamma", "-3") == (2, {"toricg", "cli", "config", "errors"})
-    code, loaded = _loaded_modules("verify", "series", "2")
-    assert code == 0 and "verification" in loaded
+    big.write_text(json.dumps(nestohedra.named_family("permutahedron", 10).to_json()))
+    expected = [
+        # closed forms need polyvec and words, a Dyck stream words alone
+        (["table", "--family", "cube", "--max", "3"], 0, base | {"polyvec", "words"}),
+        (["enumerate", "dyck", "3"], 0, base | {"words"}),
+        # the direct function route counts weak ascents without nestohedra
+        (["table", "--family", "cyclohedron", "--max", "3", "--route", "direct"], 0,
+         base | {"parking", "perms", "polyvec", "words"}),
+        # a refusal of --max or n comes before any of the library
+        (["table", "--family", "permutahedron", "--max", "13"], 3, base),
+        (["verify", "gamma", "-3"], 2, base),
+        # a file loads json and nestohedra, and polyvec only for a row
+        (["table", "--building-set", str(good)], 0,
+         base | {"json", "nestohedra", "polyvec", "words"}),
+        (["table", "--building-set", str(bad)], 2, base | {"json", "nestohedra", "words"}),
+        (["table", "--building-set", str(big)], 3, base | {"json", "nestohedra", "words"}),
+    ]
+    expected += [(["verify", suite, "1"], 0, verify) for suite in cli._SUITES]
+    for argv, code, footprint in expected:
+        assert _loaded_modules(*argv) == (code, footprint), argv
 
 
 def test_verify_parser_lists_every_suite_in_sorted_order():

@@ -233,7 +233,7 @@ def test_permutahedron_direct_n6():
 @pytest.mark.parametrize("n", range(1, 6))
 def test_cyclohedron_function_statistic(n):
     expected = polyvec.toric_g_from_gamma(n, polyvec.gamma_family("cyclohedron", n))
-    got = nestohedra.ascent_polynomial(parking.iter_123_avoiding_functions(n))
+    got = parking.ascent_polynomial(parking.iter_123_avoiding_functions(n))
     assert got == expected
 
 

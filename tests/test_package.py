@@ -1,17 +1,20 @@
 """The package root: every public name resolves to its home module's object,
-no module imports ``fractions`` (the closed forms stay in integers), no
-size argument is checked by hand, and every definition is called or
-named."""
+the value types copy and pickle, no module imports ``fractions`` (the
+closed forms stay in integers), no size argument is checked by hand, and
+every definition is called or named."""
 
 import ast
+import copy
 import importlib
 import pathlib
+import pickle
 import re
 from collections import Counter
 
 import pytest
 
 import toricg
+from toricg import compat, nestohedra, parking, polyvec, series
 
 
 @pytest.mark.parametrize("name", toricg.__all__)
@@ -29,6 +32,20 @@ def test_star_import_binds_every_public_name():
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="nosuch"):
         toricg.nosuch
+
+
+@pytest.mark.parametrize("make", [
+    lambda: polyvec.IntPoly((1, 2)),
+    lambda: series.TruncSeries(("t",), 4, {(0,): polyvec.IntPoly((1,)), (3,): polyvec.X}),
+    lambda: parking.dfs_tree((1, 1, 2)),
+    lambda: compat.nc_from_text("1,2,3"),
+    lambda: nestohedra.named_family("permutahedron", 2),
+], ids=["IntPoly", "TruncSeries", "ParkingTree", "NoncrossingPartition", "BuildingSet"])
+def test_value_types_copy_and_pickle_through_the_constructor(make):
+    """All but BuildingSet raised "AttributeError: <type> is immutable"."""
+    value = make()
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
 
 
 def test_no_module_imports_fractions():

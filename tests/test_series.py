@@ -41,6 +41,34 @@ def test_trunc_series_is_immutable():
     assert t == TruncSeries(("t",), 4, {(1,): IntPoly((1,))})
 
 
+def test_trunc_series_terms_are_read_only():
+    """s.terms[(9,)] = ... was accepted on an order-4 series, and s.coeff((9,))
+    then answered a term above the truncation order."""
+    s = TruncSeries.monomial(("t",), 4, (1,))
+    with pytest.raises(TypeError):
+        s.terms[(9,)] = IntPoly((1,))
+    with pytest.raises(TypeError):
+        del s.terms[(1,)]
+    assert s.coeff((9,)) == IntPoly() and dict(s.terms) == {(1,): IntPoly((1,))}
+    assert s == TruncSeries(("t",), 4, {(1,): IntPoly((1,))})
+    assert repr(s) == "TruncSeries(('t',), 4, {(1,): IntPoly([1])})"
+
+
+def test_trunc_series_takes_a_bool_operand_as_an_int():
+    """t + True, t * True, t - True and True - t raised PreconditionError,
+    while IntPoly takes True as 1."""
+    t = TruncSeries.monomial(("t",), 4, (1,))
+    one = TruncSeries.constant(("t",), 4, 1)
+    for got, want in (
+        (t + True, t + 1), (True + t, 1 + t), (t * True, t), (True * t, t),
+        (t - True, t - 1), (True - t, 1 - t), (TruncSeries.constant(("t",), 4, True), one),
+    ):
+        assert got == want
+        assert all(type(c) is int for poly in got.terms.values() for c in poly.coeffs)
+    with pytest.raises(TypeError):
+        t + "1"
+
+
 def test_trunc_series_guards():
     t = TruncSeries.monomial(("t",), 4, (1,))
     other = TruncSeries.monomial(("t",), 5, (1,))
