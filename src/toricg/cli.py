@@ -27,9 +27,9 @@ if TYPE_CHECKING:
 
 # Each command imports the modules it runs where its path runs them, after
 # the usage and capacity checks that come first: a closed-form row needs
-# only polyvec, a building-set file nestohedra (and polyvec once a row is
-# computed), a refusal none of the library, and only the JSON reader and
-# writers load json.
+# only polyvec, a family's direct row transfer, a building-set file
+# nestohedra (and polyvec once a row is computed), a refusal none of the
+# library, and only the JSON reader and writers load json.
 
 _SCHEMA = "toricg/1"
 _TABLE_FAMILIES = ("associahedron", "cyclohedron", "permutahedron", "cube")
@@ -37,6 +37,19 @@ _CHUNK_LINES = 4096
 _BS_FAMILIES = ("permutahedron", "stanley_pitman", "associahedron_intervals", "interpolation")
 # sorted(verification.SUITES), spelled out so that parsing loads no suite
 _SUITES = ("bijections", "compat", "conjectures", "gamma", "nestohedra", "series")
+
+
+def _integer(text: str) -> int:
+    """An integer argument: ASCII digits after at most one '-', as every text
+    reader of the library takes them (``int`` alone also takes '٣', '３',
+    '1_0' and ' 3')."""
+    digits = text[1:] if text.startswith("-") else text
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--family", choices=_TABLE_FAMILIES)
     source.add_argument("--building-set", metavar="PATH",
                         help="building-set JSON file (one row)")
-    p_table.add_argument("--max", type=int, default=None, dest="max_n",
+    p_table.add_argument("--max", type=_integer, default=None, dest="max_n",
                          help="largest dimension of a --family table (default 8)")
     p_table.add_argument("--route", choices=("gamma", "hetyei", "direct", "all"),
                          default="gamma")
@@ -62,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=_SUITES)
-    p_verify.add_argument("n_max", type=int)
+    p_verify.add_argument("n_max", type=_integer)
     p_verify.add_argument("--unsafe-max", action="store_true")
 
     p_enum = sub.add_parser("enumerate", help="stream combinatorial objects")
@@ -70,12 +83,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "object",
         choices=("dyck", "parking_functions_123", "parking_trees", "b_perms"),
     )
-    p_enum.add_argument("n", type=int)
+    p_enum.add_argument("n", type=_integer)
     p_enum.add_argument("--count-only", action="store_true")
     bs_source = p_enum.add_mutually_exclusive_group()
     bs_source.add_argument("--bs-family", choices=_BS_FAMILIES,
                            help="building-set family for b_perms")
-    p_enum.add_argument("--r", type=int, default=None,
+    p_enum.add_argument("--r", type=_integer, default=None,
                         help="parameter of the interpolation family")
     bs_source.add_argument("--building-set", metavar="PATH",
                            help="building-set JSON file on [n+1] for b_perms")
@@ -109,26 +122,17 @@ def _load_building_set(path: str) -> nestohedra.BuildingSet:
     return nestohedra.BuildingSet.from_json(data)
 
 
-def _family_row(family: str, n: int, route: str, unsafe: bool) -> polyvec.IntPoly:
-    if route != "direct":
-        from . import polyvec
+def _family_row(family: str, n: int, route: str) -> polyvec.IntPoly:
+    if route == "direct":
+        from . import transfer
 
-        gamma = polyvec.gamma_family(family, n)
-        if route == "gamma":
-            return polyvec.toric_g_from_gamma(n, gamma)
-        return polyvec.toric_g_from_h(n, polyvec.gamma_to_h(gamma, n))
-    if family == "permutahedron":
-        check_capacity("b_permutations", n, unsafe)  # before the 2^(n+1) - 1 members
-        from . import nestohedra
+        return transfer.family_row(family, n)
+    from . import polyvec
 
-        return nestohedra.toric_g_direct(nestohedra.named_family(family, n), unsafe=unsafe)
-    check_capacity("functions_route", n, unsafe)
-    from . import parking, perms
-
-    if family == "cube":
-        return parking.ascent_polynomial(perms.enumerate_123_avoiding(n))
-    parking_only = family == "associahedron"
-    return parking.ascent_polynomial(parking.iter_123_avoiding_functions(n, parking_only))
+    gamma = polyvec.gamma_family(family, n)
+    if route == "gamma":
+        return polyvec.toric_g_from_gamma(n, gamma)
+    return polyvec.toric_g_from_h(n, polyvec.gamma_to_h(gamma, n))
 
 
 def _bs_row(bs: nestohedra.BuildingSet, route: str, unsafe: bool) -> polyvec.IntPoly:
@@ -161,15 +165,9 @@ def _table_rows(args) -> list[tuple[int, list[int]]]:
             raise ToricgError("--max must be >= 1")
         check_capacity("table", max_n, args.unsafe_max)
         dims = list(range(1, max_n + 1))
-        compute = lambda n, route: _family_row(args.family, n, route, args.unsafe_max)
+        compute = lambda n, route: _family_row(args.family, n, route)
     for n in dims:
-        results = {}
-        for route in routes:
-            try:
-                results[route] = compute(n, route)
-            except CapacityError:
-                if args.route != "all" or route != "direct":
-                    raise  # under --route all the direct route is dropped past its cap
+        results = {route: compute(n, route) for route in routes}
         first_route = next(iter(results))
         baseline = results[first_route]
         for route, poly in results.items():
@@ -234,7 +232,8 @@ def _cmd_verify(args) -> int:
 
 def _enumerate_stream(args):
     """(count, lines): the count of the objects without their stream (a
-    closed form, or the descent DP for b_perms under --count-only), or None
+    closed form; under --count-only the associahedron transfer at x = 1
+    for parking_functions_123 and the descent DP for b_perms), or None
     where only the stream can count them, and the stream of their texts."""
     n = args.n
     if args.r is not None and args.bs_family != "interpolation":
@@ -250,6 +249,10 @@ def _enumerate_stream(args):
         return words.catalan(n), words.enumerate_words(n, "dyck")
     if args.object == "parking_functions_123":
         check_capacity("functions_route", n, args.unsafe_max)
+        if args.count_only:
+            from . import transfer
+
+            return transfer.family_row("associahedron", n)(1), ()
         from . import parking
 
         return None, (

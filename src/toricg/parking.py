@@ -147,8 +147,9 @@ class ParkingTree:
         raise AttributeError("ParkingTree is immutable")
 
     def __reduce__(self):
-        # copies and pickles rebuild through the constructor, which validates
-        return ParkingTree, (self.root,)
+        # copies and pickles rebuild from the text, which the reader parses on
+        # a stack and the constructor validates: no level costs a recursion
+        return parking_tree_from_text, (parking_tree_to_text(self),)
 
     def _preorder(self) -> tuple[tuple[int, int, int], ...]:
         """(parent label, edge label, child label) of every edge in preorder.
@@ -428,34 +429,33 @@ def parking_tree_to_text(t: ParkingTree) -> str:
 
 
 def parking_tree_from_text(text: str) -> ParkingTree:
+    """Inverse of :func:`parking_tree_to_text`, read on an explicit stack of
+    the open vertices, so that no level costs a recursion."""
     s = text.replace(" ", "")
-
-    def parse_node(i: int) -> tuple[Node, int]:
+    expected = lambda what, i: StructuralError(f"expected {what!r} at {i} in {text!r}")
+    stack: list = []  # open vertices: (label of the edge into it, its label, its edges)
+    e, i = None, 0
+    while True:
         if not s.startswith("(v=", i):
-            raise StructuralError(f"expected '(v=' at {i} in {text!r}")
-        i += 3
-        v, i = read_int(s, i)
-        edges = []
-        while i < len(s) and s[i] == "[":
-            if not s.startswith("[e=", i):
-                raise StructuralError(f"expected '[e=' at {i} in {text!r}")
-            e, i = read_int(s, i + 3)
-            child, i = parse_node(i)
-            if i >= len(s) or s[i] != "]":
-                raise StructuralError(f"expected ']' at {i} in {text!r}")
+            raise expected("(v=", i)
+        v, i = read_int(s, i + 3)
+        stack.append((e, v, []))
+        while not s.startswith("[", i):  # close vertices until an edge opens
+            if not s.startswith(")", i):
+                raise expected(")", i)
+            into, v, edges = stack.pop()
+            node, i = (v, tuple(edges)), i + 1
+            if not stack:
+                if i != len(s):
+                    raise StructuralError(f"trailing text in {text!r}")
+                return ParkingTree(node)
+            if not s.startswith("]", i):
+                raise expected("]", i)
             i += 1
-            edges.append((e, child))
-        if i >= len(s) or s[i] != ")":
-            raise StructuralError(f"expected ')' at {i} in {text!r}")
-        return (v, tuple(edges)), i + 1
-
-    try:  # the parse recurses once per level
-        root, end = parse_node(0)
-        if end != len(s):
-            raise StructuralError(f"trailing text in {text!r}")
-        return ParkingTree(root)
-    except RecursionError:
-        raise StructuralError(f"tree nests too deeply to read: {text[:40]!r}...") from None
+            stack[-1][2].append((into, node))
+        if not s.startswith("[e=", i):
+            raise expected("[e=", i)
+        e, i = read_int(s, i + 3)
 
 
 # ---------------------------------------------------------------------------

@@ -266,32 +266,34 @@ def fs_tree_to_text(t: FSTree | None) -> str:
 
 
 def fs_tree_from_text(text: str) -> FSTree:
-    """Inverse of :func:`fs_tree_to_text`: slots once each, labels increasing."""
+    """Inverse of :func:`fs_tree_to_text`: slots once each, labels
+    increasing; read on an explicit stack of the open vertices, so that no
+    level costs a recursion."""
     s = text.replace(" ", "")
-
-    def parse(i: int) -> tuple[FSTree, int]:
+    stack: list = []  # open vertices: (the slot it fills, its label, its children)
+    slot, i = None, 0
+    while True:
         if not s.startswith("(", i):
             raise StructuralError(f"expected '(' at {i} in {text!r}")
         label, i = read_int(s, i + 1)
-        slots: dict[str, FSTree] = {}
-        while i < len(s) and s[i] in "LR":
-            slot = s[i]
-            if slot in slots:
-                raise StructuralError(f"repeated {slot} slot at {i} in {text!r}")
-            slots[slot], i = parse(i + 1)
-            if slots[slot].label <= label:
-                raise StructuralError(f"child label not above {label} in {text!r}")
-        if not s.startswith(")", i):
-            raise StructuralError(f"expected ')' at {i} in {text!r}")
-        return FSTree(label, slots.get("L"), slots.get("R")), i + 1
-
-    try:
-        tree, end = parse(0)
-    except RecursionError:
-        raise StructuralError(f"tree nests too deeply to read: {text[:40]!r}...") from None
-    if end != len(s):
-        raise StructuralError(f"trailing text in {text!r}")
-    return tree
+        stack.append((slot, label, {}))
+        while not s.startswith(("L", "R"), i):  # close vertices until a slot opens
+            if not s.startswith(")", i):
+                raise StructuralError(f"expected ')' at {i} in {text!r}")
+            into, label, children = stack.pop()
+            node, i = FSTree(label, children.get("L"), children.get("R")), i + 1
+            if not stack:
+                if i != len(s):
+                    raise StructuralError(f"trailing text in {text!r}")
+                return node
+            _, parent, siblings = stack[-1]
+            if label <= parent:
+                raise StructuralError(f"child label not above {parent} in {text!r}")
+            siblings[into] = node
+        slot = s[i]
+        if slot in stack[-1][2]:
+            raise StructuralError(f"repeated {slot} slot at {i} in {text!r}")
+        i += 1
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,9 @@ of them.
 The parking trees behind the permutahedron theorem come from a walk that
 prunes on 123-containment as it labels the edges
 (``parking.enumerate_123_parking_trees``), not from the (n!)^2 listing.
+Each direct row that a check enumerates (the cube, associahedron,
+cyclohedron and permutahedron ones) is also compared with the transfer
+walk (``transfer.family_row``), which counts it without listing an object.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import itertools
 from collections import Counter
 from math import comb
 
-from . import compat, nestohedra, parking, perms, polyvec, series, words
+from . import compat, nestohedra, parking, perms, polyvec, series, transfer, words
 from .errors import ToricgError, require_size
 from .polyvec import IntPoly
 
@@ -203,6 +206,7 @@ def _cube_statistics(b: int) -> None:
             fill[len(fl)] += 1
         by_asc = parking.ascent_polynomial(perms.enumerate_123_avoiding(n))
         _expect(by_asc == g0, ("ascents", n))
+        _expect(transfer.family_row("cube", n) == by_asc, ("transfer", n))
         _expect(IntPoly.from_counts(nonsing) == g0, ("nonsingleton", n))
         _expect(IntPoly.from_counts(fill) == g0, ("fillers", n))
         faces = IntPoly(compat.nc_complex_faces(n, k) for k in range(g0.degree + 1))
@@ -521,28 +525,30 @@ def _dfs_specialization(b: int) -> None:
         _expect(nestohedra.toric_g_direct(bs, dfs_only=True, unsafe=True) == expected, n)
 
 
+def _against_gamma_and_transfer(family: str, got: IntPoly, n: int) -> None:
+    """An enumerated direct row equals the gamma route and the transfer."""
+    expected = polyvec.toric_g_from_gamma(n, polyvec.gamma_family(family, n))
+    _expect(got == expected, n)
+    _expect(transfer.family_row(family, n) == got, ("transfer", n))
+
+
 def _assoc_parking(b: int) -> None:
     for n in range(1, b + 1):
-        expected = polyvec.toric_g_from_gamma(n, polyvec.gamma_family("associahedron", n))
-        got = parking.ascent_polynomial(
-            parking.iter_123_avoiding_functions(n, parking_only=True)
-        )
-        _expect(got == expected, n)
+        functions = parking.iter_123_avoiding_functions(n, parking_only=True)
+        _against_gamma_and_transfer("associahedron", parking.ascent_polynomial(functions), n)
 
 
 def _perm_parking_trees(b: int) -> None:
     for n in range(1, b + 1):
-        expected = polyvec.toric_g_from_gamma(n, polyvec.gamma_family("permutahedron", n))
         trees = parking.enumerate_123_parking_trees(n, unsafe=True)
         got = parking.ascent_polynomial(map(parking.tree_to_function, trees))
-        _expect(got == expected, n)
+        _against_gamma_and_transfer("permutahedron", got, n)
 
 
 def _cyclohedron_functions(b: int) -> None:
     for n in range(1, b + 1):
-        expected = polyvec.toric_g_from_gamma(n, polyvec.gamma_family("cyclohedron", n))
-        got = parking.ascent_polynomial(parking.iter_123_avoiding_functions(n))
-        _expect(got == expected, n)
+        functions = parking.iter_123_avoiding_functions(n)
+        _against_gamma_and_transfer("cyclohedron", parking.ascent_polynomial(functions), n)
 
 
 _NESTOHEDRA = (

@@ -11,7 +11,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toricg import cli, nestohedra, parking, perms, polyvec, verification, words
+from toricg import cli, nestohedra, parking, perms, polyvec, transfer, verification, words
 from toricg.errors import PreconditionError
 from toricg.polyvec import IntPoly
 
@@ -26,6 +26,8 @@ n,g0,g1,g2,g3,g4
 7,1,1422,4032,1176,
 8,1,4853,20628,11928,588
 """
+
+TABLE_CUBE_3 = "n,g0,g1\n1,1,\n2,1,1\n3,1,4\n"
 
 
 def run(capsys, *argv):
@@ -68,58 +70,77 @@ _FAMILIES = ("associahedron", "cyclohedron", "permutahedron", "cube")
 
 @pytest.mark.parametrize("family", _FAMILIES)
 def test_direct_answers_row_7(family, capsys):
-    """Each direct route is bounded by the key of the sweep it runs, which
-    allows n = 7: functions_route, or b_permutations for the permutahedron."""
+    """The direct route, the transfer walk over word pairs, prints the
+    gamma route's rows."""
     code, out, _ = run(capsys, "table", "--family", family, "--max", "7", "--route", "direct")
     assert code == 0
     assert out == run(capsys, "table", "--family", family, "--max", "7", "--route", "gamma")[1]
 
 
-@pytest.mark.parametrize("family", _FAMILIES)
-def test_direct_refuses_row_8_before_its_sweep(family, capsys, monkeypatch):
-    def only_to_7(sweep, size=lambda arg: arg):
-        def guarded(arg, *rest, **kwargs):
-            assert size(arg) <= 7, f"{sweep.__name__} ran past the cap"
-            return sweep(arg, *rest, **kwargs)
-        return guarded
+def _no_enumerator(monkeypatch):
+    """Make every listing a direct row could run (the function, permutation
+    and B-permutation sweeps) fail if it is called."""
+    def listed(*args, **kwargs):
+        raise AssertionError("an enumerator ran")
 
-    ground = lambda bs: bs.ground_size - 1
-    monkeypatch.setattr(perms, "enumerate_123_avoiding", only_to_7(perms.enumerate_123_avoiding))
-    monkeypatch.setattr(parking, "avoiding_functions_by_fibers",
-                        only_to_7(parking.avoiding_functions_by_fibers))
-    monkeypatch.setattr(nestohedra, "validate", only_to_7(nestohedra.validate, ground))
-    monkeypatch.setattr(nestohedra, "right_adjusted_b_permutations",
-                        only_to_7(nestohedra.right_adjusted_b_permutations, ground))
-    code, out, err = run(capsys, "table", "--family", family, "--max", "8", "--route", "direct")
-    key = "b_permutations" if family == "permutahedron" else "functions_route"
+    for module, name in [(perms, "enumerate_123_avoiding"),
+                         (parking, "avoiding_functions_by_fibers"),
+                         (nestohedra, "right_adjusted_b_permutations"),
+                         (nestohedra, "toric_g_direct")]:
+        monkeypatch.setattr(module, name, listed)
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_direct_answers_rows_8_to_12(family, capsys, monkeypatch):
+    """The direct route counts every row the table key allows, listing no
+    object, and --max 13 is refused by that key before any row."""
+    _no_enumerator(monkeypatch)
+    code, out, err = run(capsys, "table", "--family", family, "--max", "12", "--route", "direct")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "table", "--family", family, "--max", "12")[1]
+
+    def no_row(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(transfer, "family_row", no_row)
+    code, out, err = run(capsys, "table", "--family", family, "--max", "13", "--route", "direct")
     assert code == 3 and out == ""
-    assert f"{key} is bounded at n <= 7 (requested n = 8)" in err
+    assert "table is bounded at n <= 12 (requested n = 13)" in err
 
 
 @pytest.mark.parametrize("family", _FAMILIES)
-def test_route_all_drops_direct_past_its_cap(family, capsys):
+def test_route_all_checks_row_12_directly(family, capsys, monkeypatch):
+    """--route all runs the direct route on every row: a transfer that is
+    wrong at n = 12 alone fails it, and the right one passes it with the
+    gamma route's output."""
+    _no_enumerator(monkeypatch)
     code, out, _ = run(capsys, "table", "--family", family, "--max", "12", "--route", "all")
     assert code == 0
     assert out == run(capsys, "table", "--family", family, "--max", "12")[1]
+    real = transfer.family_row
+    monkeypatch.setattr(transfer, "family_row",
+                        lambda kind, n: real(kind, n) + (1 if n == 12 else 0))
+    code, _, err = run(capsys, "table", "--family", family, "--max", "12", "--route", "all")
+    assert code == 1 and "routes gamma and direct disagree at n=12" in err
 
 
 def test_route_all_checks_row_7_directly(capsys, monkeypatch):
     """A direct route that is wrong at n = 7 alone fails --route all."""
-    real = nestohedra.toric_g_direct
+    real = transfer.family_row
 
-    def wrong_at_7(bs, **kwargs):
-        poly = real(bs, **kwargs)
-        return poly + IntPoly([1]) if bs.ground_size == 8 else poly
+    def wrong_at_7(family, n):
+        poly = real(family, n)
+        return poly + IntPoly([1]) if n == 7 else poly
 
-    monkeypatch.setattr(nestohedra, "toric_g_direct", wrong_at_7)
+    monkeypatch.setattr(transfer, "family_row", wrong_at_7)
     code, _, err = run(capsys, "table", "--family", "permutahedron", "--max", "7",
                        "--route", "all")
     assert code == 1 and "disagree at n=7" in err
 
 
 def test_route_all_keeps_the_other_refusals(tmp_path, capsys):
-    """Only the direct route is dropped past its cap; the gamma route's own
-    refusal of a ground-9 building set still exits 3."""
+    """--route all drops no route: the gamma route's refusal of a ground-9
+    building set exits 3."""
     path = tmp_path / "bs.json"
     path.write_text(json.dumps(nestohedra.named_family("permutahedron", 8).to_json()))
     code, out, err = run(capsys, "table", "--building-set", str(path), "--route", "all")
@@ -206,6 +227,32 @@ def test_exit_codes(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("value", ["٣", "３", "1_0", " 3", "+3", ""])
+@pytest.mark.parametrize("argv", [
+    ("table", "--family", "cube", "--max", "@"),
+    ("verify", "gamma", "@"),
+    ("enumerate", "dyck", "@"),
+    ("enumerate", "b_perms", "3", "--bs-family", "interpolation", "--r", "@"),
+], ids=["max", "verify", "enumerate", "r"])
+def test_integer_arguments_take_ascii_digits_only(argv, value, capsys):
+    """argparse's int took all of these but the empty text, so that
+    ``table --family cube --max ٣`` printed four rows with exit 0; each is
+    now a usage error, as in every text reader of the library."""
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, *[value if arg == "@" else arg for arg in argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"invalid int value: {value!r}" in err
+
+
+def test_integer_arguments_keep_their_own_range_checks(capsys):
+    assert run(capsys, "table", "--family", "cube", "--max", "3")[:2] == (0, TABLE_CUBE_3)
+    code, out, err = run(capsys, "verify", "gamma", "-3")
+    assert (code, out) == (2, "") and "n_max must be >= 0, got -3" in err
+    code, out, err = run(capsys, "table", "--family", "cube", "--max", "-1")
+    assert (code, out) == (2, "") and "--max must be >= 1" in err
+
+
 def test_table_family_and_building_set_exclude_each_other(tmp_path, capsys):
     """Given both, table used to print the building-set row under a JSON
     "family" it never computed; now argparse refuses the pair."""
@@ -232,7 +279,8 @@ def test_enumerate_counts(capsys):
     assert run(capsys, "enumerate", "parking_trees", "3", "--count-only")[1] == "36\n"
 
 
-@pytest.mark.parametrize("kind,top", [("dyck", 10), ("parking_trees", 5)])
+@pytest.mark.parametrize("kind,top", [("dyck", 10), ("parking_trees", 5),
+                                      ("parking_functions_123", 7)])
 def test_count_only_closed_forms_match_the_streams(kind, top, capsys):
     for n in range(top + 1):
         code, count, _ = run(capsys, "enumerate", kind, str(n), "--count-only")
@@ -247,12 +295,18 @@ def test_count_only_closed_forms_skip_the_stream_but_not_the_cap(capsys, monkeyp
 
     monkeypatch.setattr(words, "enumerate_words", no_stream)
     monkeypatch.setattr(parking, "parking_tree_texts", no_stream)
+    monkeypatch.setattr(parking, "iter_123_avoiding_functions", no_stream)
     assert run(capsys, "enumerate", "dyck", "12", "--count-only")[:2] == (0, "208012\n")
     assert run(capsys, "enumerate", "parking_trees", "7", "--count-only")[:2] == (0, "25401600\n")
     assert run(capsys, "enumerate", "dyck", "13", "--count-only")[0] == 3
     assert run(capsys, "enumerate", "parking_trees", "8", "--count-only")[0] == 3
     code, out, _ = run(capsys, "enumerate", "parking_trees", "8", "--count-only", "--unsafe-max")
     assert (code, out) == (0, f"{40320 ** 2}\n")
+    assert run(capsys, "enumerate", "parking_functions_123", "7", "--count-only")[:2] == (0, "6631\n")
+    assert run(capsys, "enumerate", "parking_functions_123", "8", "--count-only")[0] == 3
+    code, out, _ = run(capsys, "enumerate", "parking_functions_123", "8", "--count-only",
+                       "--unsafe-max")
+    assert (code, out) == (0, "37998\n")
 
 
 @pytest.mark.parametrize("argv", [["dyck", "11"], ["parking_trees", "5"]])
@@ -607,7 +661,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     base = {"toricg", "cli", "config", "errors"}
     # verification imports every library module its suites check when it loads
     verify = base | {"json", "verification", "compat", "nestohedra", "parking", "perms",
-                     "polyvec", "series", "words"}
+                     "polyvec", "series", "transfer", "words"}
     good, bad, big = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "big.json"
     good.write_text(json.dumps(nestohedra.named_family("stanley_pitman", 3).to_json()))
     bad.write_text(json.dumps(MALFORMED["member-float"]))
@@ -616,9 +670,14 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         # closed forms need polyvec and words, a Dyck stream words alone
         (["table", "--family", "cube", "--max", "3"], 0, base | {"polyvec", "words"}),
         (["enumerate", "dyck", "3"], 0, base | {"words"}),
-        # the direct function route counts weak ascents without nestohedra
+        # a family's direct row is counted by the transfer, with no enumerator
         (["table", "--family", "cyclohedron", "--max", "3", "--route", "direct"], 0,
-         base | {"parking", "perms", "polyvec", "words"}),
+         base | {"polyvec", "transfer", "words"}),
+        (["table", "--family", "permutahedron", "--max", "5", "--route", "all"], 0,
+         base | {"polyvec", "transfer", "words"}),
+        (["enumerate", "parking_functions_123", "3", "--count-only"], 0,
+         base | {"polyvec", "transfer", "words"}),
+        (["enumerate", "parking_functions_123", "3"], 0, base | {"parking", "perms", "words"}),
         # a refusal of --max or n comes before any of the library
         (["table", "--family", "permutahedron", "--max", "13"], 3, base),
         (["verify", "gamma", "-3"], 2, base),

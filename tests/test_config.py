@@ -35,3 +35,16 @@ def test_every_cap_is_checked_and_every_check_names_a_cap():
         assert key.value in config.CAPS, f"{filename}: unknown capacity key {key.value!r}"
         named.add(key.value)
     assert set(config.CAPS) <= named, f"never checked: {sorted(set(config.CAPS) - named)}"
+
+
+def test_readme_capacity_table_lists_every_key_at_its_default():
+    """The README's "Capacity bounds" table is the one description of the
+    keys: its rows name exactly the keys of CAPS, with their defaults."""
+    readme = _PACKAGE.parents[1].joinpath("README.md").read_text(encoding="utf-8")
+    section = readme.split("### Capacity bounds", 1)[1].split("\n#", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if line.startswith("|") and cells[0].startswith("`"):
+            rows[cells[0].strip("`")] = int(cells[1])
+    assert rows == config.CAPS

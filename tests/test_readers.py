@@ -7,6 +7,9 @@ entries that are not ints (floats and bools included) with a
 StructuralError.
 """
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -144,21 +147,42 @@ _CHAINS = [
 
 @pytest.mark.parametrize("read,write,chain", _CHAINS, ids=["fs_tree", "parking_tree"])
 def test_deep_trees_read_back_or_raise_structural_errors(read, write, chain):
-    """The tree readers recurse once per level: a 200-level chain reads
-    back, and one nesting past the interpreter's recursion limit is a
-    StructuralError, not a RecursionError."""
-    assert write(read(chain(200))) == chain(200)
-    with pytest.raises(StructuralError, match="nests too deeply"):
-        read(chain(1200))
+    """The tree readers parse on an explicit stack: a chain far past the
+    interpreter's recursion limit reads back, and the same chain cut short
+    or left open is a StructuralError, not a RecursionError."""
+    for depth in (200, 1200):
+        assert write(read(chain(depth))) == chain(depth)
+    deep = chain(1200)
+    for broken in (deep[:-1], deep[:-600], "(" + deep):
+        with pytest.raises(StructuralError):
+            read(broken)
 
 
-def test_parking_tree_check_past_the_recursion_limit_is_a_structural_error(monkeypatch):
-    """The reader turns a RecursionError from the ParkingTree check after
-    the parse into a StructuralError too, though the check now walks an
-    explicit stack."""
-    def too_deep(root):
-        raise RecursionError("maximum recursion depth exceeded")
+def test_parking_tree_check_past_the_recursion_limit_is_a_structural_error():
+    """The ParkingTree check after the parse walks an explicit stack too:
+    a chain whose deepest vertex label falls is refused as a tree."""
+    depth = 1500
+    bad = _parking_chain(depth).replace(f"(v={depth})", "(v=1)")
+    with pytest.raises(StructuralError, match="vertex labels must increase"):
+        parking.parking_tree_from_text(bad)
 
-    monkeypatch.setattr(parking, "_validate_parking_tree", too_deep)
-    with pytest.raises(StructuralError, match="nests too deeply"):
-        parking.parking_tree_from_text(_parking_chain(3))
+
+@pytest.mark.parametrize("kind", ["fs_tree", "parking_tree"])
+def test_writers_and_readers_round_trip_10000_vertex_paths(kind):
+    """What each tree writer prints, its reader reads back: the paths of
+    10,000 vertices, which 1,000 vertices already took past the recursion
+    limit when the readers recursed once per level."""
+    if kind == "fs_tree":
+        tree = perms.fs_tree(tuple(range(1, 10001)))
+        assert perms.fs_tree_from_text(perms.fs_tree_to_text(tree)) == tree
+    else:
+        tree = parking.dfs_tree((1,) + tuple(range(1, 10000)))
+        assert parking.parking_tree_from_text(parking.parking_tree_to_text(tree)) == tree
+
+
+def test_parking_tree_copies_and_pickles_past_the_recursion_limit():
+    """A copy or a pickle of a 10,000-vertex path went through the nested
+    root and raised RecursionError; it now goes through the tree's text."""
+    tree = parking.dfs_tree((1,) + tuple(range(1, 10000)))
+    for twin in (copy.copy(tree), copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+        assert twin == tree and twin.n == 10000

@@ -258,6 +258,22 @@ MUTANTS = {
         "report = verification.suite_nestohedra(3)\n",
         ("dfs_tree_specialization",),
     ),
+    # the transfer one too high at n = 3, against each enumerated direct row
+    "transfer_nestohedra": (
+        "from toricg import transfer\n"
+        "right = transfer.family_row\n"
+        "transfer.family_row = lambda family, n: right(family, n) + (1 if n == 3 else 0)\n"
+        "report = verification.suite_nestohedra(3)\n",
+        ("associahedron_parking_functions", "cyclohedron_functions",
+         "permutahedron_parking_trees"),
+    ),
+    "transfer_cube": (
+        "from toricg import transfer\n"
+        "right = transfer.family_row\n"
+        "transfer.family_row = lambda family, n: right(family, n) + (1 if n == 3 else 0)\n"
+        "report = verification.suite_compat(3)\n",
+        ("cube_statistics",),
+    ),
 }
 
 
@@ -266,7 +282,8 @@ def test_wrong_fast_paths_fail_under_optimized_mode(mutant):
     """A stubbed factor_masks fails the compat suite, a wrong descent census
     or fork tag the gamma suite, and a parking-tree walk that drops or
     repeats a tree, a function table that drops a function or a direct
-    route that ignores dfs_only the nestohedra suite, also under python -O."""
+    route that ignores dfs_only the nestohedra suite, and a transfer wrong at
+    one size the rows of both suites that compare it, also under python -O."""
     body, failing = MUTANTS[mutant]
     script = (
         "from toricg import verification\n" + body
