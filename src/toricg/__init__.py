@@ -35,7 +35,8 @@ _HOMES = {
         "toric_g_from_h",
     ),
     "series": ("TruncSeries", "verify_series"),
-    "words": ("catalan", "catalan_triangle", "enumerate_words", "factor_count", "motzkin"),
+    "ints": ("catalan",),
+    "words": ("catalan_triangle", "enumerate_words", "factor_count", "motzkin"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

@@ -23,13 +23,14 @@ from .config import check_capacity
 from .errors import CapacityError, ToricgError
 
 if TYPE_CHECKING:
-    from . import nestohedra, polyvec
+    from . import buildingset, polyvec
 
 # Each command imports the modules it runs where its path runs them, after
 # the usage and capacity checks that come first: a closed-form row needs
 # only polyvec, a family's direct row transfer, a building-set file
-# nestohedra (and polyvec once a row is computed), a refusal none of the
-# library, and only the JSON reader and writers load json.
+# buildingset (and nestohedra once the set is checked, polyvec once a row
+# is computed), a refusal none of the library, and only the JSON reader
+# and writers load json.
 
 _SCHEMA = "toricg/1"
 _TABLE_FAMILIES = ("associahedron", "cyclohedron", "permutahedron", "cube")
@@ -101,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _load_building_set(path: str) -> nestohedra.BuildingSet:
+def _load_building_set(path: str) -> buildingset.BuildingSet:
     import json
 
     try:
@@ -117,9 +118,9 @@ def _load_building_set(path: str) -> nestohedra.BuildingSet:
         raise ToricgError(f"{path}: JSON nests too deeply to read") from exc
     except ValueError as exc:  # an integer with more digits than int() converts
         raise ToricgError(f"{path}: JSON holds an integer too long to read") from exc
-    from . import nestohedra
+    from . import buildingset
 
-    return nestohedra.BuildingSet.from_json(data)
+    return buildingset.BuildingSet.from_json(data)
 
 
 def _family_row(family: str, n: int, route: str) -> polyvec.IntPoly:
@@ -135,7 +136,7 @@ def _family_row(family: str, n: int, route: str) -> polyvec.IntPoly:
     return polyvec.toric_g_from_h(n, polyvec.gamma_to_h(gamma, n))
 
 
-def _bs_row(bs: nestohedra.BuildingSet, route: str, unsafe: bool) -> polyvec.IntPoly:
+def _bs_row(bs: buildingset.BuildingSet, route: str, unsafe: bool) -> polyvec.IntPoly:
     from . import nestohedra
 
     if route == "gamma":
@@ -271,23 +272,25 @@ def _enumerate_stream(args):
 
     if args.count_only:
         return nestohedra.count_b_permutations(bs, args.unsafe_max), ()
-    from . import perms
+    from . import ints
 
-    return None, (perms.perm_to_text(p) for p in nestohedra.b_permutations(bs, args.unsafe_max))
+    return None, map(ints.ints_to_text, nestohedra.b_permutations(bs, args.unsafe_max))
 
 
-def _enumerate_building_set(args) -> nestohedra.BuildingSet:
+def _enumerate_building_set(args) -> buildingset.BuildingSet:
     if not args.building_set and not args.bs_family:
         raise ToricgError("b_perms needs --bs-family or --building-set")
-    from . import nestohedra
-
     if args.building_set:
         bs = _load_building_set(args.building_set)
         if bs.ground_size != args.n + 1:
             raise ToricgError(f"b_perms {args.n} needs a building set on [{args.n + 1}]")
         check_capacity("b_permutations", args.n, args.unsafe_max)
+        from . import nestohedra
+
         nestohedra.validate(bs)
         return bs
+    from . import nestohedra
+
     nestohedra._check_family(args.bs_family, args.n, args.r)
     check_capacity("b_permutations", args.n, args.unsafe_max)
     return nestohedra.named_family(args.bs_family, args.n, args.r)

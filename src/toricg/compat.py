@@ -21,7 +21,8 @@ import itertools
 from typing import Iterable, Iterator
 
 from .errors import PreconditionError, StructuralError, require_ints, require_size
-from .words import D, U, enumerate_words, is_dyck, is_sparse, read_ints, set_mask, sparse_subsets
+from .ints import read_ints, set_mask
+from .words import D, U, enumerate_words, is_dyck, is_sparse, sparse_subsets
 
 
 def u_positions(w: str) -> list[int]:
@@ -34,14 +35,22 @@ def d_positions(w: str) -> list[int]:
 
 
 def _check_sparse_subsets(n: int, A: Iterable[int], B: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    A = tuple(sorted(set(A)))
-    B = tuple(sorted(set(B)))
+    """A and B as sorted tuples, once each is an iterable of ints (a bool is
+    not one) forming a sparse subset of [1, n - 1]."""
+    checked = []
     for name, S in (("A", A), ("B", B)):
+        try:
+            S = tuple(S)
+        except TypeError as exc:
+            raise PreconditionError(f"{name} must be an iterable of ints, got {S!r}") from exc
+        require_ints(name, *S)
+        S = tuple(sorted(set(S)))
         if not is_sparse(S):
             raise PreconditionError(f"{name} must be sparse: {S!r}")
         if any(not (1 <= x <= n - 1) for x in S):
             raise PreconditionError(f"{name} must lie inside [1, {n - 1}]: {S!r}")
-    return A, B
+        checked.append(S)
+    return checked[0], checked[1]
 
 
 def is_compatible(w: str, A: Iterable[int], B: Iterable[int]) -> bool:

@@ -26,13 +26,15 @@ gamma checks, the right-adjusted ones: it extends prefixes to a split
 depth and lists the completions of each prefix state once below it.  The
 descent DP counts them.
 
-Members are stored as bitmasks over a ground set of size at most 16.  A
-BuildingSet is immutable and memoises what the pipeline asks of it more
-than once: its set of masks, the validation report, the component table
-and, once the palindromic check passes, the h-vector, so gamma, toric g
-and the direct route share one validation and one descent count.  The
-capacity check still runs on every call, and a call that raises stores
-nothing.
+Members are stored as bitmasks over a ground set of size at most 16.
+``BuildingSet`` and its member checks live in :mod:`toricg.buildingset`,
+which reading a file loads alone; this module re-exports it.  A
+BuildingSet is immutable, and its ``_memo`` holds its set of masks, from
+the constructor, and what this module asks of it more than once: the
+validation report, the component table and, once the palindromic check
+passes, the h-vector, so gamma, toric g and the direct route share one
+validation and one descent count.  The capacity check still runs on every
+call, and a call that raises stores nothing.
 """
 
 from __future__ import annotations
@@ -42,12 +44,13 @@ from collections import Counter
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
+from .buildingset import BuildingSet, _check_ground_size, _check_member, _unmask
 from .config import check_capacity
 from .errors import (
     BuildingSetError, ChordalityError, PreconditionError, StructuralError, require_ints,
     require_size,
 )
-from .words import set_mask
+from .ints import set_mask
 
 if TYPE_CHECKING:
     from .polyvec import IntPoly
@@ -55,117 +58,6 @@ if TYPE_CHECKING:
 _NAMED_KINDS = (
     "permutahedron", "stanley_pitman", "associahedron_intervals", "interpolation",
 )
-
-
-def _unmask(mask: int) -> tuple[int, ...]:
-    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-class BuildingSet:
-    """A family of subsets of [ground_size], stored as sorted bitmasks.
-
-    Immutable.  The private ``_memo`` holds what this module computes from
-    the family (see the module docstring); equality, hashing, repr and JSON
-    ignore it.
-    """
-
-    __slots__ = ("ground_size", "masks", "_memo")
-
-    def __init__(self, ground_size: int, sets: Iterable[Iterable[int]]):
-        _check_ground_size(ground_size)
-        try:
-            members = [tuple(s) for s in sets]
-        except TypeError as exc:
-            raise BuildingSetError(f"sets must be iterables of ints, got {sets!r}") from exc
-        masks = set()
-        for s in members:
-            _check_member(s)
-            if max(s) > ground_size:
-                # checked before masking: 1 << (i - 1) costs memory linear in i
-                member = tuple(sorted(set(s)))
-                raise BuildingSetError(
-                    f"member {member} leaves the ground set [{ground_size}]",
-                    witness=member,
-                )
-            masks.add(set_mask(s))
-        object.__setattr__(self, "ground_size", ground_size)
-        object.__setattr__(self, "masks", tuple(sorted(masks)))
-        object.__setattr__(self, "_memo", {"masks": frozenset(masks)})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BuildingSet is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("BuildingSet is immutable")
-
-    def __reduce__(self):
-        # copies and pickles rebuild the family with an empty memo
-        return BuildingSet, (self.ground_size, self.members())
-
-    def members(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(_unmask(m) for m in self.masks)
-
-    def __contains__(self, item) -> bool:
-        """Whether ``item`` is a member.  What the constructor refuses as a
-        member raises BuildingSetError; a set reaching past the ground set
-        is not a member."""
-        try:
-            member = tuple(item)
-        except TypeError as exc:
-            raise BuildingSetError(f"a member is an iterable of ints, got {item!r}") from exc
-        _check_member(member)
-        return max(member) <= self.ground_size and set_mask(member) in self._memo["masks"]
-
-    def __eq__(self, other):
-        if not isinstance(other, BuildingSet):
-            return NotImplemented
-        return (self.ground_size, self.masks) == (other.ground_size, other.masks)
-
-    def __hash__(self):
-        return hash((self.ground_size, self.masks))
-
-    def __repr__(self):
-        return f"BuildingSet({self.ground_size}, {list(self.members())!r})"
-
-    def to_json(self) -> dict:
-        return {
-            "ground_size": self.ground_size,
-            "sets": [list(s) for s in self.members()],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "BuildingSet":
-        """Read {"ground_size": int, "sets": [[int >= 1, ...], ...]}; any
-        other shape raises BuildingSetError."""
-        try:
-            ground = data["ground_size"]
-            sets = data["sets"]
-        except (KeyError, TypeError) as exc:
-            raise BuildingSetError(f"malformed building-set JSON: {exc}") from exc
-        if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
-            raise BuildingSetError("malformed building-set JSON: sets must be lists")
-        try:
-            return cls(ground, sets)
-        except BuildingSetError as exc:
-            raise BuildingSetError(
-                f"malformed building-set JSON: {exc}", witness=exc.witness
-            ) from exc
-
-
-def _check_member(s: tuple) -> None:
-    """Refuse a member that is empty or holds anything but ints >= 1."""
-    if not all(type(i) is int and i >= 1 for i in s):
-        raise BuildingSetError(f"members must hold ints >= 1, got {list(s)!r}")
-    if not s:
-        raise BuildingSetError("members must be nonempty", witness=())
-
-
-def _check_ground_size(m: int) -> None:
-    """Refuse a ground set other than [1..16], before any 2^m work."""
-    if type(m) is not int:
-        raise BuildingSetError(f"ground_size must be an int, got {m!r}")
-    if not (1 <= m <= 16):
-        raise PreconditionError("ground size must be between 1 and 16")
 
 
 class ValidationReport(NamedTuple):

@@ -28,7 +28,9 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 from . import perms
 from .config import check_capacity
 from .errors import PreconditionError, StructuralError, require_size
-from .words import D, U, read_int, read_ints, u_runs
+# a function's text is the shared integer text
+from .ints import ints_to_text as fn_to_text, read_int, read_ints
+from .words import D, U, u_runs
 
 if TYPE_CHECKING:
     from . import polyvec
@@ -38,10 +40,6 @@ def fn_from_text(text: str) -> tuple[int, ...]:
     f = read_ints(text)
     validate_fn(f)
     return f
-
-
-def fn_to_text(f) -> str:
-    return " ".join(str(v) for v in f)
 
 
 def validate_fn(f) -> None:
@@ -314,46 +312,65 @@ def enumerate_parking_trees(n: int, unsafe: bool = False) -> Iterator[ParkingTre
     Emitted as (vertex-labeled shape, edge assignment) pairs: shapes stream
     in the insertion order of :func:`toricg.perms.increasing_plane_trees`
     and the sets of edge labels given to the vertices 1, 2, ... vary in
-    lexicographic order.  This ordering is an artifact convention.
+    lexicographic order.  This ordering is an artifact convention.  Shapes
+    with the same child counts share one list of the splits of [n].
     """
-    for shape, parents, labellings in _labelled_shapes(n, unsafe):
-        for groups in labellings:
+    require_size("enumerate_parking_trees", n)
+    check_capacity("parking_trees", n, unsafe)
+    labels = tuple(range(1, n + 1))
+    splits: dict[tuple[int, ...], list[tuple]] = {}
+    for shape in perms.increasing_plane_trees(n + 1):
+        counts = perms.child_counts(shape)
+        parents = [v for v, c in enumerate(counts, start=1) if c]
+        sizes = tuple(c for c in counts if c)
+        if sizes not in splits:
+            splits[sizes] = list(_ordered_groups(labels, sizes))
+        for groups in splits[sizes]:
             yield _attach(shape, dict(zip(parents, groups)), n)
 
 
 def parking_tree_texts(n: int, unsafe: bool = False) -> Iterator[str]:
     """:func:`parking_tree_to_text` of each tree of
     :func:`enumerate_parking_trees`, in the same order, without building
-    the trees: each shape is rendered once, with a slot per edge label."""
-    for shape, parents, labellings in _labelled_shapes(n, unsafe):
-        first = labellings[0]
-        slots = {v: ["%d"] * len(group) for v, group in zip(parents, first)}
-        template = parking_tree_to_text(_attach(shape, slots, n))
-        # The first labelling lays 1..n out end to end, so its tree's edge
-        # labels in preorder, less one, say where each slot's label sits in
-        # any labelling laid end to end.  itemgetter hands back a single
-        # label bare, which % takes as well; at n = 0 there is none.
-        order = [e - 1 for _, e, _ in _edges(_attach(shape, dict(zip(parents, first)), n).root)]
-        pick = itemgetter(*order) if order else tuple
-        for groups in labellings:
-            yield template % pick(sum(groups, ()))
+    the trees.
 
-
-def _labelled_shapes(n: int, unsafe: bool) -> Iterator[tuple]:
-    """(shape, parents, labellings) for every shape of
-    :func:`enumerate_parking_trees`: the labels of its vertices with
-    children, increasing, and every split of [n] into their groups of edge
-    labels, in order; shapes with the same child counts share one list."""
+    One walk of each shape, on an explicit stack, writes its text with a
+    slot per edge label and notes each edge as (parent v, sibling index j).
+    Laid end to end, a labelling gives v's edges the entries from
+    offset[v], the number of children of the vertices labelled below v, so
+    edge (v, j) takes entry offset[v] + j.  The labellings laid end to end,
+    as texts, are listed once per tuple of child counts."""
     require_size("enumerate_parking_trees", n)
     check_capacity("parking_trees", n, unsafe)
     labels = tuple(range(1, n + 1))
-    splits: dict[tuple[int, ...], list[tuple]] = {}
+    laid: dict[tuple[int, ...], list[tuple[str, ...]]] = {}
     for shape in perms.increasing_plane_trees(n + 1):
-        parents, sizes = _parent_sizes(shape)
-        key = tuple(sizes)
-        if key not in splits:
-            splits[key] = list(_ordered_groups(labels, sizes))
-        yield shape, parents, splits[key]
+        parts: list[str] = []
+        edges: list[tuple[int, int]] = []
+        counts = [0] * (n + 2)
+        stack: list = [(shape, 0, 0)]  # (node, its parent, its sibling index), or closing text
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                parts.append(item)
+                continue
+            (v, kids), parent, j = item
+            counts[v] = len(kids)
+            if parent:
+                edges.append((parent, j))
+            parts.append(f" [e=%s (v={v}" if parent else f"(v={v}")
+            stack.append(")]" if parent else ")")
+            stack += [(kids[i], v, i) for i in range(len(kids) - 1, -1, -1)]
+        offset = list(itertools.accumulate(counts, initial=0))
+        sizes = tuple(c for c in counts if c)
+        if sizes not in laid:
+            splits = _ordered_groups(labels, sizes)
+            laid[sizes] = [tuple(map(str, sum(groups, ()))) for groups in splits]
+        # itemgetter hands back a single label bare, which % takes as well;
+        # at n = 0 there is none
+        order = [offset[v] + j for v, j in edges]
+        pick = itemgetter(*order) if order else tuple
+        yield from map("".join(parts).__mod__, map(pick, laid[sizes]))
 
 
 def enumerate_123_parking_trees(n: int, unsafe: bool = False) -> Iterator[ParkingTree]:
@@ -387,14 +404,6 @@ def avoiding_functions_by_fibers(n: int) -> dict[tuple[int, ...], list[tuple[int
             sizes[v - 1] += 1
         table.setdefault(tuple(sizes), []).append(f)
     return table
-
-
-def _parent_sizes(shape: perms.PlaneTree) -> tuple[list[int], list[int]]:
-    """The labels of the vertices with children, increasing, and their
-    numbers of children."""
-    counts = perms.child_counts(shape)
-    parents = [v for v, c in enumerate(counts, start=1) if c]
-    return parents, [c for c in counts if c]
 
 
 def _ordered_groups(labels: tuple[int, ...], sizes: Sequence[int]) -> Iterator[tuple]:

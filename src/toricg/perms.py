@@ -13,7 +13,9 @@ from operator import gt, lt
 from typing import Iterator, Optional
 
 from .errors import PreconditionError, StructuralError, require_size
-from .words import D, U, is_dyck, read_int, read_ints
+# a permutation's text is the shared integer text
+from .ints import ints_to_text as perm_to_text, read_int, read_ints
+from .words import D, U, is_dyck
 
 PlaneTree = tuple  # (label, (PlaneTree, ...))
 
@@ -22,10 +24,6 @@ def perm_from_text(text: str) -> tuple[int, ...]:
     p = read_ints(text)
     validate_perm(p)
     return p
-
-
-def perm_to_text(p) -> str:
-    return " ".join(str(v) for v in p)
 
 
 def validate_perm(p) -> None:
@@ -180,6 +178,11 @@ class FSTree:
     def __hash__(self):
         return hash(self._signature())
 
+    def __reduce__(self):
+        # copies and pickles rebuild from the text, which the reader parses on
+        # a stack: no level costs a recursion
+        return fs_tree_from_text, (fs_tree_to_text(self),)
+
     def _signature(self) -> tuple:
         """Each vertex's label and whether it has a left and a right child,
         in preorder; this fixes the tree."""
@@ -265,11 +268,13 @@ def fs_tree_to_text(t: FSTree | None) -> str:
     return "".join(out)
 
 
-def fs_tree_from_text(text: str) -> FSTree:
+def fs_tree_from_text(text: str) -> FSTree | None:
     """Inverse of :func:`fs_tree_to_text`: slots once each, labels
-    increasing; read on an explicit stack of the open vertices, so that no
-    level costs a recursion."""
+    increasing, and "()" the empty tree; read on an explicit stack of the
+    open vertices, so that no level costs a recursion."""
     s = text.replace(" ", "")
+    if s == "()":
+        return None
     stack: list = []  # open vertices: (the slot it fills, its label, its children)
     slot, i = None, 0
     while True:

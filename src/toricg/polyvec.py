@@ -32,7 +32,7 @@ from operator import add, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import PreconditionError, StructuralError, require_ints, require_size
-from .words import catalan, read_ints
+from .ints import catalan, read_ints
 
 _FAMILIES = ("cube", "associahedron", "cyclohedron", "permutahedron")
 

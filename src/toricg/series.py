@@ -16,7 +16,7 @@ from typing import Mapping
 
 from .errors import PreconditionError, SeriesIdentityError, require_ints, require_size
 from .polyvec import IntPoly, X, X_MINUS_1, _operand, g_contrib, narayana, peak_poly
-from .words import catalan
+from .ints import catalan
 
 _ZERO = IntPoly()
 _ONE = IntPoly((1,))

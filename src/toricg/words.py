@@ -9,9 +9,11 @@ streams are in lexicographic order with U < D and are deterministic.
 from __future__ import annotations
 
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import PreconditionError, StructuralError, require_ints, require_size
+# the shared integer helpers live in ints, and words keeps their names
+from .ints import catalan, read_int, read_ints, set_mask
 
 U = "U"
 D = "D"
@@ -19,16 +21,6 @@ H = "H"
 
 # enumerate_words completes each prefix from a table of its last _TAIL steps
 _TAIL = 10
-
-
-def catalan(n: int) -> int:
-    """n-th Catalan number C_n = binom(2n, n) / (n + 1)."""
-    # the type test shares the range guard, since the toric g sums call
-    # catalan once per coefficient
-    if type(n) is not int or n < 0:
-        require_ints("catalan", n)
-        raise PreconditionError("catalan requires n >= 0")
-    return comb(2 * n, n) // (n + 1)
 
 
 def motzkin(n: int) -> int:
@@ -48,33 +40,6 @@ def catalan_triangle(n: int, k: int) -> int:
     if k < 0 or 2 * k > n:
         return 0
     return comb(n, k) - (comb(n, k - 1) if k >= 1 else 0)
-
-
-def read_int(s: str, i: int = 0, signed: bool = False) -> tuple[int, int]:
-    """The integer written in ASCII digits from position i of ``s`` (after
-    one '-' where the format has a sign), and the position after it."""
-    j = k = i + (signed and s.startswith("-", i))
-    while k < len(s) and "0" <= s[k] <= "9":
-        k += 1
-    if k == j:
-        raise StructuralError(f"expected an integer at {i} in {s!r}")
-    try:
-        return int(s[i:k]), k
-    except ValueError as exc:  # more digits than int() converts
-        raise StructuralError(f"integer too long at {i} in {s!r}") from exc
-
-
-def read_ints(text: str, sep: str | None = None, signed: bool = False) -> tuple[int, ...]:
-    """The integers of ``text`` split at ``sep`` (whitespace when None),
-    each token read whole by :func:`read_int`."""
-    out = []
-    for tok in text.split(sep):
-        tok = tok.strip()
-        value, end = read_int(tok, 0, signed)
-        if end != len(tok):
-            raise StructuralError(f"not an integer: {tok!r} in {text!r}")
-        out.append(value)
-    return tuple(out)
 
 
 def is_balanced(w: str) -> bool:
@@ -236,14 +201,6 @@ def is_sparse(elements) -> bool:
     """True when the integer set contains no two consecutive values."""
     xs = sorted(elements)
     return all(b - a >= 2 for a, b in zip(xs, xs[1:]))
-
-
-def set_mask(S: Iterable[int]) -> int:
-    """Bit x-1 for each x in the integer set S."""
-    out = 0
-    for x in S:
-        out |= 1 << (x - 1)
-    return out
 
 
 def sparse_subsets(limit: int) -> Iterator[tuple[int, ...]]:

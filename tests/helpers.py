@@ -403,8 +403,9 @@ def toric_g_by_parking_trees(bs, dfs_only: bool = False) -> IntPoly:
             continue
         if perms.fs_inorder(perms.plane_to_fs(tree)) not in allowed:
             continue
-        parents, sizes = parking._parent_sizes(tree)
-        for groups in parking._ordered_groups(labels, sizes):
+        counts = perms.child_counts(tree)
+        parents = [v for v, c in enumerate(counts, start=1) if c]
+        for groups in parking._ordered_groups(labels, [c for c in counts if c]):
             f = [0] * n
             for v, group in zip(parents, groups):
                 for e in group:

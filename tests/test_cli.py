@@ -660,32 +660,38 @@ def _loaded_modules(*argv):
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     base = {"toricg", "cli", "config", "errors"}
     # verification imports every library module its suites check when it loads
-    verify = base | {"json", "verification", "compat", "nestohedra", "parking", "perms",
-                     "polyvec", "series", "transfer", "words"}
+    verify = base | {"json", "verification", "buildingset", "compat", "ints", "nestohedra",
+                     "parking", "perms", "polyvec", "series", "transfer", "words"}
     good, bad, big = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "big.json"
-    good.write_text(json.dumps(nestohedra.named_family("stanley_pitman", 3).to_json()))
+    good.write_text(json.dumps(nestohedra.named_family("stanley_pitman", 2).to_json()))
     bad.write_text(json.dumps(MALFORMED["member-float"]))
     big.write_text(json.dumps(nestohedra.named_family("permutahedron", 10).to_json()))
     expected = [
-        # closed forms need polyvec and words, a Dyck stream words alone
-        (["table", "--family", "cube", "--max", "3"], 0, base | {"polyvec", "words"}),
-        (["enumerate", "dyck", "3"], 0, base | {"words"}),
+        # closed forms need polyvec and the integer helpers, a Dyck stream words
+        (["table", "--family", "cube", "--max", "3"], 0, base | {"ints", "polyvec"}),
+        (["enumerate", "dyck", "3"], 0, base | {"ints", "words"}),
         # a family's direct row is counted by the transfer, with no enumerator
         (["table", "--family", "cyclohedron", "--max", "3", "--route", "direct"], 0,
-         base | {"polyvec", "transfer", "words"}),
+         base | {"ints", "polyvec", "transfer"}),
         (["table", "--family", "permutahedron", "--max", "5", "--route", "all"], 0,
-         base | {"polyvec", "transfer", "words"}),
+         base | {"ints", "polyvec", "transfer"}),
         (["enumerate", "parking_functions_123", "3", "--count-only"], 0,
-         base | {"polyvec", "transfer", "words"}),
-        (["enumerate", "parking_functions_123", "3"], 0, base | {"parking", "perms", "words"}),
+         base | {"ints", "polyvec", "transfer"}),
+        (["enumerate", "parking_functions_123", "3"], 0,
+         base | {"ints", "parking", "perms", "words"}),
+        (["enumerate", "parking_trees", "3"], 0, base | {"ints", "parking", "perms", "words"}),
         # a refusal of --max or n comes before any of the library
         (["table", "--family", "permutahedron", "--max", "13"], 3, base),
         (["verify", "gamma", "-3"], 2, base),
-        # a file loads json and nestohedra, and polyvec only for a row
+        # a file loads json and buildingset, a set that passes its reader
+        # nestohedra, and a row polyvec
         (["table", "--building-set", str(good)], 0,
-         base | {"json", "nestohedra", "polyvec", "words"}),
-        (["table", "--building-set", str(bad)], 2, base | {"json", "nestohedra", "words"}),
-        (["table", "--building-set", str(big)], 3, base | {"json", "nestohedra", "words"}),
+         base | {"json", "buildingset", "ints", "nestohedra", "polyvec"}),
+        (["table", "--building-set", str(bad)], 2, base | {"json", "buildingset", "ints"}),
+        (["table", "--building-set", str(big)], 3,
+         base | {"json", "buildingset", "ints", "nestohedra"}),
+        (["enumerate", "b_perms", "2", "--building-set", str(good)], 0,
+         base | {"json", "buildingset", "ints", "nestohedra"}),
     ]
     expected += [(["verify", suite, "1"], 0, verify) for suite in cli._SUITES]
     for argv, code, footprint in expected:

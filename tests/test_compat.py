@@ -40,6 +40,22 @@ def test_expand_examples():
         compat.expand("UD", 4, {1}, ())  # wrong semilength
 
 
+@pytest.mark.parametrize("A,B", [
+    (["a"], []), ([None], []), (5, []), ([1.5], []), ([], [True]), ([], "1"),
+])
+@pytest.mark.parametrize("call", [
+    lambda A, B: compat.is_compatible("UUUDDD", A, B),
+    lambda A, B: compat.compress("UUUDDD", A, B),
+    lambda A, B: compat.expand("UD", 3, A, B),
+], ids=["is_compatible", "compress", "expand"])
+def test_sets_that_are_not_of_ints_are_refused(call, A, B):
+    """A member that is not an int raised a raw TypeError, or, as 1.5,
+    passed the check and raised one in the bitmask; True counted as 1; a
+    set that is not iterable raised TypeError."""
+    with pytest.raises(PreconditionError):
+        call(A, B)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_compress_expand_bijection(n):
     all_words = list(words.enumerate_words(n, "dyck"))

@@ -14,7 +14,7 @@ from collections import Counter
 import pytest
 
 import toricg
-from toricg import compat, nestohedra, parking, polyvec, series
+from toricg import buildingset, compat, ints, nestohedra, parking, perms, polyvec, series, words
 
 
 @pytest.mark.parametrize("name", toricg.__all__)
@@ -40,12 +40,23 @@ def test_unknown_name_is_an_attribute_error():
     lambda: parking.dfs_tree((1, 1, 2)),
     lambda: compat.nc_from_text("1,2,3"),
     lambda: nestohedra.named_family("permutahedron", 2),
-], ids=["IntPoly", "TruncSeries", "ParkingTree", "NoncrossingPartition", "BuildingSet"])
+    lambda: perms.fs_tree((2, 1, 4, 3, 5)),
+], ids=["IntPoly", "TruncSeries", "ParkingTree", "NoncrossingPartition", "BuildingSet", "FSTree"])
 def test_value_types_copy_and_pickle_through_the_constructor(make):
-    """All but BuildingSet raised "AttributeError: <type> is immutable"."""
+    """All but BuildingSet and FSTree raised "AttributeError: <type> is
+    immutable"; FSTree copied node by node, and recursed once per level."""
     value = make()
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
+
+
+def test_moved_names_keep_their_old_homes():
+    """The shared integer helpers moved to ``ints`` and BuildingSet to
+    ``buildingset``; the modules that held them still name the same objects."""
+    assert nestohedra.BuildingSet is buildingset.BuildingSet
+    for name in ("catalan", "read_int", "read_ints", "set_mask"):
+        assert getattr(words, name) is getattr(ints, name)
+    assert perms.perm_to_text is parking.fn_to_text is ints.ints_to_text
 
 
 def test_no_module_imports_fractions():

@@ -180,6 +180,16 @@ def test_writers_and_readers_round_trip_10000_vertex_paths(kind):
         assert parking.parking_tree_from_text(parking.parking_tree_to_text(tree)) == tree
 
 
+def test_fs_tree_copies_and_pickles_past_the_recursion_limit():
+    """A copy or a pickle of a min-rooted tree went node by node and raised
+    RecursionError on a path of 3,000 vertices; it now goes through the
+    tree's text, and so does the empty tree's "()"."""
+    tree = perms.fs_tree(tuple(range(1, 10001)))
+    for twin in (copy.copy(tree), copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+        assert twin == tree and twin is not tree and perms.fs_preorder(twin) == tuple(range(1, 10001))
+    assert perms.fs_tree_from_text(perms.fs_tree_to_text(None)) is None
+
+
 def test_parking_tree_copies_and_pickles_past_the_recursion_limit():
     """A copy or a pickle of a 10,000-vertex path went through the nested
     root and raised RecursionError; it now goes through the tree's text."""
