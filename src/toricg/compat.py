@@ -71,7 +71,8 @@ def compress(w: str, A: Iterable[int], B: Iterable[int]) -> str:
         raise StructuralError(f"not a Dyck word: {w!r}")
     n = len(w) // 2
     A, B = _check_sparse_subsets(n, A, B)
-    if not is_compatible(w, A, B):
+    alpha, beta = factor_masks(w)
+    if set_mask(A) & ~alpha or set_mask(B) & ~beta:
         raise PreconditionError(f"word is not ({A},{B})-compatible: {w!r}")
     upos = u_positions(w)
     dpos = d_positions(w)

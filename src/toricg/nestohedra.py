@@ -416,7 +416,9 @@ def toric_g_direct(bs: BuildingSet, dfs_only: bool = False, unsafe: bool = False
     vertex labels plus an edge labeling) projects to the min-rooted tree of
     a B-permutation once edge labels are dropped and only children are
     pushed to the right slot.  With ``dfs_only`` the vertex labeling must
-    additionally follow the depth-first search order of the shape.
+    additionally follow the depth-first search order of the shape: the
+    preorder of pi's min-rooted tree, which :func:`toricg.perms.fs_preorder`
+    walks over the flat tree's child slots, must read 1..n+1.
 
     Each such tree is a pair (pi, f): pi a right-adjusted B-permutation,
     f : [n] -> [n] sending each edge to its parent vertex, so |f^-1(v)| =

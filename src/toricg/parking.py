@@ -10,11 +10,16 @@ A parking tree is a rooted plane tree on n+1 vertices whose vertex labels
 (a bijection to [n]) increase left to right among siblings.  Setting f(i)
 to the label of the parent vertex of the edge labeled i always yields a
 parking function, and the vertex labelings following the depth-first or
-breadth-first search order give two bijective encodings.  Every tree is
-built from a vertex-labeled shape and its fibers, the edge labels at each
-vertex: a search tree in one bottom-up pass over its labels, a listed tree
-by attaching fibers to a shape; the 123 walk is the 0-1-2 shapes times the
-table of 123-avoiding functions by fiber sizes
+breadth-first search order give two bijective encodings.
+
+A tree is stored flat, as two tuples indexed by edge label: ``parent``,
+which is f, and ``child``, the lower vertex of each edge.  Since siblings
+stand in edge-label order, the two tuples fix the plane tree, and
+equality, hashing, copies and the checks are tuple operations.  Every tree
+is built from a vertex-labeled shape and its fibers, the edge labels at
+each vertex: a search tree in one pass over its vertex labels, a listed
+tree by attaching fibers to a shape; the 123 walk is the 0-1-2 shapes
+times the table of 123-avoiding functions by fiber sizes
 (:func:`avoiding_functions_by_fibers`).
 """
 
@@ -27,7 +32,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from . import perms
 from .config import check_capacity
-from .errors import PreconditionError, StructuralError, require_size
+from .errors import PreconditionError, StructuralError, require_ints, require_size
 # a function's text is the shared integer text
 from .ints import ints_to_text as fn_to_text, read_int, read_ints
 from .words import D, U, u_runs
@@ -121,141 +126,77 @@ def garsia_haiman_inv(perm, word: str) -> tuple[int, ...]:
 # Parking trees.
 # ---------------------------------------------------------------------------
 
-# A tree node is (vertex_label, ((edge_label, node), ...)).
-Node = tuple
-
 
 class ParkingTree:
-    """Immutable bilabeled rooted plane tree; see the module docstring."""
+    """Immutable bilabeled rooted plane tree; see the module docstring.
 
-    __slots__ = ("root", "n")
+    Stored flat, indexed by edge label: ``parent[i-1]`` is f(i), the upper
+    vertex of edge i, and ``child[i-1]`` its lower vertex.  The constructor
+    requires ``child`` to be a bijection onto 2..n+1 and every edge to run
+    from a smaller label to a larger one; then vertex 1 is the root, every
+    other vertex has one parent, and the tree is the plane tree whose
+    siblings stand in edge-label order."""
 
-    def __init__(self, root: Node):
-        object.__setattr__(self, "n", _validate_parking_tree(root))
-        object.__setattr__(self, "root", root)
+    __slots__ = ("parent", "child")
 
-    @classmethod
-    def _unchecked(cls, root: Node, n: int) -> "ParkingTree":
-        tree = object.__new__(cls)
-        object.__setattr__(tree, "root", root)
-        object.__setattr__(tree, "n", n)
-        return tree
+    def __init__(self, parent: Sequence[int], child: Sequence[int]):
+        parent, child = tuple(parent), tuple(child)
+        require_ints("ParkingTree", *parent, *child)
+        for v, c in zip(parent, child):
+            if not 1 <= v < c:
+                raise StructuralError(f"vertex labels must increase: {v} -> {c}")
+        if len(child) != len(parent) or sorted(child) != list(range(2, len(child) + 2)):
+            raise StructuralError("vertex labels are not a bijection to [n+1]")
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "child", child)
+
+    @property
+    def n(self) -> int:
+        return len(self.parent)
 
     def __setattr__(self, name, value):
         raise AttributeError("ParkingTree is immutable")
 
     def __reduce__(self):
-        # copies and pickles rebuild from the text, which the reader parses on
-        # a stack and the constructor validates: no level costs a recursion
-        return parking_tree_from_text, (parking_tree_to_text(self),)
-
-    def _preorder(self) -> tuple[tuple[int, int, int], ...]:
-        """(parent label, edge label, child label) of every edge in preorder.
-        Vertex labels are distinct, so this fixes the tree, and unlike the
-        nested root it compares without recursing once per level."""
-        return tuple((v, e, child[0]) for v, e, child in _edges(self.root))
+        return ParkingTree, (self.parent, self.child)
 
     def __eq__(self, other):
         if not isinstance(other, ParkingTree):
             return NotImplemented
-        return self._preorder() == other._preorder()
+        return self.parent == other.parent and self.child == other.child
 
     def __hash__(self):
-        return hash(self._preorder())
+        return hash((self.parent, self.child))
 
     def __repr__(self):
         return f"parking_tree_from_text({parking_tree_to_text(self)!r})"
 
 
-def _edges(node: Node) -> list[tuple[int, int, Node]]:
-    """(parent label, edge label, child) for every edge, in preorder, walked
-    on an explicit stack so that no level costs a recursion."""
-    v, edges = node
-    out = []
-    stack = [(v, e, child) for e, child in reversed(edges)]
-    while stack:
-        edge = stack.pop()
-        out.append(edge)
-        c, below = edge[2]
-        for e, grandchild in reversed(below):
-            stack.append((c, e, grandchild))
-    return out
-
-
-def _validate_parking_tree(root: Node) -> int:
-    vlabels = [root[0]]
-    elabels: list[int] = []
-    # last edge label at each vertex of the path (labels increase along it)
-    previous = {root[0]: 0}
-    for v, e, child in _edges(root):
-        if child[0] <= v:
-            raise StructuralError(f"vertex labels must increase: {v} -> {child[0]}")
-        if e <= previous[v]:
-            raise StructuralError(
-                f"sibling edge labels must increase left to right at vertex {v}"
-            )
-        previous[v] = e
-        previous[child[0]] = 0
-        vlabels.append(child[0])
-        elabels.append(e)
-    n = len(elabels)
-    if sorted(vlabels) != list(range(1, n + 2)):
-        raise StructuralError("vertex labels are not a bijection to [n+1]")
-    if sorted(elabels) != list(range(1, n + 1)):
-        raise StructuralError("edge labels are not a bijection to [n]")
-    if root[0] != 1:
-        raise StructuralError("the root must be labeled 1")
-    return n
-
-
 def tree_to_function(t: ParkingTree) -> tuple[int, ...]:
     """f(i) = label of the parent vertex of the edge labeled i."""
-    f = [0] * t.n
-    stack = [t.root]
-    while stack:
-        v, edges = stack.pop()
-        for e, child in edges:
-            f[e - 1] = v
-            stack.append(child)
-    return tuple(f)
+    return t.parent
 
 
 def edge_perm(t: ParkingTree) -> tuple[int, ...]:
     """Edge labels grouped by parent vertex label (ascending), left to right
-    within a group; equals the fiber permutation of the encoded function."""
-    groups = [()] * (t.n + 2)
-    stack = [t.root]
-    while stack:
-        v, edges = stack.pop()
-        groups[v] = edges
-        stack.extend([child for _, child in edges])
-    return tuple([e for edges in groups for e, _ in edges])
+    within a group: a stable sort of the edges by parent, which equals the
+    fiber permutation of the encoded function."""
+    return tuple(sorted(range(1, t.n + 1), key=lambda e: t.parent[e - 1]))
 
 
 def _attach(shape: perms.PlaneTree, fibers, n: int) -> ParkingTree:
     """The parking tree on ``shape`` (a vertex-labeled plane tree on n+1
     vertices) whose edges at vertex v carry ``fibers[v]``, v's increasing
-    edge labels, left to right.
-
-    The shape is walked on an explicit stack, each node before its
-    children and the children right to left; walked back from the end, each
-    node then finds its children's trees, left to right, on top of
-    ``built``."""
-    order = []
+    edge labels, left to right."""
+    parent, child = [0] * n, [0] * n
     stack = [shape]
     while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(node[1])
-    built: list[Node] = []
-    for node in reversed(order):
-        v, kids = node
+        v, kids = stack.pop()
         if kids:
-            k = len(kids)
-            node = (v, tuple(zip(fibers[v], built[-k:])))
-            del built[-k:]
-        built.append(node)
-    return ParkingTree._unchecked(built[0], n)
+            for e, (c, _) in zip(fibers[v], kids):
+                parent[e - 1], child[e - 1] = v, c
+            stack.extend(kids)
+    return ParkingTree(parent, child)
 
 
 def _fibers(f) -> list[list[int]]:
@@ -280,30 +221,24 @@ def bfs_tree(f) -> ParkingTree:
 
 
 def _search_tree(f, bfs: bool) -> ParkingTree:
-    """Label the vertices in search order, each taking the next free edge of
-    the first (breadth-first) or last (depth-first) vertex with one left;
-    then build the nodes from the last label up, since children carry larger
-    labels, zipping each vertex's fiber with its children."""
+    """Label the vertices in search order, each becoming the child of the
+    next free edge, in label order, of the first (breadth-first) or last
+    (depth-first) vertex with one left."""
     if not is_parking(f):
         raise PreconditionError(f"not a parking function: {f!r}")
-    n = len(f)
     fibers = _fibers(f)
-    remaining = list(map(len, fibers))
-    children: list[list[int]] = [[] for _ in range(n + 2)]
+    taken = [0] * len(fibers)  # edges of each vertex given a child so far
+    child = [0] * len(f)
     pending = deque([1])
-    for label in range(2, n + 2):
+    for label in range(2, len(f) + 2):
         v = pending[0] if bfs else pending[-1]
-        children[v].append(label)
-        remaining[v] -= 1
-        if not remaining[v]:
+        child[fibers[v][taken[v]] - 1] = label
+        taken[v] += 1
+        if taken[v] == len(fibers[v]):
             pending.popleft() if bfs else pending.pop()
-        if remaining[label]:
+        if fibers[label]:
             pending.append(label)
-    nodes: list = [None] * (n + 2)
-    for v in range(n + 1, 0, -1):
-        kids = children[v]
-        nodes[v] = (v, tuple(zip(fibers[v], [nodes[c] for c in kids])) if kids else ())
-    return ParkingTree._unchecked(nodes[1], n)
+    return ParkingTree(f, child)
 
 
 def enumerate_parking_trees(n: int, unsafe: bool = False) -> Iterator[ParkingTree]:
@@ -420,51 +355,76 @@ def _ordered_groups(labels: tuple[int, ...], sizes: Sequence[int]) -> Iterator[t
 
 
 def parking_tree_to_text(t: ParkingTree) -> str:
-    """Nested rendering "(v=1 [e=7 (v=2)] [e=10 (v=3)])", written from an
-    explicit stack of nodes still to render and closing text."""
+    """Nested rendering "(v=1 [e=7 (v=2)] [e=10 (v=3)])": the edges grouped
+    by parent, in label order, then written from an explicit stack of
+    vertices still to render and closing text."""
+    edges: list[list[tuple[int, int]]] = [[] for _ in range(t.n + 2)]
+    for e, (v, c) in enumerate(zip(t.parent, t.child), start=1):
+        edges[v].append((e, c))
     parts = []
-    stack: list = [t.root]
+    stack: list = [1]
     while stack:
         item = stack.pop()
-        if isinstance(item, str):
+        if type(item) is str:
             parts.append(item)
             continue
-        v, edges = item
-        parts.append(f"(v={v}")
+        parts.append(f"(v={item}")
         stack.append(")")
-        for e, child in reversed(edges):
-            stack += ("]", child, f" [e={e} ")
+        for e, c in reversed(edges[item]):
+            stack += ("]", c, f" [e={e} ")
     return "".join(parts)
 
 
 def parking_tree_from_text(text: str) -> ParkingTree:
     """Inverse of :func:`parking_tree_to_text`, read on an explicit stack of
-    the open vertices, so that no level costs a recursion."""
+    the open vertices, so that no level costs a recursion.  What only the
+    text can break is refused here: a root not labeled 1, sibling edge
+    labels out of order, edge labels that are not a bijection to [n]; the
+    constructor checks the vertex labels."""
     s = text.replace(" ", "")
     expected = lambda what, i: StructuralError(f"expected {what!r} at {i} in {text!r}")
-    stack: list = []  # open vertices: (label of the edge into it, its label, its edges)
-    e, i = None, 0
+    edges: list[tuple[int, int, int]] = []  # (edge label, parent, child)
+    stack: list[list[int]] = []  # open vertices: [label, label of its last edge]
+    e, i = 0, 0
     while True:
         if not s.startswith("(v=", i):
             raise expected("(v=", i)
         v, i = read_int(s, i + 3)
-        stack.append((e, v, []))
+        if stack:
+            above = stack[-1]
+            if e <= above[1]:
+                raise StructuralError(
+                    f"sibling edge labels must increase left to right at vertex {above[0]}"
+                )
+            above[1] = e
+            edges.append((e, above[0], v))
+        elif v != 1:
+            raise StructuralError("the root must be labeled 1")
+        stack.append([v, 0])
         while not s.startswith("[", i):  # close vertices until an edge opens
             if not s.startswith(")", i):
                 raise expected(")", i)
-            into, v, edges = stack.pop()
-            node, i = (v, tuple(edges)), i + 1
+            stack.pop()
+            i += 1
             if not stack:
-                if i != len(s):
-                    raise StructuralError(f"trailing text in {text!r}")
-                return ParkingTree(node)
+                break
             if not s.startswith("]", i):
                 raise expected("]", i)
             i += 1
-            stack[-1][2].append((into, node))
+        if not stack:
+            break
         if not s.startswith("[e=", i):
             raise expected("[e=", i)
         e, i = read_int(s, i + 3)
+    if i != len(s):
+        raise StructuralError(f"trailing text in {text!r}")
+    n = len(edges)
+    if sorted(e for e, _, _ in edges) != list(range(1, n + 1)):
+        raise StructuralError("edge labels are not a bijection to [n]")
+    parent, child = [0] * n, [0] * n
+    for e, v, c in edges:
+        parent[e - 1], child[e - 1] = v, c
+    return ParkingTree(parent, child)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 Krattenthaler bijection with Dyck words, min-rooted binary trees
 ("increasing binary trees") and increasing plane trees.
 
-A permutation is a tuple of the integers 1..n in one-line notation.
-Plane trees with increasing vertex labels are nested tuples
-(label, (child, child, ...)).
+A permutation is a tuple of the integers 1..n in one-line notation.  A
+min-rooted tree is stored flat: by its in-order permutation, which fixes
+it, and its left and right child slots as tuples indexed by label, which
+:func:`fs_tree` derives once.  Plane trees with increasing vertex labels
+are nested tuples (label, (child, child, ...)).
 """
 
 from __future__ import annotations
@@ -159,51 +161,36 @@ def enumerate_123_avoiding(n: int, distinct: bool = True) -> Iterator[tuple[int,
 
 
 class FSTree:
-    """A vertex of a min-rooted tree: every vertex has at most one left and
-    one right child and labels increase away from the root."""
+    """An immutable min-rooted tree on [n]: every vertex has at most one
+    left and one right child, and labels increase away from the root, so
+    the root is 1.  Such a tree is fixed by its in-order permutation
+    ``perm``; ``left`` and ``right`` hold each vertex's children, indexed
+    by label, with 0 for an empty slot (entry 0 is unused).  Build one with
+    :func:`fs_tree`, which derives the slots from ``perm``."""
 
-    __slots__ = ("label", "left", "right")
+    __slots__ = ("perm", "left", "right")
 
-    def __init__(self, label: int, left: "FSTree | None" = None,
-                 right: "FSTree | None" = None):
-        self.label = label
-        self.left = left
-        self.right = right
+    def __init__(self, perm: tuple[int, ...], left: tuple[int, ...], right: tuple[int, ...]):
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FSTree is immutable")
+
+    def __reduce__(self):
+        return fs_tree, (self.perm,)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FSTree):
             return NotImplemented
-        return self._signature() == other._signature()
+        return self.perm == other.perm
 
     def __hash__(self):
-        return hash(self._signature())
-
-    def __reduce__(self):
-        # copies and pickles rebuild from the text, which the reader parses on
-        # a stack: no level costs a recursion
-        return fs_tree_from_text, (fs_tree_to_text(self),)
-
-    def _signature(self) -> tuple:
-        """Each vertex's label and whether it has a left and a right child,
-        in preorder; this fixes the tree."""
-        return tuple((node.label, node.left is not None, node.right is not None)
-                     for node in _preorder(self))
+        return hash(self.perm)
 
     def __repr__(self) -> str:
         return f"fs_tree_from_text({fs_tree_to_text(self)!r})"
-
-
-def _preorder(t: FSTree | None) -> list[FSTree]:
-    """The vertices of t, root, left subtree, right subtree, walked on an
-    explicit stack: each parent comes before its children."""
-    out: list[FSTree] = []
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if node is not None:
-            out.append(node)
-            stack += (node.right, node.left)
-    return out
 
 
 def fs_tree(p) -> FSTree:
@@ -211,40 +198,56 @@ def fs_tree(p) -> FSTree:
     subtree and everything to its right the right one.
 
     Built in one left-to-right pass that keeps the right spine of the tree
-    so far: each value adopts, as its left subtree, the part of the spine
-    above it, so no level costs a recursion."""
+    so far: each value adopts, as its left child, the lowest part of the
+    spine above it, and becomes the right child of the spine's new end."""
     validate_perm(p)
     if not p:
         raise PreconditionError("fs_tree requires a nonempty permutation")
-    spine: list[FSTree] = []
+    left = [0] * (len(p) + 1)
+    right = [0] * (len(p) + 1)
+    spine: list[int] = []
     for value in p:
-        node = FSTree(value)
-        while spine and spine[-1].label > value:
-            node.left = spine.pop()
+        while spine and spine[-1] > value:
+            left[value] = spine.pop()
         if spine:
-            spine[-1].right = node
-        spine.append(node)
-    return spine[0]
+            right[spine[-1]] = value
+        spine.append(value)
+    return FSTree(tuple(p), tuple(left), tuple(right))
+
+
+def _inorder(left, right) -> tuple[int, ...]:
+    """Left subtree, root, right subtree of the tree with root 1 and these
+    slots, walked on an explicit stack."""
+    out: list[int] = []
+    stack: list[int] = []
+    v = 1
+    while v or stack:
+        while v:
+            stack.append(v)
+            v = left[v]
+        v = stack.pop()
+        out.append(v)
+        v = right[v]
+    return tuple(out)
 
 
 def fs_inorder(t: FSTree) -> tuple[int, ...]:
-    """Left subtree, root, right subtree; inverts :func:`fs_tree`."""
-    out: list[int] = []
-    stack: list[FSTree] = []
-    node = t
-    while node is not None or stack:
-        while node is not None:
-            stack.append(node)
-            node = node.left
-        node = stack.pop()
-        out.append(node.label)
-        node = node.right
-    return tuple(out)
+    """Left subtree, root, right subtree; inverts :func:`fs_tree`.  It walks
+    the slots rather than returning ``t.perm``, so that comparing it with
+    the permutation checks the build."""
+    return _inorder(t.left, t.right)
 
 
 def fs_preorder(t: FSTree | None) -> tuple[int, ...]:
     """Root, left subtree, right subtree."""
-    return tuple(node.label for node in _preorder(t))
+    out: list[int] = []
+    stack = [1] if t is not None else []
+    while stack:
+        v = stack.pop()
+        if v:
+            out.append(v)
+            stack += (t.right[v], t.left[v])
+    return tuple(out)
 
 
 def fs_tree_to_text(t: FSTree | None) -> str:
@@ -253,52 +256,65 @@ def fs_tree_to_text(t: FSTree | None) -> str:
     if t is None:
         return "()"
     out: list[str] = []
-    stack: list = [t]  # vertices still to render and the text that closes them
+    stack: list = [1]  # vertices still to render and the text that closes them
     while stack:
         item = stack.pop()
-        if isinstance(item, str):
+        if type(item) is str:
             out.append(item)
             continue
-        out.append(f"({item.label}")
+        out.append(f"({item}")
         stack.append(")")
-        if item.right is not None:
-            stack += (item.right, " R")
-        if item.left is not None:
-            stack += (item.left, " L")
+        if t.right[item]:
+            stack += (t.right[item], " R")
+        if t.left[item]:
+            stack += (t.left[item], " L")
     return "".join(out)
 
 
 def fs_tree_from_text(text: str) -> FSTree | None:
     """Inverse of :func:`fs_tree_to_text`: slots once each, labels
-    increasing, and "()" the empty tree; read on an explicit stack of the
-    open vertices, so that no level costs a recursion."""
+    increasing and a permutation of [n], and "()" the empty tree; read on
+    an explicit stack of the open vertices, so that no level costs a
+    recursion."""
     s = text.replace(" ", "")
     if s == "()":
         return None
-    stack: list = []  # open vertices: (the slot it fills, its label, its children)
-    slot, i = None, 0
+    labels: list[int] = []
+    slots: dict[tuple[int, str], int] = {}  # (parent, "L" or "R") -> child
+    stack: list[int] = []  # the open vertices
+    slot, i = "", 0
     while True:
         if not s.startswith("(", i):
             raise StructuralError(f"expected '(' at {i} in {text!r}")
         label, i = read_int(s, i + 1)
-        stack.append((slot, label, {}))
+        if stack:
+            if label <= stack[-1]:
+                raise StructuralError(f"child label not above {stack[-1]} in {text!r}")
+            slots[stack[-1], slot] = label
+        labels.append(label)
+        stack.append(label)
         while not s.startswith(("L", "R"), i):  # close vertices until a slot opens
             if not s.startswith(")", i):
                 raise StructuralError(f"expected ')' at {i} in {text!r}")
-            into, label, children = stack.pop()
-            node, i = FSTree(label, children.get("L"), children.get("R")), i + 1
+            stack.pop()
+            i += 1
             if not stack:
-                if i != len(s):
-                    raise StructuralError(f"trailing text in {text!r}")
-                return node
-            _, parent, siblings = stack[-1]
-            if label <= parent:
-                raise StructuralError(f"child label not above {parent} in {text!r}")
-            siblings[into] = node
+                break
+        if not stack:
+            break
         slot = s[i]
-        if slot in stack[-1][2]:
+        if (stack[-1], slot) in slots:
             raise StructuralError(f"repeated {slot} slot at {i} in {text!r}")
         i += 1
+    if i != len(s):
+        raise StructuralError(f"trailing text in {text!r}")
+    n = len(labels)
+    if sorted(labels) != list(range(1, n + 1)):
+        raise StructuralError(f"labels are not a permutation of [{n}] in {text!r}")
+    left, right = [0] * (n + 1), [0] * (n + 1)
+    for (parent, slot), label in slots.items():
+        (left if slot == "L" else right)[parent] = label
+    return fs_tree(_inorder(left, right))
 
 
 # ---------------------------------------------------------------------------
@@ -391,19 +407,22 @@ def enumerate_increasing_012(vertex_count: int) -> Iterator[tuple[PlaneTree, int
 def plane_to_fs(tree: PlaneTree) -> FSTree:
     """Identify a plane tree with <= 2 children per vertex with the
     right-adjusted min-rooted tree: an only child goes in the right slot.
-    Built from the root down on an explicit stack, so no level costs a
-    recursion."""
-    root = FSTree(tree[0])
-    stack = [(root, tree[1])]
+    Its in-order (first child, vertex, last child) is written from an
+    explicit stack, so no level costs a recursion, and read by
+    :func:`fs_tree`."""
+    order: list[int] = []
+    stack: list = [tree]
     while stack:
-        node, kids = stack.pop()
-        if not kids:
+        item = stack.pop()
+        if type(item) is int:
+            order.append(item)
             continue
+        v, kids = item
         if len(kids) > 2:
             raise StructuralError("vertex has more than two children")
-        node.right = FSTree(kids[-1][0])
-        stack.append((node.right, kids[-1][1]))
         if len(kids) == 2:
-            node.left = FSTree(kids[0][0])
-            stack.append((node.left, kids[0][1]))
-    return root
+            stack += (kids[1], v, kids[0])
+        else:
+            order.append(v)
+            stack += kids
+    return fs_tree(tuple(order))

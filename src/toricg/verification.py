@@ -28,7 +28,7 @@ walk (``transfer.family_row``), which counts it without listing an object.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, deque
 from math import comb
 
 from . import compat, nestohedra, parking, perms, polyvec, series, transfer, words
@@ -126,14 +126,28 @@ def _garsia_haiman(b: int) -> None:
             _expect(perms.is_123_avoiding(f) == perms.is_123_avoiding(pair.perm))
 
 
+def _search_order(t: parking.ParkingTree, bfs: bool) -> list[int]:
+    """The vertex labels of t in breadth-first or depth-first order, each
+    vertex's children (``child`` of its edges) in edge-label order."""
+    kids: list[list[int]] = [[] for _ in range(t.n + 2)]
+    for v, c in zip(t.parent, t.child):
+        kids[v].append(c)
+    order, pending = [], deque([1])
+    while pending:
+        v = pending.popleft() if bfs else pending.pop()
+        order.append(v)
+        pending.extend(kids[v] if bfs else reversed(kids[v]))
+    return order
+
+
 def _search_trees(b: int) -> None:
     for n in range(1, b + 1):
+        labels = list(range(1, n + 2))
         for f in parking.iter_parking_functions(n):
-            perm = parking.garsia_haiman(f).perm
-            for build in (parking.dfs_tree, parking.bfs_tree):
+            for build, bfs in ((parking.dfs_tree, False), (parking.bfs_tree, True)):
                 t = build(f)
-                _expect(parking.tree_to_function(t) == f)
-                _expect(parking.edge_perm(t) == perm)
+                _expect(parking.ParkingTree(t.parent, t.child) == t)
+                _expect(_search_order(t, bfs) == labels, (f, bfs))
 
 
 def _nc_roundtrip(b: int) -> None:

@@ -192,26 +192,32 @@ def count_forks(tree) -> int:
 # the kind nestohedra.right_adjusted_b_permutations keeps.
 
 
-def _rebuild(t, swap):
-    """A copy of t, built children first, in which each vertex for which
-    ``swap(vertex)`` holds has its two child slots exchanged.  Reversed,
-    the preorder puts a vertex after its right and then its left subtree,
-    so its children's copies are on top of the stack, the left one first."""
-    built: list = []
-    for node in reversed(perms._preorder(t)):
-        left = built.pop() if node.left is not None else None
-        right = built.pop() if node.right is not None else None
-        if swap(node):
-            left, right = right, left
-        built.append(perms.FSTree(node.label, left, right))
-    return built[0] if built else None
+def _swapped_inorder(t, swap) -> tuple[int, ...]:
+    """The in-order of t once each vertex v for which ``swap(v)`` holds has
+    its two child slots exchanged; walked here on the slots, not through
+    perms.fs_inorder."""
+    left, right = list(t.left), list(t.right)
+    for v in range(1, len(left)):
+        if swap(v):
+            left[v], right[v] = right[v], left[v]
+    out: list = []
+    stack: list = []
+    v = 1
+    while v or stack:
+        while v:
+            stack.append(v)
+            v = left[v]
+        v = stack.pop()
+        out.append(v)
+        v = right[v]
+    return tuple(out)
 
 
 def fs_phi(t, x: int):
     """Exchange the left and right subtrees of the vertex labeled x."""
     if x not in perms.fs_preorder(t):
         raise PreconditionError(f"no vertex labeled {x}")
-    return _rebuild(t, lambda node: node.label == x)
+    return perms.fs_tree(_swapped_inorder(t, lambda v: v == x))
 
 
 def fs_psi(t, x: int):
@@ -219,21 +225,21 @@ def fs_psi(t, x: int):
     exactly one child and as the identity otherwise."""
     if x not in perms.fs_preorder(t):
         raise PreconditionError(f"no vertex labeled {x}")
-    return _rebuild(
-        t, lambda node: node.label == x and (node.left is None) != (node.right is None)
+    return perms.fs_tree(
+        _swapped_inorder(t, lambda v: v == x and (t.left[v] == 0) != (t.right[v] == 0))
     )
 
 
 def is_right_adjusted(t) -> bool:
     """True when no vertex has an only child sitting in the left slot."""
-    return all(node.left is None or node.right is not None for node in perms._preorder(t))
+    return all(right or not left for left, right in zip(t.left, t.right))
 
 
 def right_adjusted_rep(p) -> tuple[int, ...]:
     """The unique member of p's restricted-swap orbit whose tree is
     right-adjusted; it has no double descents and no final descent."""
-    tree = _rebuild(perms.fs_tree(p), lambda node: node.left is not None and node.right is None)
-    return perms.fs_inorder(tree)
+    t = perms.fs_tree(p)
+    return _swapped_inorder(t, lambda v: t.left[v] and not t.right[v])
 
 
 def restricted_orbit(p) -> frozenset:
@@ -257,7 +263,7 @@ def is_123_parking_tree(t) -> bool:
     """True when every vertex has at most two children and the edge
     permutation is 123-avoiding; equivalently the encoded parking function
     is 123-avoiding."""
-    children = Counter(v for v, _, _ in parking._edges(t.root))
+    children = Counter(t.parent)
     return max(children.values(), default=0) <= 2 and perms.is_123_avoiding(parking.edge_perm(t))
 
 

@@ -28,6 +28,23 @@ def test_compress_examples():
         compat.compress("UUUDDD", {1}, ())
 
 
+def test_compress_checks_its_sets_once(monkeypatch):
+    """compress checked A and B, then called is_compatible, which checked
+    them again: two checks per call.  An incompatible word is still
+    refused."""
+    calls = []
+    check = compat._check_sparse_subsets
+    monkeypatch.setattr(compat, "_check_sparse_subsets",
+                        lambda *args: calls.append(args) or check(*args))
+    assert compat.compress("UUDUDD", {1}, ()) == "UUDD"
+    assert len(calls) == 1
+    with pytest.raises(PreconditionError, match="-compatible"):
+        compat.compress("UUUDDD", {1}, ())
+    with pytest.raises(PreconditionError, match="-compatible"):
+        compat.compress("UDUDUD", (), {2})
+    assert len(calls) == 3
+
+
 def test_expand_examples():
     assert compat.expand("UUDD", 2, (), ()) == "UUDD"
     got = sorted(compat.expand(w, 3, {1}, ()) for w in words.enumerate_words(2, "dyck"))

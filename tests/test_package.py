@@ -44,10 +44,19 @@ def test_unknown_name_is_an_attribute_error():
 ], ids=["IntPoly", "TruncSeries", "ParkingTree", "NoncrossingPartition", "BuildingSet", "FSTree"])
 def test_value_types_copy_and_pickle_through_the_constructor(make):
     """All but BuildingSet and FSTree raised "AttributeError: <type> is
-    immutable"; FSTree copied node by node, and recursed once per level."""
+    immutable"; FSTree copied node by node, and recursed once per level.
+    Every field refuses assignment, so the value stays equal to a fresh
+    build and a set holding it (TruncSeries is unhashable) still finds it;
+    FSTree took ``t.label = 9``, and the set then lost it."""
     value = make()
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
+    hashable = type(value).__hash__ is not None
+    held = {value} if hashable else set()
+    for name in type(value).__slots__:
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(value, name, 9)
+    assert value == make() and (not hashable or value in held)
 
 
 def test_moved_names_keep_their_old_homes():

@@ -206,7 +206,7 @@ def test_parking_trees_deeper_than_the_recursion_limit(f):
     trees."""
     for build in (parking.dfs_tree, parking.bfs_tree):
         t = build(f)
-        assert parking.ParkingTree(t.root).n == len(f)
+        assert parking.ParkingTree(t.parent, t.child).n == len(f)
         assert parking.tree_to_function(t) == f
         assert parking.edge_perm(t) == parking.garsia_haiman(f).perm
         assert is_123_parking_tree(t) == perms.is_123_avoiding(f)
@@ -217,25 +217,32 @@ def test_parking_trees_deeper_than_the_recursion_limit(f):
 
 
 def test_edge_perm_star():
-    star = parking.ParkingTree((1, ((1, (2, ())), (2, (3, ())))))
+    star = parking.parking_tree_from_text("(v=1 [e=1 (v=2)] [e=2 (v=3)])")
+    assert star == parking.ParkingTree((1, 1), (2, 3))
     assert parking.edge_perm(star) == (1, 2)
     assert parking.tree_to_function(star) == (1, 1)
 
 
 def test_parking_tree_validation():
-    with pytest.raises(StructuralError):
-        parking.ParkingTree((1, ((2, (3, ())), (1, (2, ())))))  # edges out of order
-    with pytest.raises(StructuralError):
-        parking.ParkingTree((2, ((1, (3, ())),)))  # root not labeled 1
-    with pytest.raises(StructuralError):
-        parking.ParkingTree((1, ((1, (3, ())),)))  # vertex labels skip 2
+    """The constructor checks the vertex labels; sibling order and the root
+    label exist only in the text, so the reader refuses those."""
+    with pytest.raises(StructuralError, match="sibling edge labels"):
+        parking.parking_tree_from_text("(v=1 [e=2 (v=3)] [e=1 (v=2)])")  # edges out of order
+    with pytest.raises(StructuralError, match="root must be labeled 1"):
+        parking.parking_tree_from_text("(v=2 [e=1 (v=3)])")  # root not labeled 1
+    with pytest.raises(StructuralError, match="root must be labeled 1"):
+        parking.parking_tree_from_text("(v=5)")
+    with pytest.raises(StructuralError, match="not a bijection"):
+        parking.ParkingTree((2,), (3,))  # root not labeled 1: the children are {3}, not {2}
+    with pytest.raises(StructuralError, match="not a bijection"):
+        parking.ParkingTree((1,), (3,))  # vertex labels skip 2
+    with pytest.raises(StructuralError, match="must increase"):
+        parking.ParkingTree((1, 3), (3, 2))  # vertex 3 above vertex 2
 
 
 def test_is_123_parking_tree():
     assert is_123_parking_tree(parking.dfs_tree((1,)))
-    wide = parking.ParkingTree(
-        (1, ((1, (2, ())), (2, (3, ())), (3, (4, ()))))
-    )
+    wide = parking.ParkingTree((1, 1, 1), (2, 3, 4))
     assert not is_123_parking_tree(wide)
     for f in parking.iter_parking_functions(4):
         assert is_123_parking_tree(parking.dfs_tree(f)) == perms.is_123_avoiding(f)
@@ -289,7 +296,7 @@ def test_123_parking_tree_counts_are_toric_g_at_one(n):
     assert len(trees) == toric_g(1)
     assert len(set(trees)) == len(trees)
     for t in trees:
-        assert parking.ParkingTree(t.root) == t
+        assert parking.ParkingTree(t.parent, t.child) == t
         assert is_123_parking_tree(t)
 
 
@@ -328,7 +335,7 @@ def test_parking_tree_is_immutable():
     """t.root = u.root was accepted, and t was then lost from its set."""
     t, u = parking.dfs_tree(FIG_FN), parking.bfs_tree(FIG_FN)
     held = {t}
-    for name, value in (("root", u.root), ("n", t.n + 1)):
+    for name, value in (("parent", u.parent), ("child", u.child), ("n", t.n + 1)):
         with pytest.raises(AttributeError, match="immutable"):
             setattr(t, name, value)
     assert t in held and t != u

@@ -114,6 +114,8 @@ def test_fs_tree_figure():
     "",  # ends before the root
     "(1 L",  # ends inside a slot
     "(1 R(2 R(3)",  # ends before the closing parentheses
+    "(1 L(2) R(2))",  # a repeated label: it read as the in-order (2, 1, 2)
+    "(1 R(5))",  # labels that skip 2, 3 and 4
 ])
 def test_fs_tree_from_text_rejects_malformed_text(text):
     with pytest.raises(StructuralError):
@@ -130,14 +132,19 @@ def test_plane_to_fs_matches_the_recursive_build():
     a 3,000-vertex path (which raised RecursionError) and still refuses a
     vertex with three children."""
 
-    def by_recursion(tree):
+    def by_recursion(tree, left, right):
+        """Each vertex's slots from its children: an only child on the right."""
         label, kids = tree
-        slots = [by_recursion(kid) for kid in kids]
-        return perms.FSTree(label, *([None] + slots)[-2:])
+        left[label], right[label] = ([0, 0] + [kid[0] for kid in kids])[-2:]
+        for kid in kids:
+            by_recursion(kid, left, right)
 
     for count in range(7):
         for tree, _ in perms.enumerate_increasing_012(count):
-            assert perms.plane_to_fs(tree) == by_recursion(tree)
+            left, right = [0] * (count + 1), [0] * (count + 1)
+            by_recursion(tree, left, right)
+            t = perms.plane_to_fs(tree)
+            assert (t.left, t.right) == (tuple(left), tuple(right))
     path = (3000, ())
     for v in range(2999, 0, -1):
         path = (v, (path,))
