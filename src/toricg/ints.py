@@ -48,6 +48,17 @@ def read_ints(text: str, sep: str | None = None, signed: bool = False) -> tuple[
     return tuple(out)
 
 
+def strip_blanks(text: str) -> str:
+    """``text`` without its blanks, for the tree readers; a run of blanks
+    between two digits is refused, since dropping it would join two
+    integers into one."""
+    parts = [part for part in text.split(" ") if part]
+    for a, b in zip(parts, parts[1:]):
+        if "0" <= a[-1] <= "9" and "0" <= b[0] <= "9":
+            raise StructuralError(f"blank inside an integer in {text!r}")
+    return "".join(parts)
+
+
 def ints_to_text(values: Iterable[int]) -> str:
     """The integers separated by single spaces, as :func:`read_ints` reads
     them back: the text of a permutation or of a function."""

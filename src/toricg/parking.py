@@ -34,7 +34,7 @@ from . import perms
 from .config import check_capacity
 from .errors import PreconditionError, StructuralError, require_ints, require_size
 # a function's text is the shared integer text
-from .ints import ints_to_text as fn_to_text, read_int, read_ints
+from .ints import ints_to_text as fn_to_text, read_int, read_ints, strip_blanks
 from .words import D, U, u_runs
 
 if TYPE_CHECKING:
@@ -185,17 +185,14 @@ def edge_perm(t: ParkingTree) -> tuple[int, ...]:
 
 
 def _attach(shape: perms.PlaneTree, fibers, n: int) -> ParkingTree:
-    """The parking tree on ``shape`` (a vertex-labeled plane tree on n+1
-    vertices) whose edges at vertex v carry ``fibers[v]``, v's increasing
-    edge labels, left to right."""
+    """The parking tree on ``shape`` (a flat increasing plane tree on n+1
+    vertices, ``shape[v]`` the children of v) whose edges at vertex v carry
+    ``fibers[v]``, v's increasing edge labels, left to right."""
     parent, child = [0] * n, [0] * n
-    stack = [shape]
-    while stack:
-        v, kids = stack.pop()
+    for v, kids in enumerate(shape):
         if kids:
-            for e, (c, _) in zip(fibers[v], kids):
+            for e, c in zip(fibers[v], kids):
                 parent[e - 1], child[e - 1] = v, c
-            stack.extend(kids)
     return ParkingTree(parent, child)
 
 
@@ -269,12 +266,13 @@ def parking_tree_texts(n: int, unsafe: bool = False) -> Iterator[str]:
     :func:`enumerate_parking_trees`, in the same order, without building
     the trees.
 
-    One walk of each shape, on an explicit stack, writes its text with a
-    slot per edge label and notes each edge as (parent v, sibling index j).
-    Laid end to end, a labelling gives v's edges the entries from
-    offset[v], the number of children of the vertices labelled below v, so
-    edge (v, j) takes entry offset[v] + j.  The labellings laid end to end,
-    as texts, are listed once per tuple of child counts."""
+    One walk of each shape (a flat plane tree, ``shape[v]`` the children of
+    v), on an explicit stack, writes its text with a slot per edge label
+    and notes each edge as (parent v, sibling index j).  Laid end to end, a
+    labelling gives v's edges the entries from offset[v], the number of
+    children of the vertices labelled below v, so edge (v, j) takes entry
+    offset[v] + j.  The labellings laid end to end, as texts, are listed
+    once per tuple of child counts."""
     require_size("enumerate_parking_trees", n)
     check_capacity("parking_trees", n, unsafe)
     labels = tuple(range(1, n + 1))
@@ -282,20 +280,20 @@ def parking_tree_texts(n: int, unsafe: bool = False) -> Iterator[str]:
     for shape in perms.increasing_plane_trees(n + 1):
         parts: list[str] = []
         edges: list[tuple[int, int]] = []
-        counts = [0] * (n + 2)
-        stack: list = [(shape, 0, 0)]  # (node, its parent, its sibling index), or closing text
+        stack: list = [(1, 0, 0)]  # (vertex, its parent, its sibling index), or closing text
         while stack:
             item = stack.pop()
             if type(item) is str:
                 parts.append(item)
                 continue
-            (v, kids), parent, j = item
-            counts[v] = len(kids)
+            v, parent, j = item
             if parent:
                 edges.append((parent, j))
             parts.append(f" [e=%s (v={v}" if parent else f"(v={v}")
             stack.append(")]" if parent else ")")
+            kids = shape[v]
             stack += [(kids[i], v, i) for i in range(len(kids) - 1, -1, -1)]
+        counts = list(map(len, shape))
         offset = list(itertools.accumulate(counts, initial=0))
         sizes = tuple(c for c in counts if c)
         if sizes not in laid:
@@ -381,7 +379,7 @@ def parking_tree_from_text(text: str) -> ParkingTree:
     text can break is refused here: a root not labeled 1, sibling edge
     labels out of order, edge labels that are not a bijection to [n]; the
     constructor checks the vertex labels."""
-    s = text.replace(" ", "")
+    s = strip_blanks(text)
     expected = lambda what, i: StructuralError(f"expected {what!r} at {i} in {text!r}")
     edges: list[tuple[int, int, int]] = []  # (edge label, parent, child)
     stack: list[list[int]] = []  # open vertices: [label, label of its last edge]

@@ -5,8 +5,9 @@ Krattenthaler bijection with Dyck words, min-rooted binary trees
 A permutation is a tuple of the integers 1..n in one-line notation.  A
 min-rooted tree is stored flat: by its in-order permutation, which fixes
 it, and its left and right child slots as tuples indexed by label, which
-:func:`fs_tree` derives once.  Plane trees with increasing vertex labels
-are nested tuples (label, (child, child, ...)).
+:func:`fs_tree` derives once.  A plane tree with increasing vertex labels
+1..count is flat too: a tuple of child tuples indexed by label, so
+``tree[v]`` holds v's children left to right and ``tree[0]`` is empty.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from typing import Iterator, Optional
 
 from .errors import PreconditionError, StructuralError, require_size
 # a permutation's text is the shared integer text
-from .ints import ints_to_text as perm_to_text, read_int, read_ints
+from .ints import ints_to_text as perm_to_text, read_int, read_ints, strip_blanks
 from .words import D, U, is_dyck
 
-PlaneTree = tuple  # (label, (PlaneTree, ...))
+PlaneTree = tuple  # tree[v]: the children of v, left to right; tree[0] == ()
 
 
 def perm_from_text(text: str) -> tuple[int, ...]:
@@ -276,7 +277,7 @@ def fs_tree_from_text(text: str) -> FSTree | None:
     increasing and a permutation of [n], and "()" the empty tree; read on
     an explicit stack of the open vertices, so that no level costs a
     recursion."""
-    s = text.replace(" ", "")
+    s = strip_blanks(text)
     if s == "()":
         return None
     labels: list[int] = []
@@ -324,7 +325,7 @@ def fs_tree_from_text(text: str) -> FSTree | None:
 
 def increasing_plane_trees(count: int) -> Iterator[PlaneTree]:
     """All plane trees on ``count`` vertices labeled 1..count with labels
-    increasing away from the root.
+    increasing away from the root, each a flat tuple (see ``PlaneTree``).
 
     Built by inserting vertex k as a new child of any existing vertex in any
     position; attachment slots are tried in (parent label, slot) order, so
@@ -337,62 +338,48 @@ def _insertion_walk(count: int, at_most_two: bool) -> Iterator[tuple[PlaneTree, 
     """The trees of :func:`increasing_plane_trees`, each with its fork count
     (vertices with at least two children) kept as the vertices are inserted:
     inserting under a parent that has exactly one child makes a new fork.
-    ``at_most_two`` skips the parents with two children.  Each tree rebuilds
-    only the nodes whose subtree changed since the previous tree and shares
-    the others with it."""
+    ``at_most_two`` skips the parents with two children.
+
+    One loop places the labels 2..count in turn: ``parent[k]`` and
+    ``slot[k]`` say where label k sits, and ``forks[k]`` counts the forks of
+    the tree on the labels below k.  Placing or removing a label rewrites
+    the child tuple of its one parent, and each tree is yielded as a new
+    tuple of the child tuples, so no later step changes it."""
     require_size("increasing_plane_trees", count, name="count")
     if count == 0:
         return
-    children: list[list[int]] = [[] for _ in range(count + 1)]
-    nodes: list = [(v, ()) for v in range(count + 1)]
-    parent_of = [0] * (count + 1)
-    # stale[v]: v's children changed since the last tree, or a descendant's
-    # did; a stale vertex's parent is stale too
-    stale = [False] * (count + 1)
-
-    def touch(v: int) -> None:
-        while v and not stale[v]:
-            stale[v] = True
-            v = parent_of[v]
-
-    def freeze() -> PlaneTree:
-        # children carry larger labels, so rebuild from the last vertex up
-        for v in range(count, 0, -1):
-            if stale[v]:
-                nodes[v] = (v, tuple([nodes[c] for c in children[v]]))
-                stale[v] = False
-        return nodes[1]
-
-    def rec(next_label: int, forks: int) -> Iterator[tuple[PlaneTree, int]]:
-        if next_label > count:
-            yield freeze(), forks
-            return
-        for parent in range(1, next_label):
-            cs = children[parent]
-            if at_most_two and len(cs) == 2:
+    rows: list[tuple[int, ...]] = [()] * (count + 1)
+    parent = [0] * (count + 1)
+    slot = [0] * (count + 1)
+    forks = [0] * (count + 2)
+    k, p, s = 2, 1, 0  # the next place to try for label k: slot s under p
+    while True:
+        if k > count:
+            yield tuple(rows), forks[k]
+        else:
+            while p < k and (s > len(rows[p]) or at_most_two and len(rows[p]) == 2):
+                p, s = p + 1, 0
+            if p < k:
+                kids = rows[p]
+                rows[p] = kids[:s] + (k,) + kids[s:]
+                parent[k], slot[k] = p, s
+                forks[k + 1] = forks[k] + (len(kids) == 1)
+                k, p, s = k + 1, 1, 0
                 continue
-            parent_of[next_label] = parent
-            more = forks + (len(cs) == 1)
-            for slot in range(len(cs) + 1):
-                cs.insert(slot, next_label)
-                touch(parent)
-                yield from rec(next_label + 1, more)
-                cs.pop(slot)
-                touch(parent)
-
-    yield from rec(2, 0)
+        # every place for k is tried: take k - 1 out and move it on
+        k -= 1
+        if k == 1:
+            return
+        p, s = parent[k], slot[k]
+        kids = rows[p]
+        rows[p] = kids[:s] + kids[s + 1:]
+        s += 1
 
 
 def child_counts(tree: PlaneTree) -> tuple[int, ...]:
     """Number of children of each vertex, in increasing label order; for a
     tree labeled 1..count entry v - 1 belongs to vertex v."""
-    counts: dict[int, int] = {}
-    stack = [tree]
-    while stack:
-        v, kids = stack.pop()
-        counts[v] = len(kids)
-        stack.extend(kids)
-    return tuple(counts[v] for v in sorted(counts))
+    return tuple(map(len, tree[1:]))
 
 
 def enumerate_increasing_012(vertex_count: int) -> Iterator[tuple[PlaneTree, int]]:
@@ -406,23 +393,22 @@ def enumerate_increasing_012(vertex_count: int) -> Iterator[tuple[PlaneTree, int
 
 def plane_to_fs(tree: PlaneTree) -> FSTree:
     """Identify a plane tree with <= 2 children per vertex with the
-    right-adjusted min-rooted tree: an only child goes in the right slot.
-    Its in-order (first child, vertex, last child) is written from an
-    explicit stack, so no level costs a recursion, and read by
-    :func:`fs_tree`."""
-    order: list[int] = []
-    stack: list = [tree]
-    while stack:
-        item = stack.pop()
-        if type(item) is int:
-            order.append(item)
-            continue
-        v, kids = item
+    right-adjusted min-rooted tree: of two children the first goes in the
+    left slot and the second in the right one, and an only child goes in
+    the right slot.  ``tree`` must be an increasing plane tree on 1..n:
+    entry 0 empty, and every label 2..n the child of exactly one smaller
+    label; otherwise a StructuralError is raised."""
+    n = len(tree) - 1
+    left, right = [0] * (n + 1), [0] * (n + 1)
+    for v in range(1, n + 1):
+        kids = tree[v]
         if len(kids) > 2:
             raise StructuralError("vertex has more than two children")
-        if len(kids) == 2:
-            stack += (kids[1], v, kids[0])
-        else:
-            order.append(v)
-            stack += kids
-    return fs_tree(tuple(order))
+        for c in kids:
+            if type(c) is not int or c <= v:
+                raise StructuralError(f"child {c!r} of {v} is not a larger label")
+        if kids:
+            left[v], right[v] = (0, *kids)[-2:]
+    if n < 1 or tree[0] != () or sorted(filter(None, left + right)) != list(range(2, n + 1)):
+        raise StructuralError(f"not an increasing plane tree: {tree!r}")
+    return FSTree(_inorder(left, right), tuple(left), tuple(right))

@@ -513,13 +513,13 @@ def _pipeline(b: int) -> None:
 
 def _gamma_trees(b: int) -> None:
     for n in range(1, b + 1):
+        # each tree's right-adjusted in-order, read once for every kind
+        trees = [(perms.plane_to_fs(tree).perm, forks)
+                 for tree, forks in perms.enumerate_increasing_012(n + 1)]
         for kind in _KINDS:
             bs = nestohedra.named_family(kind, n)
             allowed = set(nestohedra.right_adjusted_b_permutations(bs, unsafe=True))
-            hist: Counter[int] = Counter()
-            for tree, forks in perms.enumerate_increasing_012(n + 1):
-                if perms.fs_inorder(perms.plane_to_fs(tree)) in allowed:
-                    hist[forks] += 1
+            hist = Counter(forks for perm, forks in trees if perm in allowed)
             gamma = nestohedra.gamma_chordal(bs, unsafe=True)
             _expect(tuple(hist.get(j, 0) for j in range(n // 2 + 1)) == gamma, (kind, n))
 

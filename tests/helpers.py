@@ -119,16 +119,13 @@ def naive_factor_count(w: str, f: str) -> int:
 
 def increasing_plane_trees_by_rebuild(count: int, max_children=None):
     """Insert vertex k under every vertex in (parent, slot) order, as the
-    library's walk does, and build each finished tree afresh from its child
-    lists by recursion."""
+    library's walk does, by recursion on mutable child lists, and build each
+    finished flat tree afresh from those lists."""
     children = [[] for _ in range(count + 1)]
-
-    def build(v):
-        return (v, tuple(build(c) for c in children[v]))
 
     def rec(k):
         if k > count:
-            yield build(1)
+            yield tuple(tuple(cs) for cs in children)
             return
         for parent in range(1, k):
             cs = children[parent]
@@ -385,14 +382,14 @@ def right_adjusted_filter(bs) -> list[tuple[int, ...]]:
 
 
 def is_dfs_labeled(tree) -> bool:
-    """True when the labels of a plane tree read 1, 2, 3, ... in preorder."""
-    expected = itertools.count(1)
-
-    def walk(node) -> bool:
-        v, kids = node
-        return v == next(expected) and all(walk(c) for c in kids)
-
-    return walk(tree)
+    """True when the labels of a flat plane tree read 1, 2, 3, ... in
+    preorder, walked on a stack from the root."""
+    order, stack = [], [1]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(reversed(tree[v]))
+    return order == list(range(1, len(tree)))
 
 
 def toric_g_by_parking_trees(bs, dfs_only: bool = False) -> IntPoly:

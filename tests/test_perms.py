@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -128,30 +129,44 @@ def test_fs_tree_repr_evaluates_to_the_tree():
 
 
 def test_plane_to_fs_matches_the_recursive_build():
-    """Built on a stack, it gives what one recursion per vertex gave, takes
-    a 3,000-vertex path (which raised RecursionError) and still refuses a
-    vertex with three children."""
+    """Read off the child tuples, it gives what one recursion per vertex
+    gives, takes a 3,000-vertex path (which raised RecursionError in the
+    nested form) and still refuses a vertex with three children."""
 
-    def by_recursion(tree, left, right):
+    def by_recursion(tree, v, left, right):
         """Each vertex's slots from its children: an only child on the right."""
-        label, kids = tree
-        left[label], right[label] = ([0, 0] + [kid[0] for kid in kids])[-2:]
-        for kid in kids:
-            by_recursion(kid, left, right)
+        left[v], right[v] = ([0, 0] + list(tree[v]))[-2:]
+        for kid in tree[v]:
+            by_recursion(tree, kid, left, right)
 
     for count in range(7):
         for tree, _ in perms.enumerate_increasing_012(count):
             left, right = [0] * (count + 1), [0] * (count + 1)
-            by_recursion(tree, left, right)
+            by_recursion(tree, 1, left, right)
             t = perms.plane_to_fs(tree)
             assert (t.left, t.right) == (tuple(left), tuple(right))
-    path = (3000, ())
-    for v in range(2999, 0, -1):
-        path = (v, (path,))
+            assert t == perms.fs_tree(t.perm)
+    path = ((),) + tuple((v + 1,) for v in range(1, 3000)) + ((),)
     t = perms.plane_to_fs(path)
-    assert perms.fs_preorder(t) == perms.fs_inorder(t) == tuple(range(1, 3001))
+    assert perms.fs_preorder(t) == perms.fs_inorder(t) == t.perm == tuple(range(1, 3001))
     with pytest.raises(StructuralError, match="more than two children"):
-        perms.plane_to_fs((1, ((2, ()), (3, ((4, ()), (5, ()), (6, ()))))))
+        perms.plane_to_fs(((), (2, 3), (), (4, 5, 6), (), (), ()))
+
+
+@pytest.mark.parametrize("tree", [
+    ((), (1,)),  # a vertex its own child: the in-order walk never ended
+    ((), (3,), (), ()),  # label 2 is no vertex's child
+    ((), (2, 2), ()),  # label 2 twice
+    ((2,), ()),  # children under the unused entry 0
+    ((), (3,), (), (2,)),  # a child label below its parent's
+    ((), (0, 2), ()),  # a child label outside 1..n
+    ((), (2.0,), ()),  # a label that is not an int
+    ((),),  # no vertex
+    (),
+])
+def test_plane_to_fs_refuses_malformed_flat_trees(tree):
+    with pytest.raises(StructuralError):
+        perms.plane_to_fs(tree)
 
 
 def test_fs_tree_small():
@@ -262,10 +277,10 @@ def test_des_asc_count_the_position_sets(n):
 @pytest.mark.parametrize("max_children", [None, 1, 2, 3])
 @pytest.mark.parametrize("count", range(8))
 def test_insertion_walk_matches_the_rebuild_oracle(count, max_children):
-    """Rebuilding only the vertices changed since the previous tree gives
-    the trees that a fresh build of every tree gives, in the same order; the
-    trees with at most ``max_children`` children per vertex come in the
-    order of the oracle that skips the full parents, as the 0-1-2 walk does."""
+    """The iterative walk gives the trees that a recursion on mutable child
+    lists builds afresh, in the same order; the trees with at most
+    ``max_children`` children per vertex come in the order of the oracle
+    that skips the full parents, as the 0-1-2 walk does."""
     expected = list(increasing_plane_trees_by_rebuild(count, max_children))
     assert [t for t in perms.increasing_plane_trees(count)
             if max_children is None or max(perms.child_counts(t)) <= max_children] == expected
@@ -274,21 +289,37 @@ def test_insertion_walk_matches_the_rebuild_oracle(count, max_children):
 
 
 def test_plane_trees_are_increasing():
+    """Every label is reached once from the root, through larger labels
+    only, and child_counts counts each vertex's appearances as a parent."""
     for count in range(1, 6):
         trees = list(perms.increasing_plane_trees(count))
         assert len(trees) == len(set(trees))
-
-        def check(node, parent_label, counts):
-            label, kids = node
-            assert label > parent_label
-            counts[label - 1] = len(kids)
-            for c in kids:
-                check(c, label, counts)
-
         for t in trees:
-            counts = [None] * count
-            check(t, 0, counts)
-            assert perms.child_counts(t) == tuple(counts)
+            assert len(t) == count + 1 and t[0] == ()
+            parent_of = {}
+            stack = [1]
+            while stack:
+                v = stack.pop()
+                for c in t[v]:
+                    assert c > v and c not in parent_of
+                    parent_of[c] = v
+                    stack.append(c)
+            assert sorted(parent_of) == list(range(2, count + 1))
+            counts = Counter(parent_of.values())
+            assert perms.child_counts(t) == tuple(counts[v] for v in range(1, count + 1))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_walk_yields_independent_trees(m):
+    """The trees kept in a list are the trees read one at a time, pairwise
+    distinct and (2m - 3)!! of them, each a tuple of tuples, so no later
+    step of the walk can change one already yielded."""
+    kept = list(perms.increasing_plane_trees(m))
+    for earlier, now in itertools.zip_longest(kept, perms.increasing_plane_trees(m)):
+        assert earlier == now  # compared before the walk takes its next step
+    assert len(set(kept)) == len(kept) == math.prod(range(1, 2 * m - 2, 2))
+    for t in kept:
+        assert type(t) is tuple and all(type(kids) is tuple for kids in t)
 
 
 def test_text_formats():

@@ -95,6 +95,11 @@ def test_parking_tree_from_text_reads_back(text):
     (IntPoly.from_text, "+1"),
     (parking.fn_from_text, "١"),  # int() and str.isdigit() read this as 1
     (IntPoly.from_text, "1" * 5000),  # more digits than int() converts
+    # a blank inside a number: with the blanks dropped these read as
+    # vertex 10 and as edge 10 into vertex 11
+    (perms.fs_tree_from_text, "(1 L(2) R(3 L(4 R(5 R(6 R(7 L(8) R(9))))) R(1 0 R(11))))"),
+    (parking.parking_tree_from_text,
+     "(v=1" + "".join(f" [e={e} (v={e + 1})]" for e in range(1, 10)) + " [e=1 0 (v=1 1)])"),
 ])
 def test_reader_probes_raise_structural_errors(read, text):
     with pytest.raises(StructuralError):
