@@ -29,14 +29,15 @@ if TYPE_CHECKING:
 # the usage and capacity checks that come first: a closed-form row needs
 # only polyvec, a family's direct row transfer, a building-set file
 # buildingset (and nestohedra once the set is checked, polyvec once a row
-# is computed), a refusal none of the library, and only the JSON reader
-# and writers load json.
+# is computed), a verify its one suite module and what that suite checks,
+# a refusal none of the library, and only the JSON reader and writers load
+# json.
 
 _SCHEMA = "toricg/1"
 _TABLE_FAMILIES = ("associahedron", "cyclohedron", "permutahedron", "cube")
 _CHUNK_LINES = 4096
 _BS_FAMILIES = ("permutahedron", "stanley_pitman", "associahedron_intervals", "interpolation")
-# sorted(verification.SUITES), spelled out so that parsing loads no suite
+# suites.NAMES, spelled out so that parsing loads no suite
 _SUITES = ("bijections", "compat", "conjectures", "gamma", "nestohedra", "series")
 
 
@@ -218,9 +219,9 @@ def _cmd_verify(args) -> int:
         raise ToricgError(f"n_max must be >= 0, got {args.n_max}")
     import json
 
-    from . import verification
+    from . import suites
 
-    report = verification.SUITES[args.suite](args.n_max, unsafe=args.unsafe_max)
+    report = suites.run(args.suite, args.n_max, unsafe=args.unsafe_max)
     report = {"schema": _SCHEMA, "kind": "verify", **report}
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0 if report["ok"] else 1

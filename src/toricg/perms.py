@@ -12,6 +12,8 @@ it, and its left and right child slots as tuples indexed by label, which
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import permutations
 from operator import gt, lt
 from typing import Iterator, Optional
 
@@ -35,6 +37,7 @@ def validate_perm(p) -> None:
 
 
 def inverse(p) -> tuple[int, ...]:
+    validate_perm(p)
     inv = [0] * len(p)
     for i, v in enumerate(p, start=1):
         inv[v - 1] = i
@@ -56,6 +59,14 @@ def asc(p) -> int:
 
 def des(p) -> int:
     return sum(map(gt, p, p[1:]))
+
+
+def eulerian_hvec(n: int) -> tuple[int, ...]:
+    """Descent histogram of all permutations of [n+1], by enumeration: the
+    permutahedron's h-vector, the oracle of its gamma-vector."""
+    require_size("eulerian_hvec", n)
+    hist = Counter(map(des, permutations(range(n + 1))))
+    return tuple(hist.get(i, 0) for i in range(n + 1))
 
 
 def is_123_avoiding(seq) -> bool:
@@ -135,25 +146,50 @@ def enumerate_123_avoiding(n: int, distinct: bool = True) -> Iterator[tuple[int,
     """All 123-avoiding permutations of [n] in lexicographic order, or with
     ``distinct=False`` all 123-avoiding functions [n] -> [n] (weak pattern,
     see :func:`is_123_avoiding`).  Prefixes holding a pattern are pruned,
-    so the sweep stays far below n! or n^n."""
+    so the sweep stays far below n! or n^n.
+
+    One loop walks the prefixes depth-first.  Depth d keeps m1 and m2 of
+    the prefix before it (its minimum, and the least value that tops a
+    weakly increasing pair; n + 1 while there is none) and the next value
+    to try there, which is below m2; the last position yields each of its
+    values at once."""
     require_size("enumerate_123_avoiding", n)
-    prefix: list[int] = []
-    used = [False] * (n + 1)
-
-    def rec(m1: int, m2: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for v in range(1, m2):
-            if used[v]:
-                continue
-            used[v] = distinct  # a function may repeat v
-            prefix.append(v)
-            yield from rec(v, m2) if v < m1 else rec(m1, v)
-            prefix.pop()
-            used[v] = False
-
-    yield from rec(n + 1, n + 1)
+    if n == 0:
+        yield ()
+        return
+    last = n - 1
+    prefix = [0] * n
+    used = [False] * (n + 1)  # only a permutation marks its values
+    low = [n + 1] * n   # low[d], high[d]: m1 and m2 of prefix[:d]
+    high = [n + 1] * n
+    start = [1] * n     # start[d]: the next value to try at depth d
+    d = 0
+    while True:
+        top = high[d]
+        if d == last:
+            head = tuple(prefix[:last])
+            for v in range(1, top):
+                if not used[v]:
+                    yield head + (v,)
+            v = top  # the last position is done
+        else:
+            v = start[d]
+            if v > 1:  # give back the value tried last here
+                used[prefix[d]] = False
+            while v < top and used[v]:
+                v += 1
+        if v >= top:
+            if d == 0:
+                return
+            d -= 1
+            continue
+        start[d] = v + 1
+        prefix[d] = v
+        used[v] = distinct  # a function may repeat v
+        m1 = low[d]
+        d += 1
+        low[d], high[d] = (v, top) if v < m1 else (m1, v)
+        start[d] = 1
 
 
 # ---------------------------------------------------------------------------

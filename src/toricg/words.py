@@ -8,12 +8,16 @@ streams are in lexicographic order with U < D and are deterministic.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import PreconditionError, StructuralError, require_ints, require_size
 # the shared integer helpers live in ints, and words keeps their names
 from .ints import catalan, read_int, read_ints, set_mask
+
+if TYPE_CHECKING:
+    from .polyvec import IntPoly
 
 U = "U"
 D = "D"
@@ -43,12 +47,14 @@ def catalan_triangle(n: int, k: int) -> int:
 
 
 def is_balanced(w: str) -> bool:
-    """True when w uses only U/D with equally many of each."""
-    return {U, D}.issuperset(w) and 2 * w.count(U) == len(w)
+    """True when w is a str that uses only U/D with equally many of each."""
+    return isinstance(w, str) and {U, D}.issuperset(w) and 2 * w.count(U) == len(w)
 
 
 def is_dyck(w: str) -> bool:
-    """True when w is balanced and no prefix has more D's than U's."""
+    """True when w is a str, balanced, and no prefix has more D's than U's."""
+    if not isinstance(w, str):
+        return False
     height = 0
     for ch in w:
         height += 1 if ch == U else -1
@@ -58,9 +64,10 @@ def is_dyck(w: str) -> bool:
 
 
 def is_motzkin(w: str) -> bool:
-    """True when w over {U,D,H} stays nonnegative and ends at height 0; an
-    H step keeps the height, so that is w without its H's being Dyck."""
-    return is_dyck(w.replace(H, ""))
+    """True when w is a str over {U,D,H} that stays nonnegative and ends at
+    height 0; an H step keeps the height, so that is w without its H's
+    being Dyck."""
+    return isinstance(w, str) and is_dyck(w.replace(H, ""))
 
 
 def enumerate_words(n: int, kind: str = "dyck", height: int | None = None) -> Iterator[str]:
@@ -122,6 +129,35 @@ def factor_count(w: str, f: str) -> int:
     return count
 
 
+def peak_poly_oracles(n: int) -> list[IntPoly]:
+    """Brute-force peak weights of every prefix length: entry m sums, over
+    the Dyck words of semilength n, x to the number of UD factors inside
+    the length-m prefix (m = 0..2n); the oracle of ``polyvec.peak_poly``.
+
+    One sweep over the words serves every m.  A word whose i-th UD factor
+    (from 0) ends at e_i has i factors in the prefixes of length e_{i-1}
+    (e_{-1} = 0) up to e_i - 1, so it adds one range per factor to a
+    difference row over m.
+    """
+    require_size("peak_poly_oracles", n)
+    from .polyvec import IntPoly
+
+    length = 2 * n
+    diff = [[0] * (length + 2) for _ in range(n + 1)]  # diff[i][m]: by factor count i
+    for w in enumerate_words(n, "dyck"):
+        i = start = 0
+        p = w.find("UD")
+        while p >= 0:
+            diff[i][start] += 1
+            diff[i][p + 2] -= 1
+            i, start = i + 1, p + 2
+            p = w.find("UD", start)
+        diff[i][start] += 1
+        diff[i][length + 1] -= 1
+    rows = [list(accumulate(row)) for row in diff]
+    return [IntPoly([row[m] for row in rows]) for m in range(length + 1)]
+
+
 def is_lukasiewicz(word: Sequence[int]) -> bool:
     """True when the letter weights q-1 sum to -1 with nonnegative proper prefixes."""
     if not word or any(q < 0 for q in word):
@@ -146,9 +182,9 @@ def dyck_to_lukasiewicz(w: str) -> tuple[int, ...]:
 
 
 def u_runs(w: str) -> list[int] | None:
-    """Run lengths q_i of w = U^{q_1} D ... U^{q_n} D, or None when w has a
-    letter other than U, D or ends inside a U run."""
-    if not {U, D}.issuperset(w) or w.endswith(U):
+    """Run lengths q_i of w = U^{q_1} D ... U^{q_n} D, or None when w is not
+    a str, has a letter other than U, D or ends inside a U run."""
+    if not isinstance(w, str) or not {U, D}.issuperset(w) or w.endswith(U):
         return None
     return list(map(len, w.split(D)[:-1]))
 
@@ -192,7 +228,7 @@ def dyck_to_motzkin(w: str) -> str:
 
 def motzkin_to_dyck(w: str) -> str:
     """Inverse rewriting U -> UUD, H -> UD, D -> D."""
-    if any(ch not in "UDH" for ch in w):
+    if not isinstance(w, str) or any(ch not in "UDH" for ch in w):
         raise StructuralError(f"expected a word over {{U,D,H}}, got {w!r}")
     return "".join({"U": "UUD", "H": "UD", "D": "D"}[ch] for ch in w)
 

@@ -640,8 +640,9 @@ def test_exit_code_property(document, truncated, argv):
 
 def _loaded_modules(*argv):
     """Exit code of one command in a fresh interpreter, and the toricg
-    modules it left loaded, by their short names, with ``json`` among them
-    when the command loaded it."""
+    modules it left loaded, by their dotted names below ``toricg`` (so
+    ``suites.compat`` is not ``compat``), with ``toricg`` itself and
+    ``json`` among them when the command loaded it."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     script = (
@@ -654,14 +655,21 @@ def _loaded_modules(*argv):
     proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path), check=True)
     code, *names = proc.stdout.split()
-    return int(code), {name.rpartition(".")[2] for name in names}
+    return int(code), {name.partition(".")[2] or name for name in names}
 
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     base = {"toricg", "cli", "config", "errors"}
-    # verification imports every library module its suites check when it loads
-    verify = base | {"json", "verification", "buildingset", "compat", "ints", "nestohedra",
-                     "parking", "perms", "polyvec", "series", "transfer", "words"}
+    # verify S loads the runner, suite S and the library modules S checks
+    verify = {
+        "bijections": {"compat", "ints", "parking", "perms", "words"},
+        "compat": {"compat", "ints", "parking", "perms", "polyvec", "transfer", "words"},
+        "conjectures": {"ints", "polyvec"},
+        "gamma": {"buildingset", "ints", "nestohedra", "perms", "polyvec", "words"},
+        "nestohedra": {"buildingset", "ints", "nestohedra", "parking", "perms", "polyvec",
+                       "transfer", "words"},
+        "series": {"ints", "polyvec", "series", "words"},
+    }
     good, bad, big = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "big.json"
     good.write_text(json.dumps(nestohedra.named_family("stanley_pitman", 2).to_json()))
     bad.write_text(json.dumps(MALFORMED["member-float"]))
@@ -693,7 +701,9 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         (["enumerate", "b_perms", "2", "--building-set", str(good)], 0,
          base | {"json", "buildingset", "ints", "nestohedra"}),
     ]
-    expected += [(["verify", suite, "1"], 0, verify) for suite in cli._SUITES]
+    expected += [(["verify", suite, "1"], 0,
+                  base | {"json", "suites", f"suites.{suite}"} | verify[suite])
+                 for suite in cli._SUITES]
     for argv, code, footprint in expected:
         assert _loaded_modules(*argv) == (code, footprint), argv
 

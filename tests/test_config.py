@@ -16,7 +16,7 @@ _PACKAGE = pathlib.Path(config.__file__).parent
 
 def _capacity_calls():
     """(file, first argument) of every check_capacity call in the package."""
-    for path in sorted(_PACKAGE.glob("*.py")):
+    for path in sorted(_PACKAGE.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(node, ast.Call):
                 continue

@@ -70,7 +70,7 @@ def test_moved_names_keep_their_old_homes():
 
 def test_no_module_imports_fractions():
     """Read with ``ast``, so that a rational chain cannot come back unnoticed."""
-    for path in sorted(pathlib.Path(toricg.__file__).parent.glob("*.py")):
+    for path in sorted(pathlib.Path(toricg.__file__).parent.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
@@ -85,7 +85,7 @@ def _hand_size_checks(src: pathlib.Path) -> list[str]:
     """Each ``if <name> < <int literal>:`` under ``src`` whose body raises
     PreconditionError, as ``module.py:line name``."""
     sites = []
-    for path in sorted(src.glob("*.py")):
+    for path in sorted(src.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(node, ast.If) or not isinstance(node.test, ast.Compare):
                 continue
@@ -139,7 +139,7 @@ def _unreferenced_definitions(src: pathlib.Path, named: set[str]) -> list[str]:
     ``src`` that nothing else there refers to and ``named`` lacks; a method
     ``m`` of class ``C`` is referred to by ``x.m`` or by ``C.m``, never by
     ``D.m`` for another class ``D`` of ``src``, and dunders are exempt."""
-    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))]
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.rglob("*.py"))]
     tops = [d for tree in trees for d in tree.body if isinstance(d, (ast.FunctionDef, ast.ClassDef))]
     classes = {d.name for d in tops if isinstance(d, ast.ClassDef)}
     everywhere = Counter()

@@ -377,3 +377,22 @@ def test_enumerate_123_avoiding_needs_an_int(n):
     """enumerate_123_avoiding(2.5) raised a raw TypeError."""
     with pytest.raises(PreconditionError, match="needs int arguments"):
         list(perms.enumerate_123_avoiding(n))
+
+
+@pytest.mark.parametrize("distinct", [True, False], ids=["permutations", "functions"])
+@pytest.mark.parametrize("n", range(8))
+def test_123_walk_matches_is_123_avoiding_filter(n, distinct):
+    """The one-loop walk lists, in order, exactly what filtering every
+    permutation or every function of [n] through is_123_avoiding keeps."""
+    values = range(1, n + 1)
+    everyone = itertools.permutations(values) if distinct else itertools.product(values, repeat=n)
+    expected = list(filter(perms.is_123_avoiding, everyone))
+    assert list(perms.enumerate_123_avoiding(n, distinct)) == expected
+
+
+@pytest.mark.parametrize("p", [(0,), (1, 1), (1.0,), (3, 1)])
+def test_inverse_refuses_a_non_permutation(p):
+    """inverse((0,)) returned (1,) and inverse((1, 1)) (2, 0); inverse((1.0,))
+    raised a raw TypeError and inverse((3, 1)) an IndexError."""
+    with pytest.raises(StructuralError, match="not a permutation"):
+        perms.inverse(p)

@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from toricg import config, nestohedra, perms, series, verification, words
+from toricg import config, nestohedra, perms, series, suites, verification, words
 from toricg.errors import PreconditionError
 from toricg.nestohedra import BuildingSet
 
@@ -35,6 +35,38 @@ def test_suites_pass(suite, n_max):
     for check in report["checks"]:
         assert check["ok"], check
         assert check["bound"] <= max(n_max, 1) or suite == "series"
+
+
+@pytest.mark.parametrize("suite", sorted(verification.SUITES))
+def test_registry_and_runner_report_alike(suite):
+    """verification.SUITES runs the same table as suites.run, which the
+    verify command calls."""
+    assert verification.SUITES[suite](3) == suites.run(suite, 3)
+
+
+def test_runner_refuses_an_unknown_suite():
+    assert suites.NAMES == tuple(sorted(verification.SUITES))
+    with pytest.raises(PreconditionError, match="unknown suite 'nosuch'"):
+        suites.run("nosuch", 3)
+
+
+def test_registry_loads_every_suite_and_what_it_checks():
+    """A caller that imports verification before its clock (the benchmark
+    worker) then times no module compile: the import alone loads all six
+    suite modules and every library module they check."""
+    src = os.path.join(os.path.dirname(verification.__file__), os.pardir)
+    script = (
+        "import sys\n"
+        "import toricg.verification\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('toricg.')))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.path.abspath(src)), check=True)
+    library = {"buildingset", "compat", "config", "errors", "ints", "nestohedra", "parking",
+               "perms", "polyvec", "series", "transfer", "words"}
+    expected = {f"toricg.{m}" for m in library | {"verification", "suites"}}
+    expected |= {f"toricg.suites.{name}" for name in suites.NAMES}
+    assert set(done.stdout.split()) == expected
 
 
 @pytest.mark.parametrize("call", [

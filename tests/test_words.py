@@ -256,3 +256,30 @@ def test_enumerators_need_int_arguments(call):
     nc_complex_faces(3, 1.5) returned 0."""
     with pytest.raises(PreconditionError, match="needs int arguments"):
         call()
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: words.dyck_to_lukasiewicz(["U", "D"]), StructuralError),
+    (lambda: parking.garsia_haiman_inv((1,), ["U", "D"]), PreconditionError),
+    (lambda: parking.garsia_haiman_inv((1,), 5), PreconditionError),
+    (lambda: perms.krattenthaler_inv(("U", "D")), StructuralError),
+    (lambda: words.dyck_to_motzkin(["U", "D"]), StructuralError),
+    (lambda: words.motzkin_to_dyck(["U", "H"]), StructuralError),
+], ids=["dyck_to_lukasiewicz-list", "garsia_haiman_inv-list", "garsia_haiman_inv-int",
+        "krattenthaler_inv-tuple", "dyck_to_motzkin-list", "motzkin_to_dyck-list"])
+def test_a_word_is_a_str(call, error):
+    """is_dyck answered True for a list or tuple of letters and u_runs took
+    any object: the first two raised AttributeError, the third TypeError,
+    and krattenthaler_inv(("U", "D")) returned (1,).  dyck_to_motzkin took
+    a list for a balanced word and blamed a UUU factor, and motzkin_to_dyck
+    returned "UUDUD" for ["U", "H"]."""
+    with pytest.raises(error, match="not a Dyck word|incompatible pair|not a balanced word"
+                                    "|expected a word over"):
+        call()
+
+
+@pytest.mark.parametrize("word", [["U", "D"], ("U", "D"), 5, None])
+def test_word_predicates_answer_false_for_a_non_str(word):
+    """is_balanced(("U", "D")) answered True and is_motzkin(["U", "D"])
+    raised AttributeError."""
+    assert not words.is_dyck(word) and not words.is_balanced(word) and not words.is_motzkin(word)
